@@ -1,16 +1,16 @@
 """End-to-end SLO benchmark — the cascade's quality-vs-latency frontier.
 
 The cascade router (``repro.cascade``) serves confident windows from the
-int8 student and escalates only low-margin windows to the teacher, so a
-request's latency should sit between the always-int8 floor and the
+distilled student and escalates only low-margin windows to the teacher, so
+a request's latency should sit between the always-student floor and the
 always-teacher ceiling while its selections stay teacher-faithful.  This
-benchmark races the three serving plans on identical per-request traffic:
+benchmark races the serving plans on identical per-request traffic:
 
 * **always-teacher** — every window through the full selector (the
   quality ceiling and latency ceiling),
-* **always-int8**    — every window through the quantized student (the
+* **always-student** — every window through the distilled student (the
   latency floor; quality is whatever the student gives),
-* **cascade**        — int8 first, teacher for windows whose top-1
+* **cascade**        — student first, teacher for windows whose top-1
   margin falls below the calibrated threshold,
 * **cascade-int8**   — the same cascade, but escalations run through the
   **quantized teacher** (``quantize_teacher``) instead of the float one,
@@ -30,8 +30,8 @@ Acceptance (checked by assertions):
   always-teacher,
 * its window-level agreement with the teacher drops **<= 1 %**
   (agreement >= 0.99),
-* always-int8 stays the latency floor (sanity: cascade is not faster
-  than the tier it starts from, within measurement noise),
+* escalating windows never lowers agreement below the always-student
+  floor,
 * escalating to the int8 teacher does not inflate the cascade's p99
   (the int8 escalation tail is no worse than the float one, within
   measurement noise) while its window agreement drops **<= 1 %**
@@ -78,7 +78,6 @@ from repro.data.windows import extract_windows
 from repro.distill import (
     DistillConfig,
     distill_student,
-    quantize_student,
     quantize_teacher,
     selection_agreement,
 )
@@ -129,20 +128,19 @@ def _calibration_windows(scale, e2e_scale):
 
 
 def _build_tiers(scale, tier_scale, e2e_scale):
-    """Teacher -> distilled student -> int8 twins -> calibrated routers."""
+    """Teacher -> distilled student + int8 teacher -> calibrated routers."""
     teacher, detector_names = _build_selector(scale)
     config = DistillConfig(epochs=tier_scale["distill_epochs"],
                            features=tier_scale["features"],
                            seed=scale["seed"])
     transfer = _transfer_windows(scale, tier_scale)
     student, _ = distill_student(teacher, transfer, detector_names, config)
-    quantized, _ = quantize_student(student, transfer, min_agreement=0.0)
     teacher_int8, teacher_gate = quantize_teacher(teacher, transfer,
                                                   min_agreement=0.0)
 
     calib = _calibration_windows(scale, e2e_scale)
     calibration = calibrate_margin_threshold(
-        quantized.predict_proba(calib), teacher.predict_proba(calib),
+        student.predict_proba(calib), teacher.predict_proba(calib),
         target_agreement=e2e_scale["calibration_target_agreement"])
     router = CascadeRouter.from_calibration(
         teacher, calibration, seed=scale["seed"], window=scale["window"])
@@ -151,22 +149,17 @@ def _build_tiers(scale, tier_scale, e2e_scale):
     router_int8 = CascadeRouter.from_calibration(
         teacher_int8, calibration, seed=scale["seed"], window=scale["window"],
         slow_tier="teacher-int8", slow_quality=teacher_gate["agreement"])
-    return (teacher, quantized, router, router_int8, calibration,
+    return (teacher, student, router, router_int8, calibration,
             detector_names)
 
 
-def _make_service(plan, teacher, quantized, routers, detector_names, window):
+def _make_service(plan, teacher, student, routers, detector_names, window):
     if plan == "always-teacher":
         return SelectionService(teacher, detector_names,
                                 ServingConfig(window=window))
-    if plan == "always-int8":
-        return SelectionService(quantized, detector_names,
-                                ServingConfig(window=window,
-                                              selector_tier="student-int8"))
-    return SelectionService(quantized, detector_names,
-                            ServingConfig(window=window,
-                                          selector_tier="student-int8"),
-                            cascade=routers[plan])
+    return SelectionService(student, detector_names,
+                            ServingConfig(window=window, selector_tier="student"),
+                            cascade=routers.get(plan))
 
 
 def _per_request_latencies(plan, records, repeats, make_service):
@@ -192,16 +185,16 @@ def run_e2e_slo_benchmark(scale=None, tier_scale=None, e2e_scale=None,
     scale["n_query_series"] = e2e_scale["n_query_series"]
     window = scale["window"]
 
-    (teacher, quantized, router, router_int8, calibration,
+    (teacher, student, router, router_int8, calibration,
      detector_names) = _build_tiers(scale, tier_scale, e2e_scale)
     records = _query_records(scale)
     routers = {"cascade": router, "cascade-int8": router_int8}
 
     def make_service(plan):
-        return _make_service(plan, teacher, quantized, routers,
+        return _make_service(plan, teacher, student, routers,
                              detector_names, window)
 
-    plans = ("always-teacher", "always-int8", "cascade", "cascade-int8")
+    plans = ("always-teacher", "always-student", "cascade", "cascade-int8")
     latencies = {
         plan: _per_request_latencies(plan, records, e2e_scale["timing_repeats"],
                                      make_service)
@@ -218,15 +211,15 @@ def run_e2e_slo_benchmark(scale=None, tier_scale=None, e2e_scale=None,
     # the cascade service runs per batch)
     query_windows = np.vstack([extract_windows(r.series, window) for r in records])
     teacher_proba = teacher.predict_proba(query_windows)
-    int8_proba = quantized.predict_proba(query_windows)
-    cascade_proba, escalated = router.route(query_windows, int8_proba)
+    student_proba = student.predict_proba(query_windows)
+    cascade_proba, escalated = router.route(query_windows, student_proba)
     cascade_int8_proba, escalated_int8 = router_int8.route(query_windows,
-                                                           int8_proba)
+                                                           student_proba)
     assert np.array_equal(escalated, escalated_int8), \
         "the two cascades must escalate the exact same window rows"
     agreement = {
         "always-teacher": 1.0,
-        "always-int8": selection_agreement(int8_proba, teacher_proba),
+        "always-student": selection_agreement(student_proba, teacher_proba),
         "cascade": selection_agreement(cascade_proba, teacher_proba),
         "cascade-int8": selection_agreement(cascade_int8_proba, teacher_proba),
     }
@@ -244,13 +237,13 @@ def run_e2e_slo_benchmark(scale=None, tier_scale=None, e2e_scale=None,
     probe_windows = len(extract_windows(probe_records[0].series, window))
     probe_latencies = {
         plan: _per_request_latencies(plan, probe_records, 2, make_service)
-        for plan in ("always-teacher", "always-int8")
+        for plan in ("always-teacher", "always-student")
     }
     observations = [
         CostObservation(kind="selector_forward", target=tier,
                         n_windows=count, window=window, wall_ms=float(ms))
         for tier, plan in (("teacher", "always-teacher"),
-                           ("student-int8", "always-int8"))
+                           ("student", "always-student"))
         for count, ms_array in ((n_windows, latencies[plan]),
                                 (probe_windows, probe_latencies[plan]))
         for ms in ms_array
@@ -314,9 +307,9 @@ def _assert_e2e_contracts(out):
     assert agreement >= MIN_CASCADE_AGREEMENT, (
         f"cascade agrees with the teacher on only {agreement:.4f} of query "
         f"windows (need >= {MIN_CASCADE_AGREEMENT})")
-    assert out["agreement"]["cascade"] >= out["agreement"]["always-int8"] - 1e-12, (
+    assert out["agreement"]["cascade"] >= out["agreement"]["always-student"] - 1e-12, (
         "escalating windows to the teacher must not lower agreement below "
-        "the always-int8 floor")
+        "the always-student floor")
     p99 = {plan: out["percentiles"][plan]["p99"]
            for plan in ("cascade", "cascade-int8")}
     assert p99["cascade-int8"] <= MAX_INT8_P99_RATIO * p99["cascade"], (
@@ -354,7 +347,7 @@ def run_smoke(record: bool = False) -> int:
     _assert_e2e_contracts(out)  # absolute contracts hold at any scale
     measured = {
         "cascade_p50_speedup": round(out["speedup_p50"]["cascade"], 3),
-        "int8_p50_speedup": round(out["speedup_p50"]["always-int8"], 3),
+        "student_p50_speedup": round(out["speedup_p50"]["always-student"], 3),
         "int8_cascade_p50_speedup": round(out["speedup_p50"]["cascade-int8"], 3),
     }
     print(f"smoke measurements: {json.dumps(measured)}")

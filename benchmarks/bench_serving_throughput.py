@@ -13,21 +13,19 @@ benchmark measures all three regimes on the same query set:
 * **warm batched**    — the same batch again, now answered from the cache.
 
 A second benchmark pins the **selector tiers** of ``repro.distill``: the
-teacher is distilled into a float student and a gated int8 student, the
-teacher itself is quantized into the int8 teacher tier, and each tier's
-forward throughput and selection agreement are measured on the same
-query windows.
+teacher is distilled into a float student, the teacher itself is
+quantized into the int8 teacher tier, and each tier's forward throughput
+and selection agreement are measured on the same query windows.
 
 Acceptance (checked by assertions):
 
 * batched selections are **bitwise identical** to sequential ones
   (same selected model, same aggregated vote vector),
 * warm-cache batched serving is **>= 5x** faster than cold sequential,
-* the int8 student's forward throughput is **>= 3x** the teacher's while
-  its per-window selections agree with the teacher on **>= 97 %** of
-  held-out query windows,
-* the int8 **teacher** tier clears the same bar — forward throughput
-  **>= 3x** the float teacher at **>= 97 %** window agreement — and
+* the student's per-window selections agree with the teacher on
+  **>= 97 %** of held-out query windows,
+* the int8 **teacher** tier's forward throughput is **>= 3x** the float
+  teacher's at **>= 97 %** window agreement, and
 * the teacher's float64 probabilities are **bitwise identical** before
   and after distillation/quantization (the fast paths never perturb the
   slow path).
@@ -62,7 +60,6 @@ from repro.data.windows import extract_windows
 from repro.distill import (
     DistillConfig,
     distill_student,
-    quantize_student,
     quantize_teacher,
     selection_agreement,
 )
@@ -97,7 +94,7 @@ TIER_SCALE = {
 #: The acceptance threshold: warm cache must beat cold sequential by this.
 MIN_WARM_SPEEDUP = 5.0
 
-#: Tier acceptance: int8 student forward throughput vs the teacher ...
+#: Tier acceptance: int8 teacher forward throughput vs the float teacher ...
 MIN_INT8_SPEEDUP = 3.0
 #: ... at at least this per-window selection agreement with the teacher.
 MIN_TIER_AGREEMENT = 0.97
@@ -206,7 +203,7 @@ def test_serving_throughput(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# selector tiers: teacher vs distilled student vs int8 student
+# selector tiers: teacher vs int8 teacher vs distilled student
 # --------------------------------------------------------------------------- #
 def _transfer_windows(scale, tier_scale):
     """Fresh series from the training families, windowed as a transfer set."""
@@ -235,7 +232,7 @@ def _timed_forward(selector, windows, repeats):
 
 
 def run_selector_tier_benchmark(scale=None, tier_scale=None, verbose=True):
-    """Distill + quantize the benchmark teacher and race the four tiers."""
+    """Distill + quantize the benchmark teacher and race the three tiers."""
     scale = dict(SERVING_SCALE, **(scale or {}))
     tier_scale = dict(TIER_SCALE, **(tier_scale or {}))
     window = scale["window"]
@@ -253,14 +250,11 @@ def run_selector_tier_benchmark(scale=None, tier_scale=None, verbose=True):
                            seed=scale["seed"])
     transfer = _transfer_windows(scale, tier_scale)
     student, report = distill_student(teacher, transfer, detector_names, config)
-    quantized, gate = quantize_student(student, transfer,
-                                       min_agreement=MIN_TIER_AGREEMENT)
     teacher_int8, teacher_gate = quantize_teacher(teacher, transfer,
                                                   min_agreement=MIN_TIER_AGREEMENT)
 
     repeats = tier_scale["timing_repeats"]
-    tiers = {"teacher": teacher, "teacher-int8": teacher_int8,
-             "student": student, "student-int8": quantized}
+    tiers = {"teacher": teacher, "teacher-int8": teacher_int8, "student": student}
     probas, times = {}, {}
     for tier, selector in tiers.items():
         probas[tier], times[tier] = _timed_forward(selector, query_windows, repeats)
@@ -272,7 +266,6 @@ def run_selector_tier_benchmark(scale=None, tier_scale=None, verbose=True):
     out = {
         "n_windows": n_windows,
         "report": report,
-        "gate": gate,
         "teacher_gate": teacher_gate,
         "throughput": {t: n_windows / dt for t, dt in times.items()},
         "speedup": {t: times["teacher"] / dt for t, dt in times.items()},
@@ -300,9 +293,7 @@ def run_selector_tier_benchmark(scale=None, tier_scale=None, verbose=True):
             ["tier", "windows/sec", "speedup", "window agreement", "series agreement"],
             rows))
         print(f"teacher params: {report.teacher_parameters}  "
-              f"student params: {report.student_parameters}  "
-              f"int8 gate agreement: {gate['agreement']:.4f} "
-              f"(max |dproba| {gate['max_proba_diff']:.4f})")
+              f"student params: {report.student_parameters}")
         print(f"teacher-int8 gate agreement: {teacher_gate['agreement']:.4f} "
               f"(max |dproba| {teacher_gate['max_proba_diff']:.4f})  "
               f"scales hash {teacher_gate['act_scales_hash']}")
@@ -311,11 +302,10 @@ def run_selector_tier_benchmark(scale=None, tier_scale=None, verbose=True):
 
 def _assert_tier_contracts(out):
     """The scale-independent tier contracts (shared by pytest and smoke)."""
-    for tier in ("student-int8", "teacher-int8"):
-        assert out["speedup"][tier] >= MIN_INT8_SPEEDUP, (
-            f"{tier} only {out['speedup'][tier]:.2f}x faster than the "
-            f"teacher (need >= {MIN_INT8_SPEEDUP}x)")
-    for tier in ("student", "student-int8", "teacher-int8"):
+    assert out["speedup"]["teacher-int8"] >= MIN_INT8_SPEEDUP, (
+        f"teacher-int8 only {out['speedup']['teacher-int8']:.2f}x faster than "
+        f"the teacher (need >= {MIN_INT8_SPEEDUP}x)")
+    for tier in ("student", "teacher-int8"):
         agreement = out["window_agreement"][tier]
         assert agreement >= MIN_TIER_AGREEMENT, (
             f"{tier} agrees with the teacher on only {agreement:.4f} of query "
@@ -324,7 +314,7 @@ def _assert_tier_contracts(out):
 
 @pytest.mark.benchmark(group="serving-throughput")
 def test_selector_tier_throughput(benchmark):
-    """Int8 student: >= 3x teacher throughput at >= 0.97 window agreement."""
+    """Int8 teacher >= 3x teacher throughput; tiers at >= 0.97 agreement."""
     out = benchmark.pedantic(run_selector_tier_benchmark, rounds=1, iterations=1)
     _assert_tier_contracts(out)
 
@@ -340,7 +330,6 @@ def run_smoke(record: bool = False) -> int:
     )
     _assert_tier_contracts(out)  # absolute contracts hold at any scale
     measured = {
-        "int8_speedup": round(out["speedup"]["student-int8"], 3),
         "student_speedup": round(out["speedup"]["student"], 3),
     }
     int8_teacher = {

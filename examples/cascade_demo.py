@@ -1,16 +1,17 @@
 """Scenario: cost-aware cascade serving under latency SLOs.
 
-The distilled int8 student answers most windows cheaply, but some windows
+The distilled student answers most windows cheaply, but some windows
 it is simply unsure about — and a hard latency SLO sometimes cannot
 afford the teacher at all.  This example walks the whole
 ``repro.cascade`` path at a small scale:
 
-1. train a teacher and distill + quantize a fast tier (``repro.distill``),
+1. train a teacher and distill a student as the fast tier
+   (``repro.distill``),
 2. calibrate the cascade's confidence threshold on held-out windows
    (:func:`repro.cascade.calibrate_margin_threshold`) — the smallest
    margin whose kept windows still agree with the teacher,
-3. route query windows: confident rows keep the int8 answer, uncertain
-   rows escalate to one teacher forward
+3. route query windows: confident rows keep the student's answer,
+   uncertain rows escalate to one teacher forward
    (:class:`repro.cascade.CascadeRouter`),
 4. serve live streams through a cascade-enabled ``StreamEngine`` with
    auditing on, harvest the recorded ``cost_observation`` events, add two
@@ -40,8 +41,7 @@ from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
 from repro.data.records import DATASET_NAMES
 from repro.data.windows import extract_windows
-from repro.distill import DistillConfig, distill_student, quantize_student, \
-    selection_agreement
+from repro.distill import DistillConfig, distill_student, selection_agreement
 from repro.obs import AuditLog
 from repro.selectors import make_selector
 from repro.streaming import StreamEngine, StreamingConfig
@@ -91,20 +91,19 @@ def main() -> None:
     print("training the teacher (small ResNet) ...")
     teacher, detector_names = train_teacher()
 
-    print("distilling + quantizing the fast tier ...")
+    print("distilling the fast tier ...")
     transfer = windows_from(16, 1600, seed=SEED + 3)
     student, report = distill_student(
         teacher, transfer, detector_names,
         DistillConfig(epochs=20, features="stats", seed=SEED))
-    quantized, gate = quantize_student(student, transfer, min_agreement=None)
     print(f"  teacher {report.teacher_parameters} params -> "
           f"student {report.student_parameters} params; "
-          f"int8 gate agreement {gate['agreement']:.4f}")
+          f"agreement {report.student_agreement:.4f}")
 
     # --- calibrate the confidence threshold on held-out windows ----------- #
     held_out = windows_from(8, 1600, seed=SEED + 4)
     calibration = calibrate_margin_threshold(
-        quantized.predict_proba(held_out), teacher.predict_proba(held_out),
+        student.predict_proba(held_out), teacher.predict_proba(held_out),
         target_agreement=0.995)
     print(format_table(
         ["threshold", "escalation rate", "kept agreement", "overall agreement"],
@@ -118,13 +117,13 @@ def main() -> None:
     # --- route fresh query windows ---------------------------------------- #
     query = windows_from(10, 1600, seed=SEED + 5)
     teacher_proba = teacher.predict_proba(query)
-    fast_proba = quantized.predict_proba(query)
+    fast_proba = student.predict_proba(query)
     routed_proba, escalated = router.route(query, fast_proba)
     print(f"routing {len(query)} query windows: "
           f"{int(escalated.sum())} escalated to the teacher "
           f"({escalated.mean():.1%})")
     rows = [
-        ["always-int8", f"{selection_agreement(fast_proba, teacher_proba):.4f}"],
+        ["always-student", f"{selection_agreement(fast_proba, teacher_proba):.4f}"],
         ["cascade", f"{selection_agreement(routed_proba, teacher_proba):.4f}"],
         ["always-teacher", "1.0000"],
     ]
@@ -134,9 +133,8 @@ def main() -> None:
     print("streaming with the cascade + audit; harvesting cost labels ...")
     audit = AuditLog()
     engine = StreamEngine(
-        quantized, detector_names,
-        StreamingConfig(window=WINDOW, stride=WINDOW,
-                        selector_tier="student-int8"),
+        student, detector_names,
+        StreamingConfig(window=WINDOW, stride=WINDOW, selector_tier="student"),
         audit=audit, cascade=router)
     streams = {f"{name}-live": np.asarray(
         generate_series(name, 7, 1200, seed=SEED + 6).series)
@@ -153,7 +151,7 @@ def main() -> None:
           f"harvested from the audit trail")
 
     observations = harvested + probe_observations(
-        {"teacher": teacher, "student-int8": quantized}, query)
+        {"teacher": teacher, "student": student}, query)
     cost_model = CostModel.fit(observations, window=WINDOW)
     router.cost_model = cost_model
     tier_rows = [[tier, f"{a:.3f} + {b:.4f}*n"]

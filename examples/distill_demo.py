@@ -8,8 +8,8 @@ convolutional forward pass per window.  This example walks the whole
 2. distill it into a thin float student over static window features
    (:func:`repro.distill.distill_student`, reusing the PISL soft-label
    machinery),
-3. quantize the student to int8 behind the dequantize-compare gate
-   (:func:`repro.distill.quantize_student`),
+3. quantize the teacher's convolutions to int8 behind the
+   dequantize-compare gate (:func:`repro.distill.quantize_teacher`),
 4. race the three tiers on the same query windows and compare their
    throughput and selection agreement,
 5. simulate a drifted stream served by a stale student checkpoint and
@@ -35,7 +35,7 @@ from repro.distill import (
     RefreshConfig,
     StudentRefresher,
     distill_student,
-    quantize_student,
+    quantize_teacher,
     selection_agreement,
 )
 from repro.selectors import make_selector
@@ -77,15 +77,16 @@ def main() -> None:
     student, report = distill_student(
         teacher, transfer, detector_names,
         DistillConfig(epochs=20, features="stats", seed=SEED))
-    quantized, gate = quantize_student(student, transfer, min_agreement=0.97)
     print(f"  teacher {report.teacher_parameters} params -> "
-          f"student {report.student_parameters} params; "
-          f"int8 gate agreement {gate['agreement']:.4f} "
+          f"student {report.student_parameters} params")
+    print("quantizing the teacher to int8 ...")
+    teacher_int8, gate = quantize_teacher(teacher, transfer, min_agreement=0.97)
+    print(f"  int8 gate agreement {gate['agreement']:.4f} "
           f"(max |dproba| {gate['max_proba_diff']:.4f})")
 
     # --- race the tiers on fresh query windows ---------------------------- #
     query = windows_from(families, 12, 1600, seed=SEED + 4)
-    tiers = {"teacher": teacher, "student": student, "student-int8": quantized}
+    tiers = {"teacher": teacher, "teacher-int8": teacher_int8, "student": student}
     rows = []
     probas = {}
     for tier, selector in tiers.items():
@@ -104,15 +105,14 @@ def main() -> None:
     student.classifier.weight.data += noise.normal(scale=0.25,
                                                    size=student.classifier.weight.data.shape)
     refresher = StudentRefresher(teacher, student,
-                                 RefreshConfig(min_agreement=0.99, steps=80, lr=1e-2),
-                                 quantized=quantized)
+                                 RefreshConfig(min_agreement=0.99, steps=80, lr=1e-2))
     outcome = refresher.refresh(drifted)
     print(f"  probe agreement {outcome.agreement_before:.4f} -> "
           f"{outcome.agreement_after:.4f}  "
           f"(escalated: {outcome.escalated}, fine-tune steps: {outcome.steps})")
-    after = selection_agreement(quantized.predict_proba(drifted),
+    after = selection_agreement(student.predict_proba(drifted),
                                 teacher.predict_proba(drifted))
-    print(f"  int8 twin re-quantized in place: drifted-window agreement {after:.4f}")
+    print(f"  student fine-tuned in place: drifted-window agreement {after:.4f}")
 
 
 if __name__ == "__main__":

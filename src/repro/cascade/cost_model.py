@@ -1,30 +1,20 @@
 """Learned cost prediction for cascade routing (BAO/MSCN-style).
 
 A learned query optimizer routes plans by *predicted* cost; this module is
-the analogous piece for detector selection.  :class:`CostModel` predicts,
-for one query (a series, or a batch of selector windows):
-
-* **per-tier forward cost** — wall-clock milliseconds and peak megabytes of
-  running ``n_windows`` selector windows through one serving tier
-  (``teacher`` / ``student`` / ``student-int8``).  Forward cost is linear
-  in the window count (one GEMM-bound pass per chunk), so each tier gets a
-  closed-form ridge fit of ``ms ≈ a + b·n_windows`` (and the same for MB),
-* **per-detector detection cost** — milliseconds of running one detector
-  over a series, a ridge fit over :func:`cost_features` (series length and
-  window geometry plus the ~40-statistic catalogue of
-  :mod:`repro.selectors.features` computed on the whole series).
+the analogous piece for detector selection.  :class:`CostModel` predicts
+the **per-tier forward cost** of a batch of selector windows — wall-clock
+milliseconds and peak megabytes of running ``n_windows`` windows through
+one serving tier (``teacher`` / ``teacher-int8`` / ``student``).  Forward
+cost is linear in the window count (one GEMM-bound pass per chunk), so
+each tier gets a closed-form ridge fit of ``ms ≈ a + b·n_windows`` (and
+the same for MB).
 
 Training labels come from measurements the harness already produces:
 ``cost_observation`` audit events recorded by the serving and streaming
-layers (see :mod:`repro.cascade.harvest`) whenever a forward pass or a
-detection run executes with auditing on.  An *untrained* model falls back
-to fixed analytic coefficients (:meth:`CostModel.default`) so that SLO
-admission stays deterministic — predictions never read a clock.
-
-Per-series feature extraction is memoised behind the process-wide
-content-addressed transform cache (:mod:`repro.serving.transform_cache`,
-the same blake2b hash scheme as ``extract_features_cached``), with
-hit/miss counters exposed on the metrics registry.
+layers (see :mod:`repro.cascade.harvest`) whenever a forward pass
+executes with auditing on.  An *untrained* model falls back to fixed
+analytic coefficients (:meth:`CostModel.default`) so that SLO admission
+stays deterministic — predictions never read a clock.
 """
 
 from __future__ import annotations
@@ -32,22 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..ml.linear import RidgeRegression
-from ..obs.metrics import default_registry
-from ..selectors.features import FEATURE_NAMES, extract_features
-
-#: the serving tiers the per-tier cost heads know about
-TIER_NAMES = ("teacher", "teacher-int8", "student", "student-int8")
-
-#: names of the cost-feature vector entries (geometry first, then the
-#: per-series statistics catalogue)
-COST_FEATURE_NAMES: List[str] = [
-    "length", "n_windows", "window", "stride",
-] + [f"series_{name}" for name in FEATURE_NAMES]
 
 #: analytic fallback ``(intercept_ms, ms_per_window)`` per tier — rough
 #: CPU figures in the measured 8-10x teacher/student ratio; a trained
@@ -56,7 +35,6 @@ DEFAULT_LATENCY_COEF: Dict[str, Tuple[float, float]] = {
     "teacher": (2.0, 0.250),
     "teacher-int8": (1.0, 0.070),
     "student": (0.5, 0.030),
-    "student-int8": (0.5, 0.025),
 }
 
 #: analytic fallback ``(intercept_mb, mb_per_window)`` per tier — dominated
@@ -65,7 +43,6 @@ DEFAULT_MEMORY_COEF: Dict[str, Tuple[float, float]] = {
     "teacher": (2.0, 0.0120),
     "teacher-int8": (1.0, 0.0050),
     "student": (0.5, 0.0015),
-    "student-int8": (0.5, 0.0010),
 }
 
 
@@ -73,10 +50,9 @@ DEFAULT_MEMORY_COEF: Dict[str, Tuple[float, float]] = {
 class CostObservation:
     """One measured (work, cost) pair — a cost-model training label.
 
-    ``kind`` is ``"selector_forward"`` (``target`` = tier name) or
-    ``"detection"`` (``target`` = detector name).  ``peak_mb`` is ``None``
-    when the measurement could not track memory (e.g. inside a thread
-    fan-out, where tracemalloc peaks are not attributable to one task).
+    ``kind`` is ``"selector_forward"`` (``target`` = tier name); the model
+    ignores any other kind, such as the ``"detection"`` labels of older
+    audit logs.  ``peak_mb`` is ``None`` when memory was not tracked.
     """
 
     kind: str
@@ -85,7 +61,6 @@ class CostObservation:
     window: int
     wall_ms: float
     peak_mb: Optional[float] = None
-    length: Optional[int] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -93,54 +68,7 @@ class CostObservation:
             "n_windows": int(self.n_windows), "window": int(self.window),
             "wall_ms": float(self.wall_ms),
             "peak_mb": None if self.peak_mb is None else float(self.peak_mb),
-            "length": None if self.length is None else int(self.length),
         }
-
-
-# --------------------------------------------------------------------------- #
-# per-series cost features (memoised behind the transform cache)
-# --------------------------------------------------------------------------- #
-def cost_features(series: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """The cost-feature vector of one series under one window geometry."""
-    series = np.asarray(series, dtype=np.float64).ravel()
-    n_windows = max((len(series) - window) // max(stride, 1) + 1, 0) \
-        if len(series) >= window else 0
-    stats = extract_features(series[None, :])[0] if len(series) else \
-        np.zeros(len(FEATURE_NAMES))
-    geometry = np.array([len(series), n_windows, window, stride], dtype=np.float64)
-    return np.concatenate([geometry, stats])
-
-
-def cost_features_cached(series: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """Memoised :func:`cost_features` behind the content-addressed
-    transform cache (same blake2b hash scheme as ``extract_features_cached``).
-
-    The returned vector may be **read-only** on a cache hit.  Hit/miss
-    counts surface as ``repro_cascade_cost_feature_cache_{hits,misses}_total``
-    when observability is enabled.
-    """
-    from ..serving.transform_cache import default_transform_cache, transform_fingerprint
-
-    series = np.ascontiguousarray(np.asarray(series, dtype=np.float64).ravel())
-    cache = default_transform_cache()
-    registry = default_registry()
-    hits = registry.counter("repro_cascade_cost_feature_cache_hits_total",
-                            "cost-feature extractions answered from the transform cache")
-    misses = registry.counter("repro_cascade_cost_feature_cache_misses_total",
-                              "cost-feature extractions computed from scratch")
-    if cache is None:
-        misses.inc()
-        return cost_features(series, window, stride)
-    key = transform_fingerprint(series, f"cost_features:{window}:{stride}")
-    hit = cache.get(key)
-    if hit is not None:
-        hits.inc()
-        return hit  # type: ignore[return-value]
-    misses.inc()
-    value = cost_features(series, window, stride)
-    value.setflags(write=False)
-    cache.put(key, value)
-    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -155,7 +83,7 @@ def _fit_line(n_windows: np.ndarray, cost: np.ndarray) -> Tuple[float, float]:
 
 
 class CostModel:
-    """Predict per-tier forward cost and per-detector detection cost.
+    """Predict per-tier forward cost (latency and peak memory).
 
     Prediction is pure arithmetic over stored coefficients — deterministic,
     clock-free, and cheap enough to run on every admission decision.
@@ -166,17 +94,12 @@ class CostModel:
         window: int,
         latency: Optional[Dict[str, Tuple[float, float]]] = None,
         memory: Optional[Dict[str, Tuple[float, float]]] = None,
-        detector_latency: Optional[Dict[str, Sequence[float]]] = None,
     ) -> None:
         self.window = int(window)
         self.latency = {t: tuple(map(float, c))
                         for t, c in (latency or DEFAULT_LATENCY_COEF).items()}
         self.memory = {t: tuple(map(float, c))
                        for t, c in (memory or DEFAULT_MEMORY_COEF).items()}
-        #: per-detector ridge coefficients over :data:`COST_FEATURE_NAMES`
-        #: (``[intercept, *feature_weights]``)
-        self.detector_latency = {d: [float(v) for v in coefs]
-                                 for d, coefs in (detector_latency or {}).items()}
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -186,20 +109,16 @@ class CostModel:
 
     @classmethod
     def fit(cls, observations: Iterable[CostObservation], window: int) -> "CostModel":
-        """Fit per-tier and per-detector heads from measured observations.
+        """Fit one latency/memory line per tier from forward observations.
 
-        Tiers (or detectors) without any observation keep the analytic
-        default so predictions stay total over every tier.
+        Tiers without any observation keep the analytic default so
+        predictions stay total over every tier.
         """
-        observations = list(observations)
         model = cls.default(window)
         by_tier: Dict[str, List[CostObservation]] = {}
-        by_detector: Dict[str, List[CostObservation]] = {}
         for obs in observations:
             if obs.kind == "selector_forward":
                 by_tier.setdefault(obs.target, []).append(obs)
-            elif obs.kind == "detection":
-                by_detector.setdefault(obs.target, []).append(obs)
 
         for tier, rows in by_tier.items():
             n = np.array([r.n_windows for r in rows], dtype=np.float64)
@@ -210,18 +129,6 @@ class CostModel:
                 n_mem = np.array([r.n_windows for r in with_mem], dtype=np.float64)
                 mb = np.array([r.peak_mb for r in with_mem], dtype=np.float64)
                 model.memory[tier] = _fit_line(n_mem, mb)
-
-        for detector, rows in by_detector.items():
-            # audit labels carry only the series length, so the trained
-            # weight vector is sparse over the full cost-feature catalogue:
-            # intercept + length weight; richer offline training can fill
-            # the statistic weights through the same interface
-            length = np.array([r.length or 0 for r in rows], dtype=np.float64)
-            ms = np.array([r.wall_ms for r in rows], dtype=np.float64)
-            intercept, slope = _fit_line(length, ms)
-            coefs = [intercept] + [0.0] * len(COST_FEATURE_NAMES)
-            coefs[1 + COST_FEATURE_NAMES.index("length")] = slope
-            model.detector_latency[detector] = coefs
         return model
 
     # ------------------------------------------------------------------ #
@@ -241,18 +148,6 @@ class CostModel:
         a, b = self._coef(self.memory, tier)
         return a + b * max(float(n_windows), 0.0)
 
-    def predict_detection_ms(self, detector: str, series: np.ndarray,
-                             window: Optional[int] = None,
-                             stride: Optional[int] = None) -> Optional[float]:
-        """Predicted ms of running ``detector`` over ``series`` (or ``None``
-        when the detector head was never trained)."""
-        coefs = self.detector_latency.get(detector)
-        if coefs is None:
-            return None
-        window = self.window if window is None else int(window)
-        features = cost_features_cached(series, window, stride or window)
-        return float(max(coefs[0] + features @ np.asarray(coefs[1:]), 0.0))
-
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
@@ -261,9 +156,6 @@ class CostModel:
             "window": self.window,
             "latency_ms": {t: list(c) for t, c in self.latency.items()},
             "memory_mb": {t: list(c) for t, c in self.memory.items()},
-            "detector_latency_ms": {d: list(c)
-                                    for d, c in self.detector_latency.items()},
-            "feature_names": list(COST_FEATURE_NAMES),
         }
 
     @classmethod
@@ -272,7 +164,6 @@ class CostModel:
             window=int(data["window"]),
             latency={t: tuple(c) for t, c in dict(data.get("latency_ms") or {}).items()},
             memory={t: tuple(c) for t, c in dict(data.get("memory_mb") or {}).items()},
-            detector_latency=dict(data.get("detector_latency_ms") or {}),
         )
 
     def save(self, path) -> None:
@@ -284,5 +175,4 @@ class CostModel:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def __repr__(self) -> str:
-        return (f"CostModel(window={self.window}, tiers={sorted(self.latency)}, "
-                f"detectors={len(self.detector_latency)})")
+        return f"CostModel(window={self.window}, tiers={sorted(self.latency)})"

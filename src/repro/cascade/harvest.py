@@ -3,13 +3,13 @@
 The cost model trains on what the system *actually* measured while doing
 real work.  Two halves:
 
-* :func:`observed_cost` wraps one unit of work (a selector forward, a
-  detection run) and measures wall-clock milliseconds — and, when
-  requested, peak allocated megabytes via ``tracemalloc``.  The serving
-  and streaming layers call it at their forward/detect sites and record a
-  ``cost_observation`` audit event per measurement.  Measurements are
-  report-only: nothing downstream ever branches on them, so the
-  bitwise-equality guarantees survive instrumentation.
+* :func:`observed_cost` wraps one unit of work (a selector forward) and
+  measures wall-clock milliseconds — and, when requested, peak allocated
+  megabytes via ``tracemalloc``.  The forward-plan executor
+  (:mod:`repro.cascade.executor`) calls it around every forward it runs
+  and records a ``cost_observation`` audit event per measurement.
+  Measurements are report-only: nothing downstream ever branches on them,
+  so the bitwise-equality guarantees survive instrumentation.
 * :func:`harvest_cost_observations` turns the ``cost_observation`` events
   of any ``--audit`` run back into :class:`CostObservation` training
   labels — the ``train-cost-model`` CLI path.
@@ -90,8 +90,6 @@ def harvest_cost_observations(
                 wall_ms=float(event["wall_ms"]),
                 peak_mb=(None if event.get("peak_mb") is None
                          else float(event["peak_mb"])),
-                length=(None if event.get("length") is None
-                        else int(event["length"])),
             ))
         except (KeyError, TypeError, ValueError):
             continue  # malformed/foreign entry — skip, don't fail the harvest

@@ -3,7 +3,7 @@
 The router implements the learned-optimizer idea of ROADMAP item 2 on top
 of the existing selector tiers:
 
-* **Cascade** — the cheap tier (student / student-int8) classifies every
+* **Cascade** — the cheap tier (the distilled student) classifies every
   window; rows whose top-1 probability *margin* (top1 − top2) clears a
   calibrated threshold keep the cheap answer, the uncertain rest escalates
   to the teacher.  The margin decision is **per window row** and depends
@@ -156,7 +156,7 @@ class CascadeRouter:
         threshold: float = DEFAULT_THRESHOLD,
         seed: int = 0,
         cost_model: Optional[CostModel] = None,
-        fast_tier: str = "student-int8",
+        fast_tier: str = "student",
         slow_tier: str = "teacher",
         slow_quality: float = 1.0,
         predict_batch_size: int = DEFAULT_PREDICT_BATCH_SIZE,

@@ -1,4 +1,4 @@
-"""Teacher→student distillation and gated int8 quantization.
+"""Teacher→student distillation and gated int8 teacher quantization.
 
 Distillation reuses the PISL machinery end to end: the teacher's
 ``predict_proba`` output *is* the per-window "performance" matrix, so
@@ -6,10 +6,13 @@ Distillation reuses the PISL machinery end to end: the teacher's
 targets and :class:`repro.core.trainer.SelectorTrainer` runs the usual
 mixed hard/soft objective — no new training loop.
 
-Quantization is post-training: activation scales are calibrated on a
-held-out slice of the distillation windows, and the resulting int8 model
-must pass an explicit dequantize-compare gate (per-window selection
-agreement against its own float student) before it is handed back.
+Teacher quantization is post-training: activation scales are calibrated
+on calibration windows, and the resulting int8 twin must pass an explicit
+dequantize-compare gate (per-window selection agreement against the float
+teacher) before it is handed back.
+
+The student stays float: its forward time is mostly the static feature
+transform, not the two small GEMMs an int8 twin would speed up.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from ..data.windows import SelectorDataset
 from ..nn.quant import calibrate_activation_scale
 from ..selectors.base import Selector
 from ..selectors.nn_selector import NNSelector
-from ..selectors.student import Int8StudentSelector, StudentSelector
+from ..selectors.student import StudentSelector
 from ..selectors.teacher_int8 import (
     Int8TeacherSelector,
     conv_fold_plan,
@@ -48,10 +51,8 @@ class DistillConfig:
     hidden: int = 64
     features: str = "stats"
     n_kernels: int = 96
-    #: fraction of windows held out for activation calibration + the gate
+    #: fraction of windows held out to calibrate normalisation + agreement
     calibration_fraction: float = 0.25
-    #: minimum quantized-vs-float selection agreement on the calibration set
-    min_agreement: float = 0.97
     seed: int = 0
 
 
@@ -65,10 +66,6 @@ class DistillReport:
     student_parameters: int
     #: student-vs-teacher per-window selection agreement on calibration windows
     student_agreement: float
-    #: int8-vs-float-student agreement on calibration windows (None if not quantized)
-    quantized_agreement: Optional[float] = None
-    #: max |p_float - p_int8| over calibration windows (None if not quantized)
-    quantized_max_proba_diff: Optional[float] = None
 
 
 def selection_agreement(proba_a: np.ndarray, proba_b: np.ndarray) -> float:
@@ -179,66 +176,6 @@ def _parameter_count(selector: Selector) -> int:
         return 0
 
 
-def quantize_student(student: StudentSelector, calibration_windows: np.ndarray,
-                     min_agreement: Optional[float] = 0.97,
-                     ) -> Tuple[Int8StudentSelector, dict]:
-    """Post-training int8 quantization with a dequantize-compare gate.
-
-    Activation scales are calibrated per tensor on ``calibration_windows``
-    (the fc1 input features and the post-ReLU hidden layer), weights are
-    quantized symmetrically per channel, and the quantized model's
-    selections are compared against the float student on the same windows.
-    Raises :class:`ValueError` when agreement falls below ``min_agreement``
-    (pass ``None`` to skip the gate).
-    """
-    calibration_windows = np.asarray(calibration_windows, dtype=np.float64)
-    if calibration_windows.ndim != 2 or len(calibration_windows) == 0:
-        raise ValueError(f"expected a non-empty (n, window) calibration matrix, "
-                         f"got shape {calibration_windows.shape}")
-    student.build()
-    student.train_mode(False)
-    encoder = student.encoder
-
-    feats = encoder.normalized_features(calibration_windows)
-    act_scale_fc1 = calibrate_activation_scale(feats)
-    hidden = encoder.hidden_activations(calibration_windows)
-    act_scale_clf = calibrate_activation_scale(hidden)
-
-    quantized = Int8StudentSelector(
-        window=student.window,
-        n_classes=student.n_classes,
-        seed=student.seed,
-        hidden=student.arch_kwargs.get("hidden", 64),
-        features=student.arch_kwargs.get("features", "stats"),
-        n_kernels=student.arch_kwargs.get("n_kernels", 96),
-    )
-    quantized.build()
-    quantized.encoder.update_buffer("feat_mean", encoder.feat_mean.copy())
-    quantized.encoder.update_buffer("feat_scale", encoder.feat_scale.copy())
-    quantized.encoder.fc1.load_weights(encoder.fc1.weight.data, encoder.fc1.bias.data, act_scale_fc1)
-    quantized.classifier.load_weights(student.classifier.weight.data,
-                                      student.classifier.bias.data, act_scale_clf)
-
-    proba_float = student.predict_proba(calibration_windows)
-    proba_int8 = quantized.predict_proba(calibration_windows)
-    agreement = selection_agreement(proba_float, proba_int8)
-    max_diff = float(np.abs(proba_float - proba_int8).max())
-    if min_agreement is not None and agreement < min_agreement:
-        raise ValueError(
-            f"quantized student agrees with the float student on only "
-            f"{agreement:.4f} of {len(calibration_windows)} calibration windows "
-            f"(gate: {min_agreement}); max |Δproba| = {max_diff:.4f}"
-        )
-    gate = {
-        "agreement": agreement,
-        "max_proba_diff": max_diff,
-        "act_scale_fc1": act_scale_fc1,
-        "act_scale_classifier": act_scale_clf,
-        "n_calibration": len(calibration_windows),
-    }
-    return quantized, gate
-
-
 def _calibrate_conv_inputs(teacher: NNSelector, convs, calibration_windows: np.ndarray):
     """Per-conv input abs-max observed during one float calibration pass.
 
@@ -310,7 +247,7 @@ def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
     if not convs:
         raise ValueError(
             f"{type(teacher).__name__} encoder has no Conv1d layers; "
-            "use quantize_student for feature-based selectors")
+            "feature-based selectors have no int8 tier")
 
     features, absmax = _calibrate_conv_inputs(teacher, convs, calibration_windows)
     act_scales = {name: calibrate_activation_scale(np.asarray([absmax[name]]))
@@ -372,24 +309,3 @@ def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
     }
     quantized.quant_provenance = dict(gate)
     return quantized, gate
-
-
-def sync_quantized(student: StudentSelector, quantized: Int8StudentSelector) -> None:
-    """Re-quantize the int8 twin from the (fine-tuned) float student.
-
-    Activation scales are kept — they were calibrated on representative
-    traffic and bounded fine-tunes barely move the activation range — so a
-    refresh only re-quantizes the weight payload.
-    """
-    student.build()
-    quantized.build()
-    quantized.encoder.update_buffer("feat_mean", student.encoder.feat_mean.copy())
-    quantized.encoder.update_buffer("feat_scale", student.encoder.feat_scale.copy())
-    quantized.encoder.fc1.load_weights(
-        student.encoder.fc1.weight.data, student.encoder.fc1.bias.data,
-        float(quantized.encoder.fc1.act_scale[0]),
-    )
-    quantized.classifier.load_weights(
-        student.classifier.weight.data, student.classifier.bias.data,
-        float(quantized.classifier.act_scale[0]),
-    )

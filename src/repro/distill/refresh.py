@@ -6,8 +6,7 @@ cheaply: on a drift trigger it *probes* — compares student and teacher
 selections on the most recent windows — and only when agreement drops
 below the configured threshold does it escalate to the teacher for a
 bounded PISL fine-tune on the streamed windows (the teacher labels a few
-hundred windows once, instead of serving every query).  A quantized twin
-is re-quantized in place after each escalation.
+hundred windows once, instead of serving every query).
 
 Everything is observable: checks/escalations/steps are counted through
 ``repro.obs.metrics`` and each refresh lands in the audit trail as a
@@ -28,8 +27,8 @@ from ..data.windows import extract_windows
 from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import Counter, Gauge, default_registry
 from ..selectors.base import Selector
-from ..selectors.student import Int8StudentSelector, StudentSelector
-from .distiller import selection_agreement, sync_quantized
+from ..selectors.student import StudentSelector
+from .distiller import selection_agreement
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,10 @@ class StudentRefresher:
     """Keep a deployed student in agreement with its teacher after drift."""
 
     def __init__(self, teacher: Selector, student: StudentSelector,
-                 config: Optional[RefreshConfig] = None,
-                 quantized: Optional[Int8StudentSelector] = None) -> None:
-        if isinstance(student, Int8StudentSelector):
-            raise TypeError("refresh fine-tunes the float student; pass the int8 "
-                            "model via quantized= instead")
+                 config: Optional[RefreshConfig] = None) -> None:
         self.teacher = teacher
         self.student = student
         self.config = config or RefreshConfig()
-        self.quantized = quantized
         self._rng = np.random.default_rng(self.config.seed)
         registry = default_registry()
         # always-real counters (the stats surface); registered for exposition
@@ -118,8 +112,6 @@ class StudentRefresher:
         sample = windows[-config.max_windows:]
         steps = self._finetune(sample)
         self._finetune_steps.inc(steps)
-        if self.quantized is not None:
-            sync_quantized(self.student, self.quantized)
 
         after = selection_agreement(self.student.predict_proba(probe), teacher_probe)
         self._agreement.set(after)

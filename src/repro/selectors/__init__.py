@@ -38,7 +38,7 @@ from .classical import (
 )
 from .ensemble_selector import SelectorEnsemble
 from .rocket import RocketFeatureTransform, RocketSelector
-from .student import Int8StudentSelector, StaticFeatureEncoder, StudentSelector
+from .student import StaticFeatureEncoder, StudentSelector
 from .teacher_int8 import Int8TeacherSelector
 
 __all__ = [
@@ -53,6 +53,5 @@ __all__ = [
     "RidgeSelector", "NearestNeighborRawSelector",
     "RocketFeatureTransform", "RocketSelector",
     "SelectorEnsemble",
-    "StaticFeatureEncoder", "StudentSelector", "Int8StudentSelector",
-    "Int8TeacherSelector",
+    "StaticFeatureEncoder", "StudentSelector", "Int8TeacherSelector",
 ]

@@ -7,23 +7,13 @@ layers.  It is trained from a teacher NN selector's soft labels by
 :func:`repro.distill.distill_student` (reusing the PISL machinery), and
 its feature extraction runs through the content-addressed transform cache
 so repeated series skip it entirely.
-
-:class:`Int8StudentSelector` is the quantized twin: both linear layers are
-:class:`repro.nn.QuantizedLinear` (int8 symmetric per-channel weights,
-calibrated per-tensor activation scales).  It is inference-only — built by
-:func:`repro.distill.quantize_student` behind an explicit
-dequantize-compare accuracy gate — and round-trips through the selector
-store with its int8 payload intact.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .. import nn
-from ..nn.quant import QuantizedLinear
 from .base import register_selector
 from .features import FEATURE_NAMES, extract_features
 from .nn_selector import NNSelector
@@ -45,7 +35,7 @@ def student_feature_dim(features: str, n_kernels: int) -> int:
 
 
 class StaticFeatureEncoder(nn.Module):
-    """Static window encodings + one (optionally int8) hidden layer.
+    """Static window encodings + one hidden layer.
 
     The trainable part is a single ``input_dim -> hidden`` linear + ReLU;
     everything upstream (statistics, ROCKET kernels, normalisation) is
@@ -57,7 +47,7 @@ class StaticFeatureEncoder(nn.Module):
     """
 
     def __init__(self, window: int, hidden: int = 64, features: str = "stats",
-                 n_kernels: int = 96, seed: int = 0, quantized: bool = False) -> None:
+                 n_kernels: int = 96, seed: int = 0) -> None:
         super().__init__()
         if features not in STUDENT_FEATURE_SETS:
             raise ValueError(f"unknown feature set {features!r}; expected one of {STUDENT_FEATURE_SETS}")
@@ -65,15 +55,11 @@ class StaticFeatureEncoder(nn.Module):
         self.features = features
         self.n_kernels = int(n_kernels)
         self.seed = int(seed)
-        self.quantized = bool(quantized)
         self.input_dim = student_feature_dim(features, self.n_kernels)
         self.feature_dim = int(hidden)
         self.register_buffer("feat_mean", np.zeros(self.input_dim, dtype=np.float64))
         self.register_buffer("feat_scale", np.ones(self.input_dim, dtype=np.float64))
-        if quantized:
-            self.fc1 = QuantizedLinear(self.input_dim, self.feature_dim)
-        else:
-            self.fc1 = nn.Linear(self.input_dim, self.feature_dim)
+        self.fc1 = nn.Linear(self.input_dim, self.feature_dim)
         self.act = nn.ReLU()
 
     # ------------------------------------------------------------------ #
@@ -123,14 +109,6 @@ class StaticFeatureEncoder(nn.Module):
         self.update_buffer("feat_scale", scale.astype(np.float64))
         return self
 
-    def normalized_features(self, windows: np.ndarray) -> np.ndarray:
-        """Normalised feature matrix — the exact input of ``fc1``.
-
-        Allocates a fresh array, so read-only cached transform outputs are
-        never mutated.
-        """
-        return (self.transform(windows) - self.feat_mean) / self.feat_scale
-
     # ------------------------------------------------------------------ #
     # forward
     # ------------------------------------------------------------------ #
@@ -138,16 +116,10 @@ class StaticFeatureEncoder(nn.Module):
         data = x.data if isinstance(x, nn.Tensor) else np.asarray(x, dtype=np.float64)
         if data.ndim == 3:  # (N, 1, L) from NNSelector._to_input
             data = data[:, 0, :]
-        feats = self.normalized_features(data)
+        # normalising allocates a fresh array, so read-only cached transform
+        # outputs are never mutated
+        feats = (self.transform(data) - self.feat_mean) / self.feat_scale
         return self.act(self.fc1(nn.Tensor(feats)))
-
-    def hidden_activations(self, windows: np.ndarray) -> np.ndarray:
-        """Post-ReLU hidden layer on a 2-D windows matrix (no gradients).
-
-        Used for activation-scale calibration of the classifier input.
-        """
-        with nn.no_grad():
-            return self.forward(np.asarray(windows, dtype=np.float64)).numpy()
 
 
 @register_selector("Student", neural=True)
@@ -168,42 +140,4 @@ class StudentSelector(NNSelector):
             features=self.arch_kwargs.get("features", "stats"),
             n_kernels=self.arch_kwargs.get("n_kernels", 96),
             seed=self.seed,
-            quantized=False,
-        )
-
-
-@register_selector("StudentInt8", neural=True)
-class Int8StudentSelector(StudentSelector):
-    """Quantized student: int8 hidden layer + int8 classifier.
-
-    Inference-only — ``fit`` raises.  Instances are produced by
-    :func:`repro.distill.quantize_student` (which calibrates activation
-    scales and enforces the dequantize-compare agreement gate) or restored
-    from the selector store, whose ``.npz`` checkpoints keep the int8
-    buffers intact.
-    """
-
-    def build(self, window: Optional[int] = None, n_classes: Optional[int] = None) -> "Int8StudentSelector":
-        if window is not None:
-            self.window = window
-        if n_classes is not None:
-            self.n_classes = n_classes
-        if self.encoder is None:
-            nn.init.set_seed(self.seed)
-            encoder = StaticFeatureEncoder(
-                window=self.window,
-                hidden=self.arch_kwargs.get("hidden", 64),
-                features=self.arch_kwargs.get("features", "stats"),
-                n_kernels=self.arch_kwargs.get("n_kernels", 96),
-                seed=self.seed,
-                quantized=True,
-            )
-            self.encoder = encoder
-            self.classifier = QuantizedLinear(encoder.feature_dim, self.n_classes)
-        return self
-
-    def fit(self, dataset, config=None, **overrides):
-        raise RuntimeError(
-            "Int8StudentSelector is inference-only; train a float StudentSelector "
-            "and quantize it with repro.distill.quantize_student"
         )

@@ -158,7 +158,7 @@ class Int8TeacherSelector(NNSelector):
             if swapped == 0:
                 raise ValueError(
                     f"{base_type!r} encoder has no Conv1d layers to quantize; "
-                    "use repro.distill.quantize_student for feature-based selectors")
+                    "feature-based selectors have no int8 tier")
             self.encoder = base.encoder
             self.classifier = QuantizedLinear(base.encoder.feature_dim, self.n_classes)
         return self

@@ -62,7 +62,6 @@ def make_engine_factory(
     config: Optional[StreamingConfig] = None,
     model_set: Optional[Dict[str, AnomalyDetector]] = None,
     teacher: Optional[Selector] = None,
-    student: Optional[Selector] = None,
     refresh_config: Optional[object] = None,
     cascade: Optional[object] = None,
 ) -> Callable[[], StreamEngine]:
@@ -74,10 +73,8 @@ def make_engine_factory(
 
     When ``teacher`` is given, each shard also gets its own
     :class:`repro.distill.StudentRefresher` so drift triggers probe
-    student↔teacher agreement and fine-tune locally.  ``student`` names the
-    trainable float student; it defaults to ``selector`` itself and must be
-    passed explicitly when ``selector`` is the int8 tier (the int8 twin is
-    then re-quantized in place after each escalation).
+    agreement between ``selector`` (the student) and the teacher and
+    fine-tune locally.
 
     ``cascade`` (a :class:`repro.cascade.CascadeRouter`) reaches each shard
     the same way — through fork inheritance — so every shard routes with
@@ -88,12 +85,9 @@ def make_engine_factory(
     def build() -> StreamEngine:
         refresher = None
         if teacher is not None:
-            from ..distill import Int8StudentSelector, StudentRefresher  # deferred: optional tier
+            from ..distill import StudentRefresher  # deferred: optional tier
 
-            trainable = student if student is not None else selector
-            quantized = selector if isinstance(selector, Int8StudentSelector) else None
-            refresher = StudentRefresher(teacher, trainable, refresh_config,
-                                         quantized=quantized)
+            refresher = StudentRefresher(teacher, selector, refresh_config)
         return StreamEngine(selector, detector_names, config, model_set=model_set,
                             refresher=refresher, cascade=cascade)
     # advertised so the router can stamp replayable windowing inputs onto

@@ -64,7 +64,7 @@ class ServingConfig:
     #: windows per selector forward chunk (memory/latency trade-off)
     predict_batch_size: int = DEFAULT_PREDICT_BATCH_SIZE
     #: which selector tier serves this service: ``"teacher"`` (the full NN),
-    #: ``"student"`` (distilled) or ``"student-int8"`` (distilled+quantized).
+    #: ``"teacher-int8"`` (quantized) or ``"student"`` (distilled).
     #: Purely descriptive — the service serves whatever selector it is given
     #: — but stamped on metrics so operators can attribute traffic per tier.
     selector_tier: str = "teacher"
@@ -120,14 +120,15 @@ class SelectionService:
         self.cache = LRUCache(self.config.cache_capacity, name="serving_selection")
         self.workers = WorkerPool(self.config.max_workers, mode=self.config.worker_mode)
         self.audit = audit if audit is not None else NULL_AUDIT
-        #: optional :class:`repro.cascade.CascadeRouter`; when set, each
-        #: miss batch's forward work is admitted against the SLO knobs and
-        #: low-margin windows escalate from this service's (fast) selector
-        #: to the router's teacher.  ``None`` keeps the exact pre-cascade
-        #: code path — selections stay bitwise identical.
-        self.cascade = cascade
+        from ..cascade.executor import ForwardPlan  # deferred: serving imports stay cascade-free
+
+        #: each miss batch's forward step; with a
+        #: :class:`repro.cascade.CascadeRouter` the batch is admitted against
+        #: the SLO knobs and low-margin windows escalate from this service's
+        #: (fast) selector to the router's teacher.  ``cascade=None`` keeps
+        #: the exact pre-cascade code path — selections stay bitwise identical.
+        self.plan = ForwardPlan("serving", self._predict_proba, self.config, cascade)
         #: the last miss batch's admission decision + escalation summary
-        self.last_admit: Optional[object] = None
         self.last_cascade: Optional[Dict[str, object]] = None
         registry = default_registry()
         self._tier_selections = registry.register(Counter(
@@ -144,14 +145,11 @@ class SelectionService:
             "repro_serving_forward_seconds", "selector forward-pass latency per batch")
         self._h_detect_seconds = registry.histogram(
             "repro_serving_detect_seconds", "worker fan-out latency per detect_batch")
-        self._escalated_windows = registry.register(Counter(
-            "repro_cascade_escalated_windows_total",
-            "windows escalated from the fast tier to the teacher",
-            labels={"layer": "serving"}))
-        self._slo_fallbacks = registry.register(Counter(
-            "repro_cascade_slo_fallbacks_total",
-            "miss batches where no plan fit the SLO and the cheapest ran",
-            labels={"layer": "serving"}))
+
+    @property
+    def cascade(self):
+        """The :class:`repro.cascade.CascadeRouter` in use, or ``None``."""
+        return self.plan.router
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -219,12 +217,11 @@ class SelectionService:
             self._h_batch_windows.observe(len(windows))
             with self._h_forward_seconds.time(), \
                     span("serving.forward", windows=len(windows), series=len(miss_keys)):
-                if self.cascade is None:
-                    proba = self._measured_forward(
-                        lambda: self._predict_proba(windows),
-                        self.config.selector_tier, len(windows))
-                else:
-                    proba = self._cascade_forward(windows)
+                decision = self.plan.admit(len(windows), self.audit)
+                output = self.plan.forward(windows, decision, self.audit)
+            if decision is not None:
+                self.last_cascade = self.plan.summary(decision, output, "n_windows")
+            proba = output.proba
             for j, key in enumerate(miss_keys):
                 series_proba = proba[offsets[j]:offsets[j + 1]]
                 choice, aggregated = aggregate_window_probas(series_proba, cfg.aggregation)
@@ -254,75 +251,6 @@ class SelectionService:
         """Answer a single series (a batch of one — same code path)."""
         return self.select_batch([record])[0]
 
-    # ------------------------------------------------------------------ #
-    # cascade plumbing (inert when ``self.cascade is None``)
-    # ------------------------------------------------------------------ #
-    def _measured_forward(self, fn, tier: str, n_windows: int) -> np.ndarray:
-        """Run one forward pass; record a ``cost_observation`` when auditing.
-
-        The measurement is a cost-model training label, never a routing
-        input — audited runs stay decision-identical to unaudited ones.
-        """
-        if not self.audit.enabled:
-            return fn()
-        from ..cascade.harvest import observed_cost  # deferred: audit-only path
-
-        result, wall_ms, peak_mb = observed_cost(fn)
-        self.audit.record(
-            "cost_observation", kind="selector_forward", target=tier,
-            n_windows=int(n_windows), window=int(self.config.window),
-            wall_ms=float(wall_ms), peak_mb=peak_mb)
-        return result
-
-    def _cascade_forward(self, windows: np.ndarray) -> np.ndarray:
-        """Admit one miss batch against the SLO and run the chosen plan."""
-        cfg = self.config
-        decision = self.cascade.admit(
-            len(windows),
-            latency_slo_ms=cfg.latency_slo_ms,
-            memory_budget_mb=cfg.memory_budget_mb,
-        )
-        self.last_admit = decision
-        if decision.fallback:
-            self._slo_fallbacks.inc()
-            if self.audit.enabled:
-                self.audit.record("slo_fallback", layer="serving",
-                                  n_windows=len(windows), **decision.as_dict())
-
-        n_escalated, min_margin = 0, None
-        slow_tier = getattr(self.cascade, "slow_tier", "teacher")
-        if decision.plan == "teacher":
-            proba = self._measured_forward(
-                lambda: self.cascade.forward_slow(windows), slow_tier, len(windows))
-        else:
-            proba = self._measured_forward(
-                lambda: self._predict_proba(windows),
-                cfg.selector_tier, len(windows))
-            from ..cascade.router import margins  # deferred: cascade-only path
-
-            min_margin = float(margins(proba).min()) if len(proba) else None
-            if decision.plan == "cascade":
-                mask = self.cascade.escalate_mask(proba, windows)
-                if mask.any():
-                    proba = np.array(proba, dtype=np.float64, copy=True)
-                    proba[mask] = self._measured_forward(
-                        lambda: self.cascade.forward_slow(windows[mask]),
-                        slow_tier, int(mask.sum()))
-                    n_escalated = int(mask.sum())
-                    self._escalated_windows.inc(n_escalated)
-        self.last_cascade = {
-            "plan": decision.plan,
-            "slow_tier": slow_tier,
-            "escalated_windows": n_escalated,
-            "n_windows": len(windows),
-            "threshold": float(self.cascade.threshold),
-            "min_margin": min_margin,
-            "predicted_ms": float(decision.predicted_ms),
-            "predicted_mb": float(decision.predicted_mb),
-            "fallback": bool(decision.fallback),
-        }
-        return proba
-
     def detect_batch(
         self,
         records: Sequence[TimeSeriesRecord],
@@ -337,34 +265,13 @@ class SelectionService:
         from ..system.anomaly_detection import run_detection  # deferred: system imports serving
 
         selections = self.select_batch(records)
-        audit_costs = self.audit.enabled
-        # tracemalloc peaks are process-global: inside a worker fan-out a
-        # peak is not attributable to one detection, so memory is only
-        # tracked on the sequential path (wall time is always safe)
-        track_memory = None if self.workers.max_workers < 2 else False
 
         def detect_one(pair):
             record, selection = pair
-            if not audit_costs:
-                return selection, run_detection(
-                    record, model_set[selection.selected_model],
-                    detector_name=selection.selected_model,
-                )
-            from ..cascade.harvest import observed_cost  # deferred: audit-only path
-
-            detection, wall_ms, peak_mb = observed_cost(
-                lambda: run_detection(
-                    record, model_set[selection.selected_model],
-                    detector_name=selection.selected_model,
-                ),
-                track_memory=track_memory,
+            return selection, run_detection(
+                record, model_set[selection.selected_model],
+                detector_name=selection.selected_model,
             )
-            self.audit.record(
-                "cost_observation", kind="detection",
-                target=selection.selected_model, n_windows=0,
-                window=int(self.config.window), wall_ms=float(wall_ms),
-                peak_mb=peak_mb, length=int(record.length))
-            return selection, detection
 
         with self._h_detect_seconds.time(), \
                 span("serving.detect", series=len(records)):

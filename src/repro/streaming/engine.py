@@ -26,7 +26,7 @@ drift flags, and bookkeeping counters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -75,7 +75,7 @@ class StreamingConfig:
     #: assert every incremental tail re-score against a full re-run (slow)
     verify_scores: bool = False
     #: which selector tier serves this engine: ``"teacher"`` (the full NN),
-    #: ``"student"`` (distilled) or ``"student-int8"`` (distilled+quantized).
+    #: ``"teacher-int8"`` (quantized) or ``"student"`` (distilled).
     #: Purely descriptive — the engine serves whatever selector it is given —
     #: but stamped on metrics, audit events and ``explain`` output.
     selector_tier: str = "teacher"
@@ -177,14 +177,6 @@ class StreamEngine:
         self.config = config or StreamingConfig()
         #: structured audit trail (``repro.obs.audit``); a no-op by default
         self.audit = audit if audit is not None else NULL_AUDIT
-        #: optional :class:`repro.cascade.CascadeRouter`; when set, each
-        #: flush's forward work is admitted against the SLO knobs and
-        #: low-margin windows escalate from this engine's (fast) selector
-        #: to the router's teacher.  ``None`` keeps the exact pre-cascade
-        #: code path — selections stay bitwise identical.
-        self.cascade = cascade
-        #: the last flush's admission decision (``explain`` / introspection)
-        self.last_admit: Optional[object] = None
         #: optional :class:`repro.distill.StudentRefresher`; when set, drift
         #: triggers probe student↔teacher agreement and fine-tune if needed
         self.refresher = refresher
@@ -202,6 +194,17 @@ class StreamEngine:
             predict_batch_size=self.config.predict_batch_size,
             cache_capacity=self.config.cache_capacity,
         )
+        from ..cascade.executor import ForwardPlan, PlanOutput  # deferred: streaming imports stay cascade-free
+
+        #: each flush's forward step; with a
+        #: :class:`repro.cascade.CascadeRouter` the flush is admitted against
+        #: the SLO knobs and low-margin windows escalate from this engine's
+        #: (fast) selector to the router's teacher.  ``cascade=None`` keeps
+        #: the exact pre-cascade code path — selections stay bitwise identical.
+        self.plan = ForwardPlan("streaming", self.streaming_selector.predict_proba,
+                                self.config, cascade)
+        #: the forward output of a stream with no new windows in a flush
+        self._no_windows = PlanOutput(np.empty((0, len(self.detector_names))))
         self.workers = WorkerPool(self.config.max_workers)
         self._streams: Dict[str, _StreamState] = {}
         registry = default_registry()
@@ -220,14 +223,6 @@ class StreamEngine:
             "repro_selector_tier_selections_total",
             "stream selections decided, by serving tier",
             labels={"tier": self.config.selector_tier, "layer": "streaming"}))
-        self._escalated_windows = registry.register(Counter(
-            "repro_cascade_escalated_windows_total",
-            "windows escalated from the fast tier to the teacher",
-            labels={"layer": "streaming"}))
-        self._slo_fallbacks = registry.register(Counter(
-            "repro_cascade_slo_fallbacks_total",
-            "flushes where no plan fit the SLO and the cheapest ran",
-            labels={"layer": "streaming"}))
         # pure-observability site metrics: null (free) until obs is enabled
         self._h_flush_seconds = registry.histogram(
             "repro_stream_flush_seconds", "wall-clock latency of one flush")
@@ -237,6 +232,11 @@ class StreamEngine:
         self._h_flush_streams = registry.histogram(
             "repro_stream_flush_streams", "pending streams per flush",
             buckets=DEFAULT_COUNT_BUCKETS)
+
+    @property
+    def cascade(self):
+        """The :class:`repro.cascade.CascadeRouter` in use, or ``None``."""
+        return self.plan.router
 
     # ------------------------------------------------------------------ #
     # stream management
@@ -334,17 +334,12 @@ class StreamEngine:
         # 2. one forward pass per window-budgeted group of streams; with a
         # cascade attached, the flush's total forward work is admitted
         # against the SLO first and low-margin rows escalate per group
-        probas: List[np.ndarray] = [
-            np.empty((0, len(self.detector_names))) for _ in pending
-        ]
         counts = [len(w) for w in new_windows]
+        outputs = [self._no_windows] * len(pending)
         total_windows = sum(counts)
         self._h_flush_windows.observe(total_windows)
         self._h_flush_streams.observe(len(pending))
-        escalated = [0] * len(pending)
-        min_margins: List[Optional[float]] = [None] * len(pending)
-        decision = (self._admit(total_windows)
-                    if self.cascade is not None and total_windows else None)
+        admitted = self.plan.admit(total_windows, self.audit)
         forward_ms = 0.0
         for group in window_budget_groups(counts, self.config.max_batch_windows):
             members = [i for i in group if counts[i]]
@@ -353,45 +348,31 @@ class StreamEngine:
             stacked = np.vstack([new_windows[i] for i in members])
             with span("engine.forward", windows=len(stacked), streams=len(members)):
                 start = time.perf_counter()
-                group_probas, esc_mask, fast_margins = self._group_forward(
-                    stacked, decision)
+                output = self.plan.forward(stacked, admitted, self.audit)
                 forward_ms += (time.perf_counter() - start) * 1000.0
             offset = 0
             for i in members:
-                probas[i] = group_probas[offset:offset + counts[i]]
-                if esc_mask is not None:
-                    escalated[i] = int(esc_mask[offset:offset + counts[i]].sum())
-                if fast_margins is not None:
-                    min_margins[i] = float(fast_margins[offset:offset + counts[i]].min())
+                outputs[i] = output[offset:offset + counts[i]]
                 offset += counts[i]
 
         # 3. votes, drift, selection per stream
         updates: Dict[str, StreamUpdate] = {}
         to_score: List[_StreamState] = []
-        for idx, ((stream_id, state), windows, stream_probas) in enumerate(
-                zip(pending, new_windows, probas)):
-            if decision is not None and counts[idx]:
-                state.escalated_windows += escalated[idx]
+        for (stream_id, state), windows, output in zip(pending, new_windows, outputs):
+            stream_probas = output.proba
+            if admitted is not None and len(windows):
+                state.escalated_windows += output.n_escalated
                 # the flush-level forward wall time is report-only context
                 # for explain; it never feeds a routing decision
-                state.last_cascade = {
-                    "plan": decision.plan,
-                    "slow_tier": getattr(self.cascade, "slow_tier", "teacher"),
-                    "escalated_windows": escalated[idx],
-                    "n_new_windows": counts[idx],
-                    "threshold": float(self.cascade.threshold),
-                    "min_margin": min_margins[idx],
-                    "predicted_ms": float(decision.predicted_ms),
-                    "predicted_mb": float(decision.predicted_mb),
-                    "actual_forward_ms": float(forward_ms),
-                    "fallback": bool(decision.fallback),
-                }
+                state.last_cascade = self.plan.summary(
+                    admitted, output, "n_new_windows",
+                    actual_forward_ms=float(forward_ms))
             self.streaming_selector.update(state.votes, windows, probas=stream_probas)
 
             drift_stat, drift_triggered = 0.0, False
             if state.monitor is not None and len(stream_probas):
-                decision = state.monitor.update(stream_probas)
-                drift_stat, drift_triggered = decision.statistic, decision.triggered
+                drift = state.monitor.update(stream_probas)
+                drift_stat, drift_triggered = drift.statistic, drift.triggered
                 if drift_triggered:
                     self._drift_triggers.inc()
                     self.streaming_selector.reset_votes(
@@ -435,7 +416,7 @@ class StreamEngine:
                 provisional=view.provisional if view is not None else False,
                 drift_statistic=drift_stat,
                 drift_triggered=drift_triggered,
-                escalated_windows=escalated[idx],
+                escalated_windows=output.n_escalated,
             )
             state.pending = False
             if self.audit.enabled:
@@ -448,78 +429,6 @@ class StreamEngine:
                     lambda state: state.scorer.update(state.buffer.series), to_score)
 
         return updates
-
-    # ------------------------------------------------------------------ #
-    # cascade plumbing (inert when ``self.cascade is None``)
-    # ------------------------------------------------------------------ #
-    def _admit(self, n_windows: int):
-        """SLO admission for one flush's forward work (audited + metered)."""
-        decision = self.cascade.admit(
-            n_windows,
-            latency_slo_ms=self.config.latency_slo_ms,
-            memory_budget_mb=self.config.memory_budget_mb,
-        )
-        self.last_admit = decision
-        if decision.fallback:
-            self._slo_fallbacks.inc()
-            if self.audit.enabled:
-                self.audit.record("slo_fallback", layer="streaming",
-                                  n_windows=int(n_windows), **decision.as_dict())
-        return decision
-
-    def _measured_forward(self, fn, tier: str, n_windows: int) -> np.ndarray:
-        """Run one forward pass; record a ``cost_observation`` when auditing.
-
-        The measurement (wall ms + tracemalloc peak MB) is report-only —
-        cost-model *training labels*, never a routing input — so audited
-        runs stay decision-identical to unaudited ones.
-        """
-        if not self.audit.enabled:
-            return fn()
-        from ..cascade.harvest import observed_cost  # deferred: audit-only path
-
-        result, wall_ms, peak_mb = observed_cost(fn)
-        self.audit.record(
-            "cost_observation", kind="selector_forward", target=tier,
-            n_windows=int(n_windows), window=int(self.config.window),
-            wall_ms=float(wall_ms), peak_mb=peak_mb)
-        return result
-
-    def _group_forward(self, stacked: np.ndarray, decision):
-        """Forward one stacked group under the admitted plan.
-
-        Returns ``(probas, escalated_mask, fast_margins)``; the mask and
-        margins are ``None`` on the no-cascade and teacher paths.  The
-        teacher escalation goes through the router's own predict path and
-        never touches the window-probability LRU, which therefore only
-        ever holds fast-tier rows.
-        """
-        if decision is None:
-            return self._measured_forward(
-                lambda: self.streaming_selector.predict_proba(stacked),
-                self.config.selector_tier, len(stacked)), None, None
-        slow_tier = getattr(self.cascade, "slow_tier", "teacher")
-        if decision.plan == "teacher":
-            return self._measured_forward(
-                lambda: self.cascade.forward_slow(stacked),
-                slow_tier, len(stacked)), None, None
-        fast = self._measured_forward(
-            lambda: self.streaming_selector.predict_proba(stacked),
-            self.config.selector_tier, len(stacked))
-        from ..cascade.router import margins  # deferred: cascade-only path
-
-        fast_margins = margins(fast)
-        if decision.plan == "fast":
-            return fast, None, fast_margins
-        mask = self.cascade.escalate_mask(fast, stacked)
-        if not mask.any():
-            return fast, mask, fast_margins
-        proba = np.array(fast, dtype=np.float64, copy=True)
-        proba[mask] = self._measured_forward(
-            lambda: self.cascade.forward_slow(stacked[mask]),
-            slow_tier, int(mask.sum()))
-        self._escalated_windows.inc(int(mask.sum()))
-        return proba, mask, fast_margins
 
     def _refresh_student(self, stream_id: str, state: _StreamState) -> None:
         """Drift hook: probe student↔teacher agreement, fine-tune if it fell.
@@ -612,8 +521,8 @@ class StreamEngine:
                               if s.scorer is not None),
             full_rescores=sum(s.scorer.full_rescores for s in self._streams.values()
                               if s.scorer is not None),
-            escalated_windows=self._escalated_windows.value,
-            slo_fallbacks=self._slo_fallbacks.value,
+            escalated_windows=self.plan.escalated_windows.value,
+            slo_fallbacks=self.plan.slo_fallbacks.value,
             cache=self.streaming_selector.cache_stats,
         )
 

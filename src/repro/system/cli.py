@@ -12,8 +12,8 @@ be driven without writing Python:
 * ``select``        — predict the best TSAD model for one series.
 * ``detect``        — select a model and run it, printing the metrics.
 * ``distill``       — distill a stored teacher selector into a fast student
-  (and its int8-quantized twin) and save both next to the teacher, with a
-  calibrated cascade margin threshold stamped on each tier.
+  and save it next to the teacher, with a calibrated cascade margin
+  threshold stamped on its metadata.
 * ``train-cost-model`` — harvest ``cost_observation`` events from recorded
   audit logs and fit the cascade's runtime/peak-memory cost model.
 * ``batch-select``  — serve a whole directory of series through the batched,
@@ -97,8 +97,7 @@ def _apply_runtime_args(args: argparse.Namespace) -> None:
 
 
 #: suffix appended to a teacher's store name per serving tier
-_TIER_SUFFIX = {"teacher": "", "teacher-int8": "-int8",
-                "student": "-student", "student-int8": "-student-int8"}
+_TIER_SUFFIX = {"teacher": "", "teacher-int8": "-int8", "student": "-student"}
 
 
 def _tier_name(name: str, tier: str) -> str:
@@ -126,25 +125,24 @@ def _load_tier_selector(store: SelectorStore, name: str, tier: str):
 
 def _add_tier_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--selector-tier", default="teacher",
-                        choices=["teacher", "teacher-int8", "student", "student-int8"],
+                        choices=list(_TIER_SUFFIX),
                         help="serve the named selector itself (teacher), its "
                              "quantized twin NAME-int8 produced by the "
                              "quantize-teacher command, or its distilled "
-                             "companion NAME-student / NAME-student-int8 "
-                             "produced by the distill command")
+                             "companion NAME-student produced by the distill "
+                             "command")
 
 
 def _add_cascade_args(parser: argparse.ArgumentParser) -> None:
     """Cascade routing + SLO admission flags (batch-select/serve/stream/serve-sharded)."""
     group = parser.add_argument_group("cascade")
     group.add_argument("--cascade", action="store_true",
-                       help="confidence-gated cascade: the distilled fast tier "
-                            "answers windows whose top-1 margin clears the "
-                            "calibrated threshold, the rest escalate to the "
-                            "teacher (uses NAME-student-int8 unless "
-                            "--selector-tier picks the float student; "
-                            "--selector-tier teacher-int8 escalates to the "
-                            "quantized teacher NAME-int8 instead)")
+                       help="confidence-gated cascade: the distilled student "
+                            "NAME-student answers windows whose top-1 margin "
+                            "clears the calibrated threshold, the rest "
+                            "escalate to the teacher (--selector-tier "
+                            "teacher-int8 escalates to the quantized teacher "
+                            "NAME-int8 instead)")
     group.add_argument("--cascade-threshold", type=float, default=None,
                        help="margin threshold override (default: the value "
                             "calibrated by the distill command, else 0.1)")
@@ -212,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     distill = sub.add_parser("distill",
                              help="distill a stored teacher selector into a fast "
-                                  "student + int8 twin")
+                                  "student")
     distill.add_argument("data_dir", type=Path,
                          help="directory of series used as the transfer set")
     distill.add_argument("--store", type=Path, default=Path("selector_store"))
     distill.add_argument("--name", required=True,
                          help="teacher selector name; the student is saved as "
-                              "NAME-student, the quantized twin as NAME-student-int8")
+                              "NAME-student")
     distill.add_argument("--window", type=int, default=96)
     distill.add_argument("--stride", type=int, default=48)
     distill.add_argument("--hidden", type=int, default=64,
@@ -236,14 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     distill.add_argument("--t-soft", type=float, default=0.5,
                          help="temperature sharpening the teacher's probabilities")
     distill.add_argument("--calibration-fraction", type=float, default=0.25,
-                         help="windows held out for calibration + agreement gates")
-    distill.add_argument("--min-agreement", type=float, default=0.97,
-                         help="int8-vs-float selection agreement the quantized "
-                              "twin must reach (the dequantize-compare gate)")
+                         help="windows held out to measure agreement and "
+                              "calibrate the cascade threshold")
     distill.add_argument("--cascade-target-agreement", type=float, default=0.995,
                          help="teacher-agreement target of the cascade margin "
                               "threshold calibrated on the held-out windows "
-                              "(stamped on each tier's store metadata)")
+                              "(stamped on the student's store metadata)")
     distill.add_argument("--seed", type=int, default=0)
 
     quantize = sub.add_parser("quantize-teacher",
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable drift-triggered student refresh: probe "
                              "student-vs-teacher agreement on drift and fine-tune "
                              "the student when it falls below this threshold "
-                             "(needs --selector-tier student or student-int8)")
+                             "(needs --selector-tier student or --cascade)")
     _add_cascade_args(stream)
     _add_runtime_args(stream, worker_mode=False)
 
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "each shard: fine-tune the student when its "
                               "agreement with the teacher falls below this "
                               "threshold (needs --selector-tier student or "
-                              "student-int8)")
+                              "--cascade)")
     _add_cascade_args(sharded)
 
     cost = sub.add_parser("train-cost-model",
@@ -524,8 +520,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
+    from ..cascade import calibrate_margin_threshold
     from ..detectors.base import DEFAULT_MODEL_NAMES
-    from ..distill import DistillConfig, calibration_split, distill_student, quantize_student
+    from ..distill import DistillConfig, calibration_split, distill_student
 
     try:
         records = load_series_directory(args.data_dir)
@@ -545,66 +542,40 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         alpha=args.alpha, t_soft=args.t_soft,
         hidden=args.hidden, features=args.features, n_kernels=args.kernels,
-        calibration_fraction=args.calibration_fraction,
-        min_agreement=args.min_agreement, seed=args.seed,
+        calibration_fraction=args.calibration_fraction, seed=args.seed,
     )
     student, report = distill_student(teacher, windows, detector_names, config)
     _, calib_idx = calibration_split(len(windows), config.calibration_fraction, config.seed)
     calib_windows = windows[calib_idx] if len(calib_idx) else windows
-    try:
-        quantized, gate = quantize_student(student, calib_windows,
-                                           min_agreement=args.min_agreement)
-    except ValueError as error:
-        raise SystemExit(f"quantization gate failed: {error}")
 
-    # calibrate the cascade margin threshold per tier on the held-out
-    # windows: the smallest threshold whose kept (confident) rows still
-    # agree with the teacher at the requested rate
-    from ..cascade import calibrate_margin_threshold
-
-    teacher_proba = teacher.predict_proba(calib_windows)
-    calibrations = {
-        "student": calibrate_margin_threshold(
-            student.predict_proba(calib_windows), teacher_proba,
-            target_agreement=args.cascade_target_agreement),
-        "student-int8": calibrate_margin_threshold(
-            quantized.predict_proba(calib_windows), teacher_proba,
-            target_agreement=args.cascade_target_agreement),
-    }
-
-    def _cascade_metadata(cal):
-        return {"cascade_threshold": f"{cal.threshold:.6f}",
-                "cascade_escalation_rate": f"{cal.escalation_rate:.6f}",
-                "cascade_kept_agreement": f"{cal.kept_agreement:.6f}",
-                "cascade_overall_agreement": f"{cal.overall_agreement:.6f}"}
-
-    metadata = {"teacher": args.name, "window": str(args.window),
-                "features": args.features, "hidden": str(args.hidden)}
+    # calibrate the cascade margin threshold on the held-out windows: the
+    # smallest threshold whose kept (confident) rows still agree with the
+    # teacher at the requested rate
+    cal = calibrate_margin_threshold(
+        student.predict_proba(calib_windows), teacher.predict_proba(calib_windows),
+        target_agreement=args.cascade_target_agreement)
     store.save(_tier_name(args.name, "student"), student,
-               metadata={**metadata, **_cascade_metadata(calibrations["student"]),
+               metadata={"teacher": args.name, "window": str(args.window),
+                         "features": args.features, "hidden": str(args.hidden),
+                         "cascade_threshold": f"{cal.threshold:.6f}",
+                         "cascade_escalation_rate": f"{cal.escalation_rate:.6f}",
+                         "cascade_kept_agreement": f"{cal.kept_agreement:.6f}",
+                         "cascade_overall_agreement": f"{cal.overall_agreement:.6f}",
                          "agreement_vs_teacher": f"{report.student_agreement:.4f}"},
                overwrite=True)
-    store.save(_tier_name(args.name, "student-int8"), quantized,
-               metadata={**metadata, **_cascade_metadata(calibrations["student-int8"]),
-                         "agreement_vs_student": f"{gate['agreement']:.4f}"},
-               overwrite=True)
 
-    int8_cal = calibrations["student-int8"]
     rows = [
         ["transfer windows", report.n_windows],
         ["calibration windows", report.n_calibration],
         ["teacher parameters", report.teacher_parameters],
         ["student parameters", report.student_parameters],
         ["student vs teacher agreement", f"{report.student_agreement:.4f}"],
-        ["int8 vs student agreement", f"{gate['agreement']:.4f}"],
-        ["int8 max |dproba|", f"{gate['max_proba_diff']:.4f}"],
-        ["cascade threshold (int8)", f"{int8_cal.threshold:.4f}"],
-        ["cascade escalation rate (int8)", f"{int8_cal.escalation_rate:.4f}"],
-        ["cascade kept agreement (int8)", f"{int8_cal.kept_agreement:.4f}"],
+        ["cascade threshold", f"{cal.threshold:.4f}"],
+        ["cascade escalation rate", f"{cal.escalation_rate:.4f}"],
+        ["cascade kept agreement", f"{cal.kept_agreement:.4f}"],
     ]
     print(format_table(["distillation", "value"], rows))
-    print(f"saved {_tier_name(args.name, 'student')!r} and "
-          f"{_tier_name(args.name, 'student-int8')!r} to {args.store}")
+    print(f"saved {_tier_name(args.name, 'student')!r} to {args.store}")
     return 0
 
 
@@ -698,26 +669,20 @@ def _meta_float(metadata, key: str, default: float) -> float:
 def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int):
     """Build the CascadeRouter the --cascade flags describe (or ``None``).
 
-    Returns ``(router, serving_tier)``: with the cascade on, the serving
-    selector is the *fast* tier — ``--selector-tier student`` keeps the
-    float student, anything else serves the int8 twin — and the router
-    carries the slow tier for escalations: the float teacher, unless
-    ``--selector-tier teacher-int8`` swaps in the quantized teacher (its
-    gate-measured agreement becomes the plan quality the SLO admission
-    prices).  The margin threshold resolves ``--cascade-threshold`` →
-    distill-calibrated store metadata → default.
+    With the cascade on, the serving selector is the fast tier — the
+    distilled student — and the router carries the slow tier for
+    escalations: the float teacher, unless ``--selector-tier teacher-int8``
+    swaps in the quantized teacher (its gate-measured agreement becomes the
+    plan quality the SLO admission prices).  The margin threshold resolves
+    ``--cascade-threshold`` → distill-calibrated store metadata → default.
     """
-    slo_given = (getattr(args, "latency_slo_ms", None) is not None
-                 or getattr(args, "memory_budget_mb", None) is not None)
-    if not getattr(args, "cascade", False):
-        if slo_given:
+    if not args.cascade:
+        if args.latency_slo_ms is not None or args.memory_budget_mb is not None:
             raise SystemExit("--latency-slo-ms/--memory-budget-mb need --cascade")
         return None
     from ..cascade import DEFAULT_THRESHOLD, CascadeRouter, CostModel
 
-    tier = getattr(args, "selector_tier", "teacher")
-    fast_tier = tier if tier in ("student", "student-int8") else "student-int8"
-    slow_tier = "teacher-int8" if tier == "teacher-int8" else "teacher"
+    slow_tier = "teacher-int8" if args.selector_tier == "teacher-int8" else "teacher"
     teacher = _load_tier_selector(store, args.name, slow_tier)
     slow_quality = 1.0
     if slow_tier != "teacher":
@@ -727,9 +692,8 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
             quant_meta = {}
         slow_quality = _meta_float(quant_meta.get("quantization", {}) or {},
                                    "agreement", 1.0)
-    _load_tier_selector(store, args.name, fast_tier)  # fail early, helpfully
     try:
-        metadata = dict(store.info(_tier_name(args.name, fast_tier)).metadata or {})
+        metadata = dict(store.info(_tier_name(args.name, "student")).metadata or {})
     except KeyError:
         metadata = {}
     threshold = (args.cascade_threshold if args.cascade_threshold is not None
@@ -741,12 +705,11 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
             raise SystemExit(f"cannot load cost model {args.cost_model}: {error}")
     else:
         cost_model = CostModel.default(window)
-    router = CascadeRouter(
+    return CascadeRouter(
         teacher,
         threshold=float(threshold),
         seed=args.cascade_seed,
         cost_model=cost_model,
-        fast_tier=fast_tier,
         slow_tier=slow_tier,
         slow_quality=slow_quality,
         escalation_rate=_meta_float(metadata, "cascade_escalation_rate", 0.1),
@@ -754,19 +717,25 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
         fast_quality=_meta_float(metadata, "cascade_overall_agreement", 0.97),
         window=window,
     )
-    return router, fast_tier
+
+
+def _load_served(args: argparse.Namespace, store: SelectorStore):
+    """``(selector, tier, router)``: what the tier and cascade flags serve.
+
+    With ``--cascade`` the served selector is the student (the fast tier)
+    and ``router`` carries the slow tier; otherwise ``router`` is ``None``
+    and the served selector is ``--selector-tier``'s.
+    """
+    router = _resolve_cascade(args, store, args.window)
+    tier = "student" if router is not None else args.selector_tier
+    return _load_tier_selector(store, args.name, tier), tier, router
 
 
 def _make_service(args: argparse.Namespace) -> "SelectionService":
     from ..detectors.base import DEFAULT_MODEL_NAMES
     from ..serving import SelectionService, ServingConfig
 
-    store = SelectorStore(args.store)
-    tier = getattr(args, "selector_tier", "teacher")
-    cascade = _resolve_cascade(args, store, args.window)
-    router = None
-    if cascade is not None:
-        router, tier = cascade
+    selector, tier, router = _load_served(args, SelectorStore(args.store))
     config = ServingConfig(
         window=args.window,
         aggregation=args.aggregation,
@@ -774,10 +743,9 @@ def _make_service(args: argparse.Namespace) -> "SelectionService":
         max_workers=args.workers,
         worker_mode=args.worker_mode,
         selector_tier=tier,
-        latency_slo_ms=getattr(args, "latency_slo_ms", None),
-        memory_budget_mb=getattr(args, "memory_budget_mb", None),
+        latency_slo_ms=args.latency_slo_ms,
+        memory_budget_mb=args.memory_budget_mb,
     )
-    selector = _load_tier_selector(store, args.name, tier)
     return SelectionService(selector, DEFAULT_MODEL_NAMES, config, cascade=router)
 
 
@@ -838,25 +806,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_refresh_parts(args: argparse.Namespace, store: SelectorStore, selector):
-    """Resolve the (teacher, student, refresh_config) trio for --refresh-min-agreement.
+def _load_refresh_parts(args: argparse.Namespace, store: SelectorStore, tier: str):
+    """``(teacher, refresh_config)`` for --refresh-min-agreement, or Nones.
 
-    The float student is the trainable target; when the serving tier is
-    ``student-int8`` it is loaded alongside so the int8 twin can be
-    re-quantized in place after each escalation.
+    The refresher fine-tunes the served selector, so it must be the student.
     """
-    if getattr(args, "refresh_min_agreement", None) is None:
-        return None, None, None
-    tier = getattr(args, "selector_tier", "teacher")
-    if tier == "teacher":
+    if args.refresh_min_agreement is None:
+        return None, None
+    if tier != "student":
         raise SystemExit("--refresh-min-agreement needs --selector-tier "
-                         "student or student-int8")
+                         "student (or --cascade)")
     from ..distill import RefreshConfig
 
     teacher = _load_tier_selector(store, args.name, "teacher")
-    student = (_load_tier_selector(store, args.name, "student")
-               if tier == "student-int8" else selector)
-    return teacher, student, RefreshConfig(min_agreement=args.refresh_min_agreement)
+    return teacher, RefreshConfig(min_agreement=args.refresh_min_agreement)
 
 
 def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
@@ -864,12 +827,7 @@ def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
     from ..streaming import DriftConfig, StreamEngine, StreamingConfig
 
     store = SelectorStore(args.store)
-    tier = getattr(args, "selector_tier", "teacher")
-    cascade = _resolve_cascade(args, store, args.window)
-    router = None
-    if cascade is not None:
-        router, tier = cascade
-        args.selector_tier = tier  # refresh parts follow the served tier
+    selector, tier, router = _load_served(args, store)
     config = StreamingConfig(
         window=args.window,
         stride=args.stride,
@@ -880,20 +838,17 @@ def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
         drift=(DriftConfig(threshold=args.drift_threshold)
                if args.drift_threshold is not None else None),
         selector_tier=tier,
-        latency_slo_ms=getattr(args, "latency_slo_ms", None),
-        memory_budget_mb=getattr(args, "memory_budget_mb", None),
+        latency_slo_ms=args.latency_slo_ms,
+        memory_budget_mb=args.memory_budget_mb,
     )
     model_set = (make_default_model_set(window=args.detector_window, fast=True)
                  if args.score else None)
-    selector = _load_tier_selector(store, args.name, tier)
-    teacher, student, refresh_config = _load_refresh_parts(args, store, selector)
+    teacher, refresh_config = _load_refresh_parts(args, store, tier)
     refresher = None
     if teacher is not None:
-        from ..distill import Int8StudentSelector, StudentRefresher
+        from ..distill import StudentRefresher
 
-        refresher = StudentRefresher(
-            teacher, student, refresh_config,
-            quantized=selector if isinstance(selector, Int8StudentSelector) else None)
+        refresher = StudentRefresher(teacher, selector, refresh_config)
     return StreamEngine(selector, DEFAULT_MODEL_NAMES, config, model_set=model_set,
                         refresher=refresher, cascade=router)
 
@@ -1005,13 +960,7 @@ def _make_sharded_service(args: argparse.Namespace, audit=None) -> "ShardedServi
     from ..streaming import DriftConfig, StreamingConfig
 
     store = SelectorStore(args.store)
-    tier = getattr(args, "selector_tier", "teacher")
-    cascade = _resolve_cascade(args, store, args.window)
-    router = None
-    if cascade is not None:
-        router, tier = cascade
-        args.selector_tier = tier  # refresh parts follow the served tier
-    selector = _load_tier_selector(store, args.name, tier)
+    selector, tier, router = _load_served(args, store)
     config = StreamingConfig(
         window=args.window,
         stride=args.stride,
@@ -1019,13 +968,12 @@ def _make_sharded_service(args: argparse.Namespace, audit=None) -> "ShardedServi
         drift=(DriftConfig(threshold=args.drift_threshold)
                if args.drift_threshold is not None else None),
         selector_tier=tier,
-        latency_slo_ms=getattr(args, "latency_slo_ms", None),
-        memory_budget_mb=getattr(args, "memory_budget_mb", None),
+        latency_slo_ms=args.latency_slo_ms,
+        memory_budget_mb=args.memory_budget_mb,
     )
-    teacher, student, refresh_config = _load_refresh_parts(args, store, selector)
+    teacher, refresh_config = _load_refresh_parts(args, store, tier)
     factory = make_engine_factory(selector, DEFAULT_MODEL_NAMES, config,
-                                  teacher=teacher, student=student,
-                                  refresh_config=refresh_config,
+                                  teacher=teacher, refresh_config=refresh_config,
                                   cascade=router)
     return ShardedService(factory, ServiceConfig(
         n_shards=args.shards, request_timeout_s=args.request_timeout),
@@ -1134,13 +1082,11 @@ def _cmd_train_cost_model(args: argparse.Namespace) -> int:
     model = CostModel.fit(observations, window=args.window)
     model.save(args.output)
     forwards = sum(1 for o in observations if o.kind == "selector_forward")
-    detections = len(observations) - forwards
     rows = [[tier, f"{a:.4f}", f"{b:.6f}"]
             for tier, (a, b) in sorted(model.latency.items())]
     print(format_table(["tier", "intercept ms", "ms per window"], rows))
-    print(f"fitted cost model on {forwards} forward + {detections} detection "
-          f"observations ({len(model.detector_latency)} detector heads) "
-          f"-> {args.output}")
+    print(f"fitted cost model on {forwards} forward observations "
+          f"({len(observations) - forwards} of other kinds ignored) -> {args.output}")
     return 0
 
 

@@ -77,3 +77,17 @@ def small_selector_dataset(selector_dataset):
     """A subset of the selector dataset for the slowest training tests."""
     keep = np.arange(0, len(selector_dataset), 2)[:64]
     return selector_dataset.subset(keep)
+
+
+@pytest.fixture(scope="session")
+def drifting_streams():
+    """Three live streams whose character flips halfway through.
+
+    Driven together, their windows share flushes and forward batches while
+    each stream's drift monitor fires on its own schedule.
+    """
+    return {
+        f"flip-{a}-{b}": np.concatenate([generate_series(a, 1, 384, seed=2).series,
+                                         generate_series(b, 2, 384, seed=2).series])
+        for a, b in (("ECG", "IOPS"), ("SMD", "MGAB"), ("IOPS", "ECG"))
+    }

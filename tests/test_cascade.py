@@ -20,14 +20,11 @@ import numpy as np
 import pytest
 
 from repro.cascade import (
-    COST_FEATURE_NAMES,
     AdmitDecision,
     CascadeRouter,
     CostModel,
     CostObservation,
     calibrate_margin_threshold,
-    cost_features,
-    cost_features_cached,
     harvest_cost_observations,
     margins,
     observed_cost,
@@ -35,12 +32,13 @@ from repro.cascade import (
 from repro.cascade.harvest import cost_observation_event
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, extract_windows, generate_series
+from repro.eval import aggregate_window_probas
 from repro.obs import AuditLog
 from repro.obs.explain import explain_from_audit, explain_stream, format_explain
 from repro.selectors import make_selector
 from repro.service import ServiceConfig, ShardedService, make_engine_factory
 from repro.serving import SelectionService, ServingConfig
-from repro.streaming import StreamEngine, StreamingConfig
+from repro.streaming import DriftConfig, StreamEngine, StreamingConfig
 from repro.system.cli import main
 
 
@@ -111,23 +109,11 @@ class TestCostModel:
         model = CostModel.fit(observations, window=96)
         assert model.predict_latency_ms("teacher", 100) == pytest.approx(52.0, rel=0.01)
 
-    def test_fit_recovers_detector_length_line(self):
-        observations = [
-            CostObservation(kind="detection", target="IForest", n_windows=0,
-                            window=96, wall_ms=5.0 + 0.02 * length, length=length)
-            for length in (200, 400, 1600, 6400)
-        ]
-        model = CostModel.fit(observations, window=96)
-        series = np.zeros(1000)
-        predicted = model.predict_detection_ms("IForest", series)
-        assert predicted == pytest.approx(25.0, rel=0.05)
-
     def test_unseen_tier_keeps_analytic_default(self):
         model = CostModel.fit([], window=96)
         default = CostModel.default(96)
         assert model.predict_latency_ms("student", 40) \
             == default.predict_latency_ms("student", 40)
-        assert model.predict_detection_ms("NoSuchDetector", np.zeros(100)) is None
 
     def test_predictions_are_non_negative(self):
         observations = [
@@ -140,7 +126,7 @@ class TestCostModel:
 
     def test_save_load_round_trip(self, tmp_path):
         observations = [
-            CostObservation(kind="selector_forward", target="student-int8",
+            CostObservation(kind="selector_forward", target="student",
                             n_windows=n, window=64, wall_ms=1.0 + 0.1 * n,
                             peak_mb=0.5 + 0.01 * n)
             for n in (2, 8, 32)
@@ -150,23 +136,14 @@ class TestCostModel:
         model.save(path)
         loaded = CostModel.load(path)
         assert loaded.to_dict() == model.to_dict()
-        assert loaded.predict_latency_ms("student-int8", 20) \
-            == model.predict_latency_ms("student-int8", 20)
+        assert loaded.predict_latency_ms("student", 20) \
+            == model.predict_latency_ms("student", 20)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"not\": \"a cost model\"}")
         with pytest.raises((KeyError, ValueError)):
             CostModel.load(path)
-
-    def test_cost_features_cached_matches_uncached(self):
-        series = np.sin(np.linspace(0, 20, 500))
-        direct = cost_features(series, 64, 64)
-        cached = cost_features_cached(series, 64, 64)
-        again = cost_features_cached(series, 64, 64)
-        assert np.array_equal(direct, cached)
-        assert np.array_equal(cached, again)
-        assert len(direct) == len(COST_FEATURE_NAMES)
 
 
 class TestHarvest:
@@ -459,6 +436,85 @@ class TestStreamingCascade:
         assert all("cascade" in e for e in selections)
         assert {e["cascade"]["plan"] for e in selections} <= {"cascade", "fast"}
 
+    def test_concurrent_streams_under_drift_match_lone_streams(self, cascade_world,
+                                                               drifting_streams):
+        drift = {"drift": DriftConfig(reference_size=3, recent_size=3, threshold=0.05,
+                                      release=0.01, cooldown=3),
+                 "keep_last_on_drift": 3}
+        together = self._engine(cascade_world, cascade=_router(cascade_world), **drift)
+        updates = _drive(together, drifting_streams, chunk=64)
+        assert together.stats.drift_triggers >= 1
+        assert together.stats.escalated_windows > 0
+        for sid, series in drifting_streams.items():
+            alone = self._engine(cascade_world, cascade=_router(cascade_world), **drift)
+            assert _drive(alone, {sid: series}, chunk=64)[sid] == updates[sid]
+
+
+# --------------------------------------------------------------------------- #
+# the three admitted plans, pinned on both layers
+# --------------------------------------------------------------------------- #
+#: ``latency_slo_ms`` and the plan admission picks for it: every plan fits a
+#: huge SLO (the teacher has the best quality), none fits a tiny one (the
+#: fast tier is the cheapest fallback), and no SLO admits the cascade
+ADMITTED_PLANS = [(1e9, "teacher"), (None, "cascade"), (1e-6, "fast")]
+
+
+def _routed_answer(world, router, windows):
+    """``(selected_index, votes)`` of the cascade plan, recomputed by hand."""
+    proba, _ = router.route(windows, world["fast"].predict_proba(windows))
+    choice, aggregated = aggregate_window_probas(proba, "vote")
+    return choice, [float(v) for v in aggregated]
+
+
+class TestAdmittedPlans:
+    """Each admitted plan answers exactly like the path it names."""
+
+    @pytest.mark.parametrize("slo,plan", ADMITTED_PLANS)
+    def test_service_answers_like_admitted_plan(self, cascade_world, slo, plan):
+        names = cascade_world["detector_names"]
+        records = [generate_series(name, 5, 600, seed=11)
+                   for name in ("ECG", "IOPS", "MGAB")]
+        router = _router(cascade_world)
+        service = SelectionService(
+            cascade_world["fast"], names,
+            ServingConfig(window=64, selector_tier="student", latency_slo_ms=slo),
+            cascade=router)
+        got = [(r.selected_index, list(r.votes.values()))
+               for r in service.select_batch(records)]
+        assert service.last_cascade["plan"] == plan
+        if plan == "cascade":
+            expected = [_routed_answer(cascade_world, router,
+                                       extract_windows(r.series, 64))
+                        for r in records]
+        else:
+            alone = SelectionService(cascade_world[plan], names,
+                                     ServingConfig(window=64))
+            expected = [(r.selected_index, list(r.votes.values()))
+                        for r in alone.select_batch(records)]
+        assert got == expected
+
+    @pytest.mark.parametrize("slo,plan", ADMITTED_PLANS)
+    def test_engine_answers_like_admitted_plan(self, cascade_world, slo, plan):
+        names, streams = cascade_world["detector_names"], cascade_world["streams"]
+        router = _router(cascade_world)
+        engine = StreamEngine(
+            cascade_world["fast"], names,
+            StreamingConfig(window=64, stride=64, latency_slo_ms=slo),
+            cascade=router)
+        got = _drive(engine, streams)
+        assert {explain_stream(engine, sid)["cascade"]["plan"]
+                for sid in streams} == {plan}
+        if plan == "cascade":
+            for sid, series in streams.items():
+                choice, votes = _routed_answer(
+                    cascade_world, router, extract_windows(series, 64, stride=64))
+                assert got[sid]["selected_index"] == choice
+                assert list(got[sid]["votes"].values()) == votes
+        else:
+            alone = StreamEngine(cascade_world[plan], names,
+                                 StreamingConfig(window=64, stride=64))
+            assert got == _drive(alone, streams)
+
 
 # --------------------------------------------------------------------------- #
 # sharded service: escalation is shard-count invariant
@@ -555,6 +611,21 @@ class TestTrainCostModelCLI:
         assert model.predict_latency_ms("teacher", 32) == pytest.approx(
             18.0, rel=0.05)
         assert "teacher" in capsys.readouterr().out
+
+    def test_detection_labels_of_older_logs_are_ignored(self, tmp_path):
+        plain = self._audit_file(tmp_path)
+        older = tmp_path / "older.jsonl"
+        older.write_text(plain.read_text() + json.dumps({
+            "seq": 99, "event": "cost_observation", "kind": "detection",
+            "target": "IForest", "n_windows": 0, "window": 64,
+            "wall_ms": 250.0, "peak_mb": None, "length": 1600}) + "\n")
+        models = []
+        for path in (plain, older):
+            output = tmp_path / f"{path.stem}.json"
+            assert main(["train-cost-model", str(path), "--output", str(output),
+                         "--window", "64"]) == 0
+            models.append(CostModel.load(output).to_dict())
+        assert models[0] == models[1]
 
     def test_harvest_only_prints_observations(self, tmp_path, capsys):
         audit_path = self._audit_file(tmp_path)

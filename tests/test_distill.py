@@ -1,11 +1,11 @@
-"""Tests for the distilled + quantized selector fast path (repro.distill).
+"""Tests for the distilled student and int8 teacher tiers (repro.distill).
 
 Covers the int8 kernels (per-channel round-trip bounds, calibration
 determinism, exact serialization), the distillation pipeline (student vs
-teacher agreement, the dequantize-compare gate, the bitwise-untouched
-teacher), the content-addressed transform cache, the incremental
-student refresh loop, and the ``distill`` CLI command with the
-``--selector-tier`` serving flags.
+teacher agreement, the bitwise-untouched teacher), teacher quantization
+behind the dequantize-compare gate, the content-addressed transform
+cache, the incremental student refresh loop, and the ``distill`` CLI
+command with the ``--selector-tier`` serving flags.
 """
 
 import numpy as np
@@ -17,16 +17,13 @@ from repro.data import build_selector_dataset, generate_series
 from repro.data.windows import extract_windows
 from repro.distill import (
     DistillConfig,
-    Int8StudentSelector,
     RefreshConfig,
     StudentRefresher,
     StudentSelector,
     calibration_split,
     distill_student,
-    quantize_student,
     quantize_teacher,
     selection_agreement,
-    sync_quantized,
     teacher_soft_dataset,
 )
 from repro.nn.quant import (
@@ -370,79 +367,22 @@ class TestDistillStudent:
                             distill_world["detector_names"])
 
 
-class TestQuantizeStudent:
-    def test_quantized_agrees_with_float(self, distill_world, distilled):
-        student, _ = distilled
-        quantized, gate = quantize_student(student, distill_world["transfer"],
-                                           min_agreement=0.97)
-        assert isinstance(quantized, Int8StudentSelector)
-        assert gate["agreement"] >= 0.97
-        assert gate["max_proba_diff"] < 0.1
-        # the property holds on fresh windows too, not just the calibration set
-        agreement = selection_agreement(
-            quantized.predict_proba(distill_world["query"]),
-            student.predict_proba(distill_world["query"]))
-        assert agreement >= 0.97
-
-    def test_gate_raises_below_threshold(self, distill_world, distilled):
-        student, _ = distilled
-        # an unreachable threshold must trip the dequantize-compare gate
-        with pytest.raises(ValueError, match="calibration windows"):
-            quantize_student(student, distill_world["transfer"], min_agreement=1.1)
-
-    def test_int8_selector_is_inference_only(self, distill_world, distilled):
-        student, _ = distilled
-        quantized, _ = quantize_student(student, distill_world["transfer"],
-                                        min_agreement=None)
-        with pytest.raises(RuntimeError, match="inference-only"):
-            quantized.fit(None)
-
-    def test_sync_quantized_tracks_finetuned_weights(self, distill_world, distilled):
-        student, _ = distilled
-        quantized, _ = quantize_student(student, distill_world["transfer"],
-                                        min_agreement=None)
-        before = quantized.predict_proba(distill_world["query"][:8])
-        student.classifier.weight.data[:] += 0.5
-        try:
-            sync_quantized(student, quantized)
-            after = quantized.predict_proba(distill_world["query"][:8])
-            assert not np.array_equal(before, after)
-        finally:
-            student.classifier.weight.data[:] -= 0.5
-            sync_quantized(student, quantized)
-
-
 class TestStoreRoundTrip:
-    def test_student_and_int8_round_trip_bitwise(self, distill_world, distilled,
-                                                 tmp_path):
+    def test_student_round_trip_bitwise(self, distill_world, distilled, tmp_path):
         student, _ = distilled
-        quantized, _ = quantize_student(student, distill_world["transfer"],
-                                        min_agreement=None)
         store = SelectorStore(tmp_path / "store")
         store.save("s", student)
-        store.save("s-int8", quantized)
 
         restored = store.load("s")
-        restored_q = store.load("s-int8")
         query = distill_world["query"]
         assert np.array_equal(restored.predict_proba(query),
                               student.predict_proba(query))
-        assert np.array_equal(restored_q.predict_proba(query),
-                              quantized.predict_proba(query))
-        assert restored_q.classifier.weight_q.dtype == np.int8
 
 
 # --------------------------------------------------------------------------- #
 # incremental refresh
 # --------------------------------------------------------------------------- #
 class TestStudentRefresher:
-    def test_rejects_int8_student(self, distill_world, distilled):
-        student, _ = distilled
-        quantized, _ = quantize_student(student, distill_world["transfer"],
-                                        min_agreement=None)
-        with pytest.raises(TypeError, match="quantized="):
-            StudentRefresher(distill_world["teacher"], quantized)
-
     def test_no_escalation_when_in_agreement(self, distill_world, distilled):
         student, _ = distilled
         refresher = StudentRefresher(distill_world["teacher"], student,
@@ -463,8 +403,6 @@ class TestStudentRefresher:
         student, _ = distill_student(
             distill_world["teacher"], distill_world["transfer"],
             distill_world["detector_names"], DistillConfig(epochs=20, seed=2))
-        quantized, _ = quantize_student(student, distill_world["transfer"],
-                                        min_agreement=None)
         noise = np.random.default_rng(5)
         student.classifier.weight.data += noise.normal(
             scale=0.3, size=student.classifier.weight.data.shape)
@@ -472,18 +410,17 @@ class TestStudentRefresher:
         audit = AuditLog(tmp_path / "audit.jsonl")
         refresher = StudentRefresher(
             distill_world["teacher"], student,
-            RefreshConfig(min_agreement=0.99, steps=60, lr=1e-2, seed=0),
-            quantized=quantized)
-        q_before = quantized.predict_proba(distill_world["query"][:8])
+            RefreshConfig(min_agreement=0.99, steps=60, lr=1e-2, seed=0))
+        before = student.predict_proba(distill_world["query"][:8])
         outcome = refresher.refresh(distill_world["transfer"], audit=audit,
                                     stream="s0")
         assert outcome.escalated and outcome.steps == 60
         assert outcome.agreement_after >= outcome.agreement_before
         assert refresher._escalations.value == 1
         assert refresher._finetune_steps.value == 60
-        # the int8 twin was re-quantized in place
+        # the served student was fine-tuned in place
         assert not np.array_equal(
-            quantized.predict_proba(distill_world["query"][:8]), q_before)
+            student.predict_proba(distill_world["query"][:8]), before)
         events = audit.events(event="student_refresh")
         assert len(events) == 1
         assert events[0]["stream"] == "s0" and events[0]["escalated"] is True
@@ -516,23 +453,23 @@ def cli_distilled(tmp_path_factory):
                  "--store", str(store), "--name", "m", "--window", "64",
                  "--stride", "32", "--epochs", "2"]) == 0
     assert main(["distill", str(data_dir), "--store", str(store), "--name", "m",
-                 "--window", "64", "--stride", "32", "--epochs", "10",
-                 "--min-agreement", "0.0"]) == 0
+                 "--window", "64", "--stride", "32", "--epochs", "10"]) == 0
     return {"root": root, "data_dir": data_dir, "store": store}
 
 
 class TestDistillCLI:
-    def test_distill_saves_both_tiers(self, cli_distilled):
+    def test_distill_saves_student_tier(self, cli_distilled):
         store = SelectorStore(cli_distilled["store"])
         assert isinstance(store.load("m-student"), StudentSelector)
-        assert isinstance(store.load("m-student-int8"), Int8StudentSelector)
+        assert "cascade_threshold" in store.info("m-student").metadata
+        assert "m-student-int8" not in {info.name for info in store.list()}
 
-    def test_batch_select_with_int8_tier(self, cli_distilled, capsys):
+    def test_batch_select_with_student_tier(self, cli_distilled, capsys):
         from repro.system.cli import main
 
         assert main(["batch-select", str(cli_distilled["data_dir"]),
                      "--store", str(cli_distilled["store"]), "--name", "m",
-                     "--selector-tier", "student-int8", "--window", "64"]) == 0
+                     "--selector-tier", "student", "--window", "64"]) == 0
         assert "series/s" in capsys.readouterr().out
 
     def test_missing_student_tier_is_actionable(self, cli_distilled):
@@ -557,7 +494,7 @@ class TestDistillCLI:
 
         series = sorted(cli_distilled["data_dir"].glob("*.csv"))[0]
         assert main(["stream", str(series), "--store", str(cli_distilled["store"]),
-                     "--name", "m", "--selector-tier", "student-int8",
+                     "--name", "m", "--selector-tier", "student",
                      "--refresh-min-agreement", "0.5", "--window", "64",
                      "--stride", "32", "--drift-threshold", "0.5"]) == 0
         assert "selected" in capsys.readouterr().out
@@ -794,8 +731,7 @@ def cli_quantized(cli_distilled):
                  "--name", "mq", "--window", "64", "--stride", "32",
                  "--min-agreement", "0.0"]) == 0
     assert main(["distill", str(data_dir), "--store", str(store), "--name", "mq",
-                 "--window", "64", "--stride", "32", "--epochs", "5",
-                 "--min-agreement", "0.0"]) == 0
+                 "--window", "64", "--stride", "32", "--epochs", "5"]) == 0
     return cli_distilled
 
 

@@ -21,18 +21,17 @@ from repro.selectors import (
 from repro import nn
 
 NEURAL = ["ConvNet", "ResNet", "InceptionTime", "Transformer", "MLP", "LSTMSelector",
-          "Student", "StudentInt8", "TeacherInt8"]
-# StudentInt8/TeacherInt8 are inference-only (built by the quantize_*
-# functions of repro.distill); their fit() raises by design, so they are
-# excluded from the generic fit tests.
-TRAINABLE_NEURAL = [n for n in NEURAL if n not in ("StudentInt8", "TeacherInt8")]
+          "Student", "TeacherInt8"]
+# TeacherInt8 is inference-only (built by repro.distill.quantize_teacher);
+# its fit() raises by design, so it is excluded from the generic fit tests.
+TRAINABLE_NEURAL = [n for n in NEURAL if n != "TeacherInt8"]
 NON_NEURAL = ["KNN", "SVC", "AdaBoost", "RandomForest", "LogisticRegression",
               "DecisionTree", "Ridge", "NN1Euclidean", "Rocket"]
 
 
 class TestRegistry:
-    def test_eighteen_selectors_registered(self):
-        assert len(selector_names()) == 18
+    def test_seventeen_selectors_registered(self):
+        assert len(selector_names()) == 17
 
     def test_neural_flag_partition(self):
         assert set(selector_names(neural=True)) == set(NEURAL)

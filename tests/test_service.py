@@ -336,6 +336,23 @@ class TestShardedServiceEquivalence:
                 assert np.array_equal(service.series(sid)[:300],
                                       np.asarray(service_world["streams"][sid]))
 
+    def test_concurrent_drifting_streams_match_in_process_engine(self, service_world,
+                                                                 drifting_streams):
+        """Two shards, three drifting streams: some shard flushes two at once."""
+        config = StreamingConfig(window=64, drift=DriftConfig(
+            reference_size=3, recent_size=3, threshold=0.05, release=0.01,
+            cooldown=3), keep_last_on_drift=3)
+        engine = StreamEngine(service_world["selector"],
+                              service_world["detector_names"], config)
+        expected = _drive(engine, drifting_streams, n_ticks=12, chunk=64)
+        assert engine.stats.drift_triggers >= 1
+        factory = make_engine_factory(service_world["selector"],
+                                      service_world["detector_names"], config)
+        with ShardedService(factory, ServiceConfig(n_shards=2)) as service:
+            owners = [service.ring.owner(sid) for sid in drifting_streams]
+            assert len(set(owners)) < len(owners)
+            assert _drive(service, drifting_streams, n_ticks=12, chunk=64) == expected
+
     def test_push_single_stream_matches_engine_push(self, service_world):
         engine = StreamEngine(service_world["selector"],
                               service_world["detector_names"],

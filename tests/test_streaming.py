@@ -380,6 +380,29 @@ class TestStreamEngine:
         # the vote now covers only recent windows, not the whole history
         assert engine.selection("flip").n_windows < engine.stats.windows
 
+    def test_concurrent_streams_under_drift_match_lone_streams(self, streaming_world,
+                                                               drifting_streams):
+        """Drifting streams sharing flushes answer as each would alone.
+
+        Drift monitoring is per stream, so sharing flushes (and forward
+        batches) with other drifting streams must not change any update.
+        """
+        drift = {"drift": DriftConfig(reference_size=3, recent_size=3, threshold=0.05,
+                                      release=0.01, cooldown=3),
+                 "keep_last_on_drift": 3}
+        together = _fresh_engine(streaming_world, **drift)
+        last = {}
+        for start in range(0, 768, 64):
+            for sid, series in drifting_streams.items():
+                together.append(sid, series[start:start + 64])
+            last.update(together.flush())
+        assert together.stats.drift_triggers >= 1
+        for sid, series in drifting_streams.items():
+            alone = _fresh_engine(streaming_world, **drift)
+            for start in range(0, 768, 64):
+                update = alone.push(sid, series[start:start + 64])
+            assert last[sid] == update
+
     def test_engine_without_pending_flushes_to_nothing(self, streaming_world):
         engine = _fresh_engine(streaming_world)
         assert engine.flush() == {}
