@@ -107,8 +107,8 @@ class ForwardPlan:
                 audit) -> PlanOutput:
         """Run ``decision``'s plan over one stacked group of windows.
 
-        Escalations go through the router's own predict path, so a layer's
-        fast-tier caches only ever hold fast-tier rows.
+        Escalations go through the router's own predict path
+        (:meth:`CascadeRouter.forward_slow`), never the layer's fast forward.
         """
         if decision is not None and decision.plan == "teacher":
             return PlanOutput(self._measured(self.router.forward_slow, windows,

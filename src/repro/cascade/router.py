@@ -33,9 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
 from ..selectors.base import Selector
-from ..selectors.nn_selector import NNSelector
 from .cost_model import CostModel
 
 #: default margin threshold when neither the distill metadata nor the CLI
@@ -159,7 +157,6 @@ class CascadeRouter:
         fast_tier: str = "student",
         slow_tier: str = "teacher",
         slow_quality: float = 1.0,
-        predict_batch_size: int = DEFAULT_PREDICT_BATCH_SIZE,
         escalation_rate: float = 0.1,
         kept_agreement: float = 0.995,
         fast_quality: float = 0.97,
@@ -176,7 +173,6 @@ class CascadeRouter:
         #: expected teacher-agreement of the slow tier (1.0 for the float
         #: teacher; the quantize_teacher gate's measured agreement for int8)
         self.slow_quality = float(slow_quality)
-        self.predict_batch_size = predict_batch_size
         #: calibration-time expectations feeding plan quality/cost estimates
         self.escalation_rate = float(min(max(escalation_rate, 0.0), 1.0))
         self.kept_agreement = float(kept_agreement)
@@ -218,11 +214,8 @@ class CascadeRouter:
         return mask
 
     def forward_slow(self, windows: np.ndarray) -> np.ndarray:
-        """Teacher forward over escalated rows (chunk-padded predict path;
-        never touches the fast tier's window-probability caches)."""
-        if isinstance(self.slow_selector, NNSelector):
-            return self.slow_selector.predict_proba(
-                windows, batch_size=self.predict_batch_size)
+        """Teacher forward over escalated rows (the slow selector's own
+        predict path, whose per-row bits do not depend on the row count)."""
         return self.slow_selector.predict_proba(windows)
 
     def route(self, windows: np.ndarray,

@@ -7,7 +7,7 @@ hashes of their inputs** (the same blake2b fingerprint the serving cache
 keys on, plus the windowing configuration), so any audited decision can be
 replayed bit-for-bit later: :func:`replay_selection` re-extracts the
 windows from the hashed series prefix, re-runs the selector through the
-same chunk-padded predict path and re-aggregates the same vote rows.
+same chunked predict path and re-aggregates the same vote rows.
 
 The log itself is dumb on purpose: monotonically sequenced dicts, written
 eagerly (one ``write`` + ``flush`` per event) and mirrored in a bounded
@@ -137,9 +137,14 @@ NULL_AUDIT = NullAuditLog()
 # replay: recompute an audited selection decision bit-for-bit
 # --------------------------------------------------------------------------- #
 def selection_inputs(series: np.ndarray, window: int, stride: int,
-                     aggregation: str, vote_start: int,
-                     predict_batch_size: int) -> Dict[str, object]:
-    """The replayable ``inputs`` block of a selection audit event."""
+                     aggregation: str, vote_start: int) -> Dict[str, object]:
+    """The replayable ``inputs`` block of a selection audit event.
+
+    ``predict_batch_size`` records the chunk width of the float NN predict
+    path (every layer calls the selector's own ``predict_proba``).
+    """
+    from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE  # deferred: heavy import chain
+
     series = np.ascontiguousarray(np.asarray(series, dtype=np.float64))
     return {
         "series_hash": content_hash(series, extra=(window, stride, aggregation)),
@@ -148,7 +153,7 @@ def selection_inputs(series: np.ndarray, window: int, stride: int,
         "stride": int(stride),
         "aggregation": str(aggregation),
         "vote_start": int(vote_start),
-        "predict_batch_size": int(predict_batch_size),
+        "predict_batch_size": DEFAULT_PREDICT_BATCH_SIZE,
     }
 
 
@@ -159,7 +164,7 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     ``series`` must contain (a prefix reaching) the audited stream bytes;
     the recorded hash is verified before anything is computed.  The
     recomputation follows the engine's own path — complete windows only,
-    the chunk-padded selector predict, the batch pipeline's aggregation
+    the selector's own chunked predict, the batch pipeline's aggregation
     over the recorded vote range — so on the NN selector path the returned
     votes are bitwise-equal to the audited ones.
 
@@ -168,7 +173,6 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     """
     from ..data.windows import extract_new_windows  # deferred: heavy import chain
     from ..eval.evaluation import aggregate_window_probas
-    from ..streaming.selector import StreamingSelector
 
     if event.get("event") != "selection":
         raise ValueError(f"not a selection event: {event.get('event')!r}")
@@ -190,19 +194,11 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
         raise ValueError(f"content hash mismatch: {observed} != {inputs['series_hash']}")
 
     votes: Dict[str, float] = dict(event["votes"])
-    streaming = StreamingSelector(
-        selector,
-        n_classes=len(votes),
-        window=window,
-        stride=stride,
-        aggregation=aggregation,
-        predict_batch_size=int(inputs["predict_batch_size"]),
-    )
+    vote_start = int(inputs["vote_start"])
     windows = extract_new_windows(series, window, n_emitted=0, stride=stride)
-    probas = streaming.predict_proba(windows)
-    active = probas[int(inputs["vote_start"]):]
-    if not len(active):
+    if vote_start >= len(windows):
         raise ValueError("recorded vote range is empty")
+    active = selector.predict_proba(windows)[vote_start:]
     choice, aggregated = aggregate_window_probas(active, aggregation)
     names = list(votes)
     return {

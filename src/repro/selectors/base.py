@@ -41,12 +41,6 @@ class Selector(ABC):
         """Return the per-window index of the selected TSAD model."""
         return self.predict_proba(windows).argmax(axis=1)
 
-    def predict_series(self, window_matrix: np.ndarray) -> int:
-        """Majority-vote a single series' windows into one model choice."""
-        votes = self.predict(window_matrix)
-        counts = np.bincount(votes)
-        return int(counts.argmax())
-
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}()"
 

@@ -7,9 +7,9 @@
   the durable record recovery replays from),
 * the per-stream **journal** of flush boundaries (which prefixes were
   flushed together — the information that makes replay bitwise-exact),
-* a front-end selection LRU, refreshed by push responses and backed by the
-  per-shard ``select`` memo, with **broadcast invalidation** to every shard
-  whenever a drift re-selection changes a stream's answer, and
+* the front-end selection LRU, the one ``select`` cache: every push
+  response overwrites the stream's entry (drift re-selections included),
+  and a stream with staged, unflushed points bypasses it for its shard, and
 * the :class:`ShardSupervisor` and one :class:`ShardClient` per shard.
 
 Failure handling is centralised in :meth:`ShardedService._request`: any
@@ -54,6 +54,13 @@ from .transport import (
     TransportError,
     encode_message,
 )
+
+#: virtual nodes per shard on the consistent-hash ring
+RING_REPLICAS = 128
+#: front-end selection LRU entries
+SELECTION_CACHE_CAPACITY = 4096
+#: initial shared-memory capacity per stream, in points
+INITIAL_STREAM_CAPACITY = 2048
 
 
 def make_engine_factory(
@@ -103,14 +110,8 @@ class ServiceConfig:
 
     #: number of shard processes to start with
     n_shards: int = 2
-    #: virtual nodes per shard on the consistent-hash ring
-    ring_replicas: int = 128
     #: per-request timeout before a shard is declared hung and restarted
     request_timeout_s: float = 10.0
-    #: front-end selection LRU entries (0 disables)
-    selection_cache_capacity: int = 4096
-    #: initial shared-memory capacity per stream, in points
-    initial_stream_capacity: int = 2048
 
 
 class ShardedService:
@@ -128,15 +129,13 @@ class ShardedService:
             raise ValueError("n_shards must be >= 1")
         self._injector_factory = injector_factory or (lambda shard_id: None)
         self.supervisor = ShardSupervisor(engine_factory)
-        self.ring = HashRing(replicas=self.config.ring_replicas)
+        self.ring = HashRing(replicas=RING_REPLICAS)
         self._clients: Dict[str, ShardClient] = {}
         self._buffers: Dict[str, SharedSeriesBuffer] = {}
         #: per-stream flushed-prefix lengths, in flush order (the journal)
         self._journal: Dict[str, List[int]] = {}
         self._staged: set = set()
-        self._selection_cache = (LRUCache(self.config.selection_cache_capacity,
-                                          name="frontend_selection")
-                                 if self.config.selection_cache_capacity > 0 else None)
+        self._selection_cache = LRUCache(SELECTION_CACHE_CAPACITY, name="frontend_selection")
         self._next_shard_index = 0
         self._closed = False
         #: structured audit trail (``repro.obs.audit``); a no-op by default
@@ -148,16 +147,12 @@ class ShardedService:
             engine_factory, "streaming_config", None)
         #: counters surfaced in :meth:`stats`
         self.recoveries = 0
-        self.invalidations_broadcast = 0
         self._retired_retransmits = 0
         registry = default_registry()
         self._registry = registry
         self._c_recoveries = registry.register(Counter(
             "repro_service_recoveries_total",
             "supervised shard recoveries (kill + respawn + replay)"))
-        self._c_invalidations = registry.register(Counter(
-            "repro_service_invalidations_total",
-            "broadcast selection-memo invalidations after drift"))
         self._h_replay_depth = registry.histogram(
             "repro_service_replay_boundaries",
             "journalled flush boundaries replayed per recovered stream",
@@ -172,10 +167,6 @@ class ShardedService:
     @property
     def shard_ids(self) -> List[str]:
         return self.ring.shard_ids
-
-    def shard_pid(self, shard_id: str) -> Optional[int]:
-        """The shard's current pid (the chaos harness's kill target)."""
-        return self.supervisor.handles[shard_id].pid
 
     def _connect(self, shard_id: str) -> ShardClient:
         handle = self.supervisor.handles[shard_id]
@@ -310,8 +301,7 @@ class ShardedService:
         buffer = self._buffers.get(stream_id)
         if buffer is None:
             buffer = SharedSeriesBuffer(
-                stream_id, initial_capacity=max(
-                    self.config.initial_stream_capacity, len(values)))
+                stream_id, initial_capacity=max(INITIAL_STREAM_CAPACITY, len(values)))
             self._buffers[stream_id] = buffer
             self._journal[stream_id] = []
         buffer.append(values)
@@ -358,20 +348,15 @@ class ShardedService:
                 self._staged.discard(stream)
             updates.update(responses[shard_id]["updates"])
 
-        drifted = sorted(stream for stream, update in updates.items()
-                         if update.get("drift_triggered"))
-        if self._selection_cache is not None:
-            for stream, update in updates.items():
-                self._selection_cache.put(stream, {
-                    "stream": stream,
-                    "selected_index": update["selected_index"],
-                    "selected_model": update["selected_model"],
-                    "votes": update["votes"],
-                    "n_windows": update["windows"],
-                    "provisional": update["provisional"],
-                })
-        if drifted:
-            self._broadcast_invalidate(drifted)
+        for stream, update in updates.items():
+            self._selection_cache.put(stream, {
+                "stream": stream,
+                "selected_index": update["selected_index"],
+                "selected_model": update["selected_model"],
+                "votes": update["votes"],
+                "n_windows": update["windows"],
+                "provisional": update["provisional"],
+            })
         if self.audit.enabled:
             for stream in sorted(updates):
                 self._audit_update(stream, updates[stream])
@@ -395,8 +380,7 @@ class ShardedService:
                 self._buffers[stream].series,
                 window=cfg.window, stride=stride,
                 aggregation=cfg.aggregation,
-                vote_start=max(total - int(update["windows"]), 0),
-                predict_batch_size=cfg.predict_batch_size)
+                vote_start=max(total - int(update["windows"]), 0))
         if update.get("drift_triggered"):
             self.audit.record(
                 "drift", stream=stream,
@@ -421,27 +405,20 @@ class ShardedService:
             selector_tier=(cfg.selector_tier if cfg is not None else "teacher"),
             inputs=inputs)
 
-    def _broadcast_invalidate(self, streams: List[str]) -> None:
-        """Drift re-selection changed answers: clear every shard's memo."""
-        self.invalidations_broadcast += 1
-        self._c_invalidations.inc()
-        for shard_id in self.shard_ids:
-            self._request(shard_id, "invalidate", streams=streams)
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def select(self, stream_id: str) -> Optional[Dict[str, object]]:
         """The stream's current selection (front-end LRU, then its shard)."""
-        if self._selection_cache is not None and stream_id not in self._staged:
+        staged = stream_id in self._staged
+        if not staged:
             hit = self._selection_cache.get(stream_id)
             if hit is not None:
                 return {**hit, "cached": True}
         response = self._request(self.ring.owner(stream_id), "select",
                                  stream=stream_id)
         selection = response.get("selection")
-        if selection is not None and self._selection_cache is not None \
-                and stream_id not in self._staged:
+        if selection is not None and not staged:
             self._selection_cache.put(stream_id, dict(selection))
         return selection
 
@@ -487,7 +464,7 @@ class ShardedService:
         for response in per_shard.values():
             for key, value in response["stats"].items():
                 totals[key] = totals.get(key, 0) + int(value)
-        cache_stats = self._selection_cache.stats if self._selection_cache else None
+        cache_stats = self._selection_cache.stats
         return {
             "shards": len(self.shard_ids),
             "streams": len(self._buffers),
@@ -496,14 +473,13 @@ class ShardedService:
             "ring": self.ring.to_state(),
             "restarts": self.supervisor.restarts,
             "recoveries": self.recoveries,
-            "invalidations_broadcast": self.invalidations_broadcast,
             "transport_retransmits": self._retired_retransmits + sum(
                 client.retransmits for client in self._clients.values()),
-            "selection_cache": ({
+            "selection_cache": {
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
                 "size": cache_stats.size,
-            } if cache_stats is not None else None),
+            },
         }
 
     # ------------------------------------------------------------------ #

@@ -33,6 +33,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import asdict
 from typing import Callable, Dict, List
 
 from ..obs.metrics import Counter, default_registry
@@ -46,23 +47,6 @@ from .transport import (
 
 #: per-connection response-cache depth (covers retransmits and duplicates)
 RESPONSE_CACHE_DEPTH = 64
-
-
-def _stats_dict(engine: StreamEngine) -> Dict[str, object]:
-    stats = engine.stats
-    return {
-        "n_streams": stats.n_streams,
-        "flushes": stats.flushes,
-        "points": stats.points,
-        "windows": stats.windows,
-        "forward_windows": stats.forward_windows,
-        "cached_windows": stats.cached_windows,
-        "drift_triggers": stats.drift_triggers,
-        "tail_rescores": stats.tail_rescores,
-        "full_rescores": stats.full_rescores,
-        "escalated_windows": stats.escalated_windows,
-        "slo_fallbacks": stats.slo_fallbacks,
-    }
 
 
 class ShardServer:
@@ -83,8 +67,6 @@ class ShardServer:
             "repro_shard_duplicates_suppressed_total",
             "requests answered from the exactly-once response cache",
             {"shard": shard_id}))
-        #: memoised ``select`` responses, invalidated by pushes/invalidate
-        self._select_memo: Dict[str, Dict[str, object]] = {}
         #: chaos: seconds to sleep before handling each request
         self._chaos_sleep_s = 0.0
 
@@ -174,8 +156,6 @@ class ShardServer:
         for tick in ticks:
             self._append_tick(tick)
         updates = self.engine.flush()
-        for tick in ticks:
-            self._select_memo.pop(str(tick["stream"]), None)
         return {"updates": {stream: update.as_dict()
                             for stream, update in updates.items()}}
 
@@ -191,7 +171,6 @@ class ShardServer:
         for entry in request["streams"]:
             stream = str(entry["stream"])
             self.engine.drop_stream(stream)
-            self._select_memo.pop(stream, None)
             full = self._segments.view(stream, str(entry["shm"]), int(entry["length"]))
             for boundary in entry["boundaries"]:
                 self.engine.append_view(stream, full[: int(boundary)])
@@ -201,25 +180,20 @@ class ShardServer:
 
     def _op_select(self, request: Dict[str, object]) -> Dict[str, object]:
         stream = str(request["stream"])
-        memo = self._select_memo.get(stream)
-        if memo is not None:
-            return {"selection": memo, "memoized": True}
         if stream not in self.engine:
             return {"selection": None}
         view = self.engine.selection(stream)
         if view is None:
             return {"selection": None}
         names = self.engine.detector_names
-        selection = {
+        return {"selection": {
             "stream": stream,
             "selected_index": view.selected_index,
             "selected_model": names[view.selected_index],
             "votes": {name: float(view.aggregated[k]) for k, name in enumerate(names)},
             "n_windows": view.n_windows,
             "provisional": view.provisional,
-        }
-        self._select_memo[stream] = selection
-        return {"selection": selection, "memoized": False}
+        }}
 
     def _op_scores(self, request: Dict[str, object]) -> Dict[str, object]:
         stream = str(request["stream"])
@@ -227,14 +201,8 @@ class ShardServer:
             return {"scores": []}
         return {"scores": [float(s) for s in self.engine.scores(stream)]}
 
-    def _op_series_length(self, request: Dict[str, object]) -> Dict[str, object]:
-        stream = str(request["stream"])
-        if stream not in self.engine:
-            return {"length": 0}
-        return {"length": int(len(self.engine.series(stream)))}
-
     def _op_stats(self, request: Dict[str, object]) -> Dict[str, object]:
-        stats = _stats_dict(self.engine)
+        stats = asdict(self.engine.stats)
         stats["duplicates_suppressed"] = self._duplicates_suppressed.value
         return {"stats": stats,
                 "streams": sorted(self.engine.stream_ids)}
@@ -259,15 +227,7 @@ class ShardServer:
             stream = str(stream)
             dropped += self.engine.drop_stream(stream)
             self._segments.drop(stream)
-            self._select_memo.pop(stream, None)
         return {"ok": True, "dropped": dropped}
-
-    def _op_invalidate(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Broadcast invalidation: drop memoised selections for streams."""
-        invalidated = 0
-        for stream in request["streams"]:
-            invalidated += self._select_memo.pop(str(stream), None) is not None
-        return {"ok": True, "invalidated": invalidated}
 
     def _op_chaos(self, request: Dict[str, object]) -> Dict[str, object]:
         self._chaos_sleep_s = float(request.get("sleep_s", 0.0))

@@ -12,9 +12,8 @@ whole batch and reorganises the same work for scale:
    (:func:`repro.data.windows.extract_windows_batch`) into one stacked
    matrix, normalised in a single vectorised pass.
 3. **One batched forward pass** — the stacked windows go through the
-   selector's chunked predict path
-   (:func:`repro.core.inference.batched_predict_proba`) instead of one
-   forward pass per series.
+   selector's own ``predict_proba`` once instead of one forward pass per
+   series.
 4. **Shared aggregation** — per-series majority voting reuses
    :func:`repro.eval.evaluation.aggregate_window_probas`, the exact code
    path of the one-shot pipeline, so batched selections are bitwise
@@ -27,12 +26,9 @@ series per batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
 from ..data.records import TimeSeriesRecord
 from ..data.windows import extract_windows_batch
 from ..eval.evaluation import aggregate_window_probas
@@ -40,7 +36,6 @@ from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
-from ..selectors.nn_selector import NNSelector
 from .cache import CacheStats, LRUCache, series_fingerprint
 from .workers import WorkerPool
 
@@ -49,10 +44,9 @@ from .workers import WorkerPool
 class ServingConfig:
     """Knobs of the serving layer (windowing, caching, fan-out)."""
 
-    #: selector input window length (must match how the selector was trained)
+    #: selector input window length (must match how the selector was trained);
+    #: windows never overlap, like the pipeline's prediction-time windowing
     window: int = 96
-    #: window stride; ``None`` means non-overlapping (the pipeline default)
-    stride: Optional[int] = None
     #: per-series reduction of window predictions: ``"vote"`` or ``"mean"``
     aggregation: str = "vote"
     #: maximum number of cached selection results (LRU beyond that)
@@ -61,8 +55,6 @@ class ServingConfig:
     max_workers: int = 0
     #: ``"thread"`` or ``"process"`` (fork) for the detection fan-out
     worker_mode: str = "thread"
-    #: windows per selector forward chunk (memory/latency trade-off)
-    predict_batch_size: int = DEFAULT_PREDICT_BATCH_SIZE
     #: which selector tier serves this service: ``"teacher"`` (the full NN),
     #: ``"teacher-int8"`` (quantized) or ``"student"`` (distilled).
     #: Purely descriptive — the service serves whatever selector it is given
@@ -127,7 +119,10 @@ class SelectionService:
         #: the SLO knobs and low-margin windows escalate from this service's
         #: (fast) selector to the router's teacher.  ``cascade=None`` keeps
         #: the exact pre-cascade code path — selections stay bitwise identical.
-        self.plan = ForwardPlan("serving", self._predict_proba, self.config, cascade)
+        #: ``selector.predict_proba`` is looked up per call, so a selector
+        #: whose method is wrapped after construction is honoured.
+        self.plan = ForwardPlan("serving", lambda windows: self.selector.predict_proba(windows),
+                                self.config, cascade)
         #: the last miss batch's admission decision + escalation summary
         self.last_cascade: Optional[Dict[str, object]] = None
         registry = default_registry()
@@ -152,36 +147,12 @@ class SelectionService:
         return self.plan.router
 
     # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_store(
-        cls,
-        store_root,
-        name: str,
-        detector_names: Sequence[str],
-        config: Optional[ServingConfig] = None,
-    ) -> "SelectionService":
-        """Build a service around a selector persisted in a selector store."""
-        from ..system.selector_store import SelectorStore  # deferred: system imports serving
-
-        return cls(SelectorStore(store_root).load(name), detector_names, config)
-
-    # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
     def fingerprint(self, record: TimeSeriesRecord) -> str:
         """Cache key of one series under this service's configuration."""
-        cfg = self.config
-        return series_fingerprint(
-            record.series,
-            extra=(cfg.window, cfg.stride or cfg.window, cfg.aggregation),
-        )
-
-    def _predict_proba(self, windows: np.ndarray) -> np.ndarray:
-        if isinstance(self.selector, NNSelector):
-            return self.selector.predict_proba(windows, batch_size=self.config.predict_batch_size)
-        return self.selector.predict_proba(windows)
+        return series_fingerprint(record.series,
+                                  extra=(self.config.window, self.config.aggregation))
 
     def select_batch(self, records: Sequence[TimeSeriesRecord]) -> List[SelectionResult]:
         """Answer a batch of series, vectorised across the cache misses."""
@@ -210,10 +181,7 @@ class SelectionService:
         if miss_keys:
             cfg = self.config
             windows, offsets = extract_windows_batch(
-                [records[occurrences[key][0]].series for key in miss_keys],
-                cfg.window,
-                stride=cfg.stride,
-            )
+                [records[occurrences[key][0]].series for key in miss_keys], cfg.window)
             self._h_batch_windows.observe(len(windows))
             with self._h_forward_seconds.time(), \
                     span("serving.forward", windows=len(windows), series=len(miss_keys)):
@@ -282,10 +250,6 @@ class SelectionService:
     def stats(self) -> CacheStats:
         """Hit/miss/eviction counters of the result cache."""
         return self.cache.stats
-
-    def clear_cache(self) -> None:
-        """Drop every cached selection (counters keep accumulating)."""
-        self.cache.clear()
 
     def __repr__(self) -> str:
         return (

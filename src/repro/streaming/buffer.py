@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..data.windows import complete_window_count, extract_new_windows
+from ..data.windows import extract_new_windows
 
 
 class GrowingArray:
@@ -94,10 +94,6 @@ class StreamBuffer:
     def n_windows(self) -> int:
         """Number of complete windows emitted so far."""
         return self._n_emitted
-
-    def pending_windows(self) -> int:
-        """Complete windows that exist but have not been emitted yet."""
-        return complete_window_count(self.length, self.window, self.stride) - self._n_emitted
 
     # ------------------------------------------------------------------ #
     def extend(self, values: np.ndarray) -> None:

@@ -9,8 +9,7 @@ together by :meth:`flush`:
 2. streams are packed into window-budgeted groups
    (:func:`repro.serving.batching.window_budget_groups`, the same budget
    rule the serving layer's micro-batching uses) and each group takes **one
-   selector forward pass** (:class:`StreamingSelector`, which also consults
-   the window-probability LRU),
+   selector forward pass** (:class:`StreamingSelector`),
 3. per-stream running votes, drift monitors and online scorers are updated;
    detector re-selection (drift) swaps the stream's scorer.
 
@@ -31,14 +30,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
 from ..detectors.base import AnomalyDetector
 from ..obs.audit import NULL_AUDIT, selection_inputs
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
 from ..serving.batching import window_budget_groups
-from ..serving.cache import CacheStats
 from ..serving.workers import WorkerPool
 from .buffer import StreamBuffer
 from .drift import DriftConfig, DriftMonitor
@@ -56,10 +53,6 @@ class StreamingConfig:
     stride: Optional[int] = None
     #: per-series reduction of window predictions: ``"vote"`` or ``"mean"``
     aggregation: str = "vote"
-    #: windows per selector forward chunk (memory/latency trade-off)
-    predict_batch_size: int = DEFAULT_PREDICT_BATCH_SIZE
-    #: window-probability LRU entries; 0 disables the cache
-    cache_capacity: int = 0
     #: cross-stream forward-batch budget, in selector windows
     max_batch_windows: int = 8192
     #: thread count for per-stream scoring fan-out; 0 runs sequentially.
@@ -134,13 +127,11 @@ class StreamEngineStats:
     points: int
     windows: int
     forward_windows: int
-    cached_windows: int
     drift_triggers: int
     tail_rescores: int
     full_rescores: int
     escalated_windows: int
     slo_fallbacks: int
-    cache: Optional[CacheStats]
 
 
 class _StreamState:
@@ -191,8 +182,6 @@ class StreamEngine:
             window=self.config.window,
             stride=self.config.stride,
             aggregation=self.config.aggregation,
-            predict_batch_size=self.config.predict_batch_size,
-            cache_capacity=self.config.cache_capacity,
         )
         from ..cascade.executor import ForwardPlan, PlanOutput  # deferred: streaming imports stay cascade-free
 
@@ -378,7 +367,11 @@ class StreamEngine:
                     self.streaming_selector.reset_votes(
                         state.votes, keep_last=self.config.keep_last_on_drift)
                     if self.refresher is not None:
-                        self._refresh_student(stream_id, state)
+                        # probe student↔teacher agreement, fine-tune if it fell
+                        self.refresher.refresh_from_series(
+                            state.buffer.series, window=self.config.window,
+                            stride=self.config.stride or self.config.window,
+                            audit=self.audit, stream=stream_id)
 
             view = self.streaming_selector.selection(state.votes, series=state.buffer.series)
             self._tier_selections.inc()
@@ -430,23 +423,6 @@ class StreamEngine:
 
         return updates
 
-    def _refresh_student(self, stream_id: str, state: _StreamState) -> None:
-        """Drift hook: probe student↔teacher agreement, fine-tune if it fell.
-
-        An escalated refresh changes the student's weights, so the
-        window-probability cache (stale float outputs) is dropped.
-        """
-        outcome = self.refresher.refresh_from_series(
-            state.buffer.series,
-            window=self.config.window,
-            stride=self.config.stride or self.config.window,
-            audit=self.audit,
-            stream=stream_id,
-        )
-        if (outcome is not None and outcome.escalated
-                and self.streaming_selector.cache is not None):
-            self.streaming_selector.cache.clear()
-
     def _audit_update(self, stream_id: str, state: _StreamState,
                       update: StreamUpdate, previous_index: Optional[int]) -> None:
         """Record one flush's decision for ``stream_id`` (audit enabled only).
@@ -493,7 +469,6 @@ class StreamEngine:
                 stride=self.config.stride or self.config.window,
                 aggregation=self.config.aggregation,
                 vote_start=state.votes.vote_start,
-                predict_batch_size=self.config.predict_batch_size,
             ),
             **cascade_fields)
 
@@ -514,7 +489,6 @@ class StreamEngine:
             points=self._points.value,
             windows=sum(s.buffer.n_windows for s in self._streams.values()),
             forward_windows=self.streaming_selector.forward_windows,
-            cached_windows=self.streaming_selector.cached_windows,
             drift_triggers=sum(s.monitor.triggers for s in self._streams.values()
                                if s.monitor is not None),
             tail_rescores=sum(s.scorer.tail_rescores for s in self._streams.values()
@@ -523,7 +497,6 @@ class StreamEngine:
                               if s.scorer is not None),
             escalated_windows=self.plan.escalated_windows.value,
             slo_fallbacks=self.plan.slo_fallbacks.value,
-            cache=self.streaming_selector.cache_stats,
         )
 
     def __repr__(self) -> str:

@@ -45,7 +45,9 @@ def replay_records(
     a chunk to every stream that still has points and then flush once, so
     each yielded dict is exactly one multiplexed engine tick — the shape of
     traffic the engine's cross-stream batching exists for.  Streams drop
-    out as they are exhausted; iteration ends when all are.
+    out as they are exhausted; iteration ends when all are.  Only
+    ``append`` and ``flush`` are called, so a
+    :class:`repro.service.ShardedService` replays the same way.
     """
     feeds: List[Tuple[str, Iterator[np.ndarray]]] = [
         (record.name, iter_chunks(record.series, chunk)) for record in records

@@ -8,12 +8,8 @@ probabilities can be kept and only the *new* windows need a forward pass.
 
 :class:`StreamingSelector` owns that invariant.  Per stream it accumulates
 the per-window probability matrix (:class:`StreamVoteState`); each tick it
-classifies only the newly complete windows — through the shared chunked
-predict path (:func:`repro.core.inference.batched_predict_proba`) and an
-optional content-addressed window-probability LRU
-(:class:`repro.serving.cache.LRUCache`), so periodic streams whose
-normalised windows repeat skip the forward pass entirely.  The running
-selection is recomputed with
+classifies only the newly complete windows, through the selector's own
+``predict_proba``.  The running selection is recomputed with
 :func:`repro.eval.evaluation.aggregate_window_probas` — the *same* code the
 batch pipeline uses, over the *same* probability rows — which is what makes
 streaming selections bitwise identical to re-running the batch pipeline on
@@ -27,13 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
 from ..data.windows import extract_windows
 from ..eval.evaluation import aggregate_window_probas
 from ..obs.metrics import Counter, default_registry
 from ..selectors.base import Selector
-from ..selectors.nn_selector import NNSelector
-from ..serving.cache import CacheStats, LRUCache, series_fingerprint
 
 
 class StreamVoteState:
@@ -96,8 +89,6 @@ class StreamingSelector:
         window: int,
         stride: Optional[int] = None,
         aggregation: str = "vote",
-        predict_batch_size: int = DEFAULT_PREDICT_BATCH_SIZE,
-        cache_capacity: int = 0,
     ) -> None:
         if aggregation not in ("vote", "mean"):
             raise ValueError("aggregation must be 'vote' or 'mean'")
@@ -106,16 +97,9 @@ class StreamingSelector:
         self.window = window
         self.stride = stride or window
         self.aggregation = aggregation
-        self.predict_batch_size = predict_batch_size
-        self.cache = (LRUCache(cache_capacity, name="window_proba")
-                      if cache_capacity > 0 else None)
-        registry = default_registry()
-        self._forward_windows = registry.register(Counter(
+        self._forward_windows = default_registry().register(Counter(
             "repro_stream_forward_windows_total",
             "windows sent through an actual selector forward pass"))
-        self._cached_windows = registry.register(Counter(
-            "repro_stream_cached_windows_total",
-            "windows answered from the window-probability cache"))
 
     # ------------------------------------------------------------------ #
     @property
@@ -123,61 +107,25 @@ class StreamingSelector:
         """Windows sent through an actual selector forward pass."""
         return self._forward_windows.value
 
-    @property
-    def cached_windows(self) -> int:
-        """Windows answered from the window-probability cache."""
-        return self._cached_windows.value
-
     def new_state(self) -> StreamVoteState:
         return StreamVoteState(self.n_classes)
 
-    def _forward(self, windows: np.ndarray) -> np.ndarray:
+    def predict_proba(self, windows: np.ndarray) -> np.ndarray:
         """One selector forward pass over a (k, L) window matrix.
 
-        NN selectors go through their own chunk-padded predict path
-        (:func:`batched_predict_proba` inside ``NNSelector.predict_proba``),
-        which makes per-row bits independent of how many windows arrived
-        together — the bitwise-equality guarantee.  Classical selectors are
-        called un-chunked, exactly like the batch pipeline and the serving
-        layer call them; their probabilities are typically discrete
-        vote/count fractions, but tick-boundary bit-equality is *engineered*
-        only for the NN path.
-        """
-        if isinstance(self.selector, NNSelector):
-            return self.selector.predict_proba(windows, batch_size=self.predict_batch_size)
-        return self.selector.predict_proba(windows)
-
-    def predict_proba(self, windows: np.ndarray) -> np.ndarray:
-        """Per-window probabilities, answering repeats from the window LRU.
-
-        Cached rows are bitwise identical to recomputed ones: a row's
-        answer does not depend on which batch it was first computed in
-        (see :meth:`_forward`).
+        NN selectors chunk their own predict path at a fixed width (float
+        ones pad partial chunks, int8 ones accumulate exact integers), so
+        per-row bits do not depend on how many windows arrived together —
+        the bitwise-equality guarantee.  Classical selectors are called
+        exactly like the batch pipeline and the serving layer call them;
+        their probabilities are typically discrete vote/count fractions,
+        but tick-boundary bit-equality is *engineered* only for the NN path.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if len(windows) == 0:
             return np.empty((0, self.n_classes), dtype=np.float64)
-        if self.cache is None:
-            self._forward_windows.inc(len(windows))
-            return self._forward(windows)
-
-        proba = np.empty((len(windows), self.n_classes), dtype=np.float64)
-        keys = [series_fingerprint(row) for row in windows]
-        miss_indices = []
-        for i, key in enumerate(keys):
-            hit = self.cache.get(key)
-            if hit is None:
-                miss_indices.append(i)
-            else:
-                proba[i] = hit
-        if miss_indices:
-            computed = self._forward(windows[miss_indices])
-            for j, i in enumerate(miss_indices):
-                proba[i] = computed[j]
-                self.cache.put(keys[i], computed[j].copy())
-        self._forward_windows.inc(len(miss_indices))
-        self._cached_windows.inc(len(windows) - len(miss_indices))
-        return proba
+        self._forward_windows.inc(len(windows))
+        return self.selector.predict_proba(windows)
 
     # ------------------------------------------------------------------ #
     def update(self, state: StreamVoteState, new_windows: np.ndarray,
@@ -221,9 +169,3 @@ class StreamingSelector:
         windows stop contributing, so the choice can move with the stream.
         """
         state.vote_start = max(len(state) - max(keep_last, 0), 0)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_stats(self) -> Optional[CacheStats]:
-        """Hit/miss counters of the window-probability LRU (None when off)."""
-        return self.cache.stats if self.cache is not None else None

@@ -52,12 +52,13 @@ from ..data.loaders import load_series_directory, load_series_file, save_series_
 from ..data.records import DATASET_NAMES
 from ..data.windows import build_selector_dataset, extract_windows
 from ..detectors import make_default_model_set
-from ..eval import Oracle, evaluate_selection
+from ..detectors.base import DEFAULT_MODEL_NAMES
+from ..eval import Oracle, evaluate_selection, predict_for_series
 from ..selectors import make_selector, selector_names
 from ..selectors.nn_selector import NNSelector
 from .anomaly_detection import run_detection
 from .reporting import format_table
-from .selector_store import SelectorStore
+from .selector_store import CorruptSelectorError, SelectorStore
 
 
 def _add_runtime_args(parser: argparse.ArgumentParser, workers: bool = True,
@@ -270,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--store", type=Path, default=Path("selector_store"))
     select.add_argument("--name", required=True)
     select.add_argument("--window", type=int, default=96)
-    select.add_argument("--detector-window", type=int, default=24)
 
     detect = sub.add_parser("detect", help="select a model, run it and print metrics")
     detect.add_argument("series_file", type=Path)
@@ -323,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--chunk", type=int, default=32,
                         help="points appended per stream per replayed tick")
     stream.add_argument("--aggregation", default="vote", choices=["vote", "mean"])
-    stream.add_argument("--cache-capacity", type=int, default=0,
-                        help="window-probability LRU entries (0 disables)")
     stream.add_argument("--max-batch-windows", type=int, default=8192,
                         help="cross-stream forward-batch budget, in windows")
     stream.add_argument("--drift-threshold", type=float, default=None,
@@ -521,7 +519,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_distill(args: argparse.Namespace) -> int:
     from ..cascade import calibrate_margin_threshold
-    from ..detectors.base import DEFAULT_MODEL_NAMES
     from ..distill import DistillConfig, calibration_split, distill_student
 
     try:
@@ -616,7 +613,7 @@ def _cmd_quantize_teacher(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     records, matrix, detector_names = _load_labelled(args.data_dir, args.performance)
-    selector = SelectorStore(args.store).load(args.name)
+    selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
     evaluation = evaluate_selection(selector, records, matrix, detector_names, window=args.window)
     rows = sorted(evaluation.per_dataset_score.items())
     print(format_table(["Dataset", "AUC-PR of selected model"], rows))
@@ -627,15 +624,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     record = load_series_file(args.series_file)
-    selector = SelectorStore(args.store).load(args.name)
-    detector_names = list(make_default_model_set(window=args.detector_window, fast=True))
-    windows = extract_windows(record.series, args.window, stride=args.window)
-    proba = selector.predict_proba(windows)
-    votes = np.bincount(proba.argmax(axis=1), minlength=len(detector_names)).astype(float)
-    votes /= votes.sum()
-    choice = int(votes.argmax())
-    print(f"selected model for {record.name}: {detector_names[choice]}")
-    rows = sorted(zip(detector_names, votes), key=lambda kv: -kv[1])
+    selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
+    choice, votes = predict_for_series(selector, record, args.window)
+    print(f"selected model for {record.name}: {DEFAULT_MODEL_NAMES[choice]}")
+    rows = sorted(zip(DEFAULT_MODEL_NAMES, votes), key=lambda kv: -kv[1])
     print(format_table(["Model", "Vote share"], rows))
     return 0
 
@@ -643,12 +635,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     _apply_runtime_args(args)
     record = load_series_file(args.series_file)
-    selector = SelectorStore(args.store).load(args.name)
+    selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
     model_set = make_default_model_set(window=args.detector_window, fast=True)
-    detector_names = list(model_set)
-    windows = extract_windows(record.series, args.window, stride=args.window)
-    choice = int(np.bincount(selector.predict(windows), minlength=len(detector_names)).argmax())
-    chosen = detector_names[choice]
+    chosen = list(model_set)[predict_for_series(selector, record, args.window)[0]]
     result = run_detection(record, model_set[chosen], detector_name=chosen)
     print(f"selected model: {chosen}")
     print(format_table(["metric", "value"], sorted(result.metrics.items())))
@@ -732,7 +721,6 @@ def _load_served(args: argparse.Namespace, store: SelectorStore):
 
 
 def _make_service(args: argparse.Namespace) -> "SelectionService":
-    from ..detectors.base import DEFAULT_MODEL_NAMES
     from ..serving import SelectionService, ServingConfig
 
     selector, tier, router = _load_served(args, SelectorStore(args.store))
@@ -822,9 +810,14 @@ def _load_refresh_parts(args: argparse.Namespace, store: SelectorStore, tier: st
     return teacher, RefreshConfig(min_agreement=args.refresh_min_agreement)
 
 
-def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
-    from ..detectors.base import DEFAULT_MODEL_NAMES
-    from ..streaming import DriftConfig, StreamEngine, StreamingConfig
+def _make_engine_factory(args: argparse.Namespace, model_set=None, **config_fields):
+    """The engine builder of ``stream`` (called once, in process) and
+    ``serve-sharded`` (called inside every shard): the served tier, the
+    cascade router and the student refresher the flags describe.
+    ``config_fields`` adds command-specific :class:`StreamingConfig` fields.
+    """
+    from ..service import make_engine_factory
+    from ..streaming import DriftConfig, StreamingConfig
 
     store = SelectorStore(args.store)
     selector, tier, router = _load_served(args, store)
@@ -832,25 +825,17 @@ def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
         window=args.window,
         stride=args.stride,
         aggregation=args.aggregation,
-        cache_capacity=args.cache_capacity,
-        max_batch_windows=args.max_batch_windows,
-        max_workers=args.workers,
         drift=(DriftConfig(threshold=args.drift_threshold)
                if args.drift_threshold is not None else None),
         selector_tier=tier,
         latency_slo_ms=args.latency_slo_ms,
         memory_budget_mb=args.memory_budget_mb,
+        **config_fields,
     )
-    model_set = (make_default_model_set(window=args.detector_window, fast=True)
-                 if args.score else None)
     teacher, refresh_config = _load_refresh_parts(args, store, tier)
-    refresher = None
-    if teacher is not None:
-        from ..distill import StudentRefresher
-
-        refresher = StudentRefresher(teacher, selector, refresh_config)
-    return StreamEngine(selector, DEFAULT_MODEL_NAMES, config, model_set=model_set,
-                        refresher=refresher, cascade=router)
+    return make_engine_factory(selector, DEFAULT_MODEL_NAMES, config, model_set=model_set,
+                               teacher=teacher, refresh_config=refresh_config,
+                               cascade=router)
 
 
 def _format_stream_stats(stats) -> str:
@@ -860,7 +845,6 @@ def _format_stream_stats(stats) -> str:
         ["points in", stats.points],
         ["windows emitted", stats.windows],
         ["forward-pass windows", stats.forward_windows],
-        ["cache-served windows", stats.cached_windows],
         ["drift re-selections", stats.drift_triggers],
         ["tail re-scores", stats.tail_rescores],
         ["full re-scores", stats.full_rescores],
@@ -920,7 +904,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     _apply_runtime_args(args)
     audit, tracer, previous_tracer = _setup_obs(args)
-    engine = _make_stream_engine(args)
+    model_set = (make_default_model_set(window=args.detector_window, fast=True)
+                 if args.score else None)
+    engine = _make_engine_factory(args, model_set=model_set,
+                                  max_batch_windows=args.max_batch_windows,
+                                  max_workers=args.workers)()
     if audit is not None:
         engine.audit = audit
 
@@ -954,38 +942,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         _teardown_obs(args, audit, tracer, previous_tracer)
 
 
-def _make_sharded_service(args: argparse.Namespace, audit=None) -> "ShardedService":
-    from ..detectors.base import DEFAULT_MODEL_NAMES
-    from ..service import ServiceConfig, ShardedService, make_engine_factory
-    from ..streaming import DriftConfig, StreamingConfig
-
-    store = SelectorStore(args.store)
-    selector, tier, router = _load_served(args, store)
-    config = StreamingConfig(
-        window=args.window,
-        stride=args.stride,
-        aggregation=args.aggregation,
-        drift=(DriftConfig(threshold=args.drift_threshold)
-               if args.drift_threshold is not None else None),
-        selector_tier=tier,
-        latency_slo_ms=args.latency_slo_ms,
-        memory_budget_mb=args.memory_budget_mb,
-    )
-    teacher, refresh_config = _load_refresh_parts(args, store, tier)
-    factory = make_engine_factory(selector, DEFAULT_MODEL_NAMES, config,
-                                  teacher=teacher, refresh_config=refresh_config,
-                                  cascade=router)
-    return ShardedService(factory, ServiceConfig(
-        n_shards=args.shards, request_timeout_s=args.request_timeout),
-        audit=audit)
-
-
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
+    from ..service import ServiceConfig, ShardedService
+    from ..streaming import replay_records
+
     if args.port is None and not args.series_files:
         raise SystemExit("serve-sharded needs series files to replay, "
                          "or --port to listen for requests")
     audit, tracer, previous_tracer = _setup_obs(args)
-    service = _make_sharded_service(args, audit=audit)
+    service = ShardedService(_make_engine_factory(args), ServiceConfig(
+        n_shards=args.shards, request_timeout_s=args.request_timeout), audit=audit)
     try:
         if args.port is not None:
             import asyncio
@@ -1011,13 +977,8 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
             records = [load_series_file(path) for path in args.series_files]
         except (OSError, ValueError) as error:
             raise SystemExit(str(error) or type(error).__name__)
-        longest = max(len(record.series) for record in records)
-        for start in range(0, longest, args.chunk):
-            for record in records:
-                chunk = record.series[start:start + args.chunk]
-                if len(chunk):
-                    service.append(record.name, chunk)
-            for update in service.flush().values():
+        for updates in replay_records(service, records, chunk=args.chunk):
+            for update in updates.values():
                 print(json.dumps(update), flush=True)
         stats = service.stats()
         rows = sorted(stats["totals"].items()) + [
@@ -1156,7 +1117,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except CorruptSelectorError as error:
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":

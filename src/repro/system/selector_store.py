@@ -4,6 +4,11 @@ Mirrors the "Selector Management" component of the demo system: users train
 selectors, persist them under a name, and later reload them for model
 selection without re-training.  NN selectors are stored as architecture
 metadata plus a parameter archive; non-NN selectors are pickled.
+
+A name with no entry raises ``KeyError``; an entry that exists but cannot
+be restored (unreadable manifest, unknown selector type, a manifest whose
+neural flag contradicts the type, unreadable payload files) raises
+:class:`CorruptSelectorError`, which names the entry and the reason.
 """
 
 from __future__ import annotations
@@ -11,16 +16,30 @@ from __future__ import annotations
 import json
 import pickle
 import shutil
+import zipfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .. import nn
-from ..selectors.base import Selector, make_selector
+from ..selectors.base import Selector, make_selector, selector_names
 from ..selectors.nn_selector import NNSelector
 
 PathLike = Union[str, Path]
+
+#: what restoring a corrupt payload file can raise
+_PAYLOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError,
+                   pickle.UnpicklingError, zipfile.BadZipFile)
+
+
+class CorruptSelectorError(ValueError):
+    """A stored selector entry exists but cannot be restored."""
+
+    def __init__(self, name: str, reason: str) -> None:
+        super().__init__(f"stored selector {name!r} is corrupt: {reason}")
+        self.name = name
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -107,40 +126,52 @@ class SelectorStore:
         """Reconstruct a stored selector."""
         entry = self._entry_dir(name)
         manifest = self.info(name)
-
-        if manifest.is_neural:
+        kind = manifest.selector_type
+        if kind not in selector_names():
+            raise CorruptSelectorError(name, f"unknown selector type {kind!r}")
+        if manifest.is_neural != (kind in selector_names(neural=True)):
+            raise CorruptSelectorError(
+                name, f"manifest marks {kind!r} as "
+                      f"{'neural' if manifest.is_neural else 'non-neural'}")
+        try:
+            if not manifest.is_neural:
+                with open(entry / "model.pkl", "rb") as handle:
+                    return pickle.load(handle)
             arch = json.loads((entry / "architecture.json").read_text())
             selector = make_selector(
-                manifest.selector_type,
+                kind,
                 window=arch["window"],
                 n_classes=arch["n_classes"],
                 seed=arch["seed"],
                 **arch["arch_kwargs"],
             )
-            assert isinstance(selector, NNSelector)
             selector.build()
             state_meta = nn.load_state(selector.encoder, entry / "encoder.npz")
             nn.load_state(selector.classifier, entry / "classifier.npz")
-            if state_meta.get("quant_provenance"):
-                selector.quant_provenance = state_meta["quant_provenance"]
-            return selector
-
-        with open(entry / "model.pkl", "rb") as handle:
-            return pickle.load(handle)
+        except _PAYLOAD_ERRORS as error:
+            raise CorruptSelectorError(
+                name, f"unreadable payload ({type(error).__name__}: {error})") from error
+        if state_meta.get("quant_provenance"):
+            selector.quant_provenance = state_meta["quant_provenance"]
+        return selector
 
     def info(self, name: str) -> StoredSelectorInfo:
         entry = self._entry_dir(name)
         manifest_path = entry / "manifest.json"
         if not manifest_path.exists():
             raise KeyError(f"no stored selector named {name!r}")
-        data = json.loads(manifest_path.read_text())
-        return StoredSelectorInfo(
-            name=data["name"],
-            selector_type=data["selector_type"],
-            is_neural=data["is_neural"],
-            created_at=data["created_at"],
-            metadata=data.get("metadata", {}),
-        )
+        try:
+            data = json.loads(manifest_path.read_text())
+            return StoredSelectorInfo(
+                name=data["name"],
+                selector_type=data["selector_type"],
+                is_neural=data["is_neural"],
+                created_at=data["created_at"],
+                metadata=data.get("metadata", {}),
+            )
+        except (ValueError, KeyError, TypeError) as error:
+            raise CorruptSelectorError(
+                name, f"unreadable manifest.json ({type(error).__name__}: {error})") from error
 
     def list(self) -> List[StoredSelectorInfo]:
         """All stored selectors, newest first."""

@@ -7,6 +7,7 @@ are generated.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,6 @@ class TestTrainEvaluateDetect:
         assert main([
             "select", str(series_file),
             "--store", str(trained_store), "--name", "mlp", "--window", "64",
-            "--detector-window", "16",
         ]) == 0
         out = capsys.readouterr().out
         assert "selected model" in out
@@ -231,6 +231,16 @@ class TestTrainEvaluateDetect:
     def test_serve_sharded_requires_files_or_port(self, trained_store):
         with pytest.raises(SystemExit):
             main(["serve-sharded", "--store", str(trained_store), "--name", "mlp"])
+
+    def test_corrupt_store_entry_exits_with_its_reason(self, trained_store, tmp_path):
+        shutil.copytree(trained_store / "mlp", tmp_path / "t")
+        manifest = tmp_path / "t" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "selector_type": "NoSuchSelector"}))
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", "--store", str(tmp_path), "--name", "t", "--window", "64"])
+        assert str(caught.value.code) == ("stored selector 't' is corrupt: "
+                                          "unknown selector type 'NoSuchSelector'")
 
     def test_list_selectors(self, trained_store, capsys):
         assert main(["list-selectors", "--store", str(trained_store)]) == 0

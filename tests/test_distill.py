@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.cascade import CascadeRouter, margins
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
 from repro.data.windows import extract_windows
@@ -26,6 +27,7 @@ from repro.distill import (
     selection_agreement,
     teacher_soft_dataset,
 )
+from repro.eval import aggregate_window_probas, predict_for_series
 from repro.nn.quant import (
     INT8_LEVELS,
     QuantizedConv1d,
@@ -45,11 +47,13 @@ from repro.selectors.features import (
     extract_features,
     extract_features_cached,
 )
+from repro.serving import SelectionService, ServingConfig
 from repro.serving.transform_cache import (
     cached_transform,
     configure_transform_cache,
     default_transform_cache,
 )
+from repro.streaming import StreamEngine, StreamingConfig, replay_records
 from repro.system.selector_store import SelectorStore
 
 
@@ -712,6 +716,64 @@ class TestQuantizeTeacher:
         assert manifest["agreement"] == gate["agreement"]
         assert manifest["act_scales_hash"] == gate["act_scales_hash"]
         assert "act_scales" not in manifest  # the full table lives in the npz
+
+
+class TestServedTeacherInt8:
+    """Every serving layer calls the int8 teacher's own ``predict_proba``.
+
+    It runs at its own unpadded chunk width and its rows are chunk
+    independent, so served selections and votes equal ``predict_for_series``
+    on that selector bit for bit: through :class:`SelectionService`,
+    through :class:`StreamEngine`, and as a cascade's slow tier.
+    """
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        # 8 series x 20 windows: every batch spans more than 64 rows
+        families = ("ECG", "IOPS", "MGAB", "SMD")
+        return [generate_series(families[i % 4], 20 + i, 1280, seed=13) for i in range(8)]
+
+    def test_selection_service_matches_predict_for_series(self, quantized_teacher,
+                                                          distill_world, records):
+        quantized, _ = quantized_teacher
+        service = SelectionService(quantized, distill_world["detector_names"],
+                                   ServingConfig(window=64, selector_tier="teacher-int8"))
+        for record, result in zip(records, service.select_batch(records)):
+            choice, aggregated = predict_for_series(quantized, record, 64)
+            assert result.selected_index == choice
+            assert list(result.votes.values()) == [float(v) for v in aggregated]
+
+    def test_stream_engine_matches_predict_for_series(self, quantized_teacher,
+                                                      distill_world, records):
+        quantized, _ = quantized_teacher
+        engine = StreamEngine(quantized, distill_world["detector_names"],
+                              StreamingConfig(window=64, selector_tier="teacher-int8"))
+        for _ in replay_records(engine, records, chunk=640):
+            pass
+        for record in records:
+            view = engine.selection(record.name)
+            choice, aggregated = predict_for_series(quantized, record, 64)
+            assert view.selected_index == choice
+            assert np.array_equal(view.aggregated, aggregated)
+
+    def test_cascade_slow_tier_matches_router_route(self, quantized_teacher, distilled,
+                                                    distill_world, records):
+        quantized, _ = quantized_teacher
+        student, _ = distilled
+        windows = [extract_windows(record.series, 64) for record in records]
+        fast_margins = margins(student.predict_proba(np.vstack(windows)))
+        router = CascadeRouter(quantized, threshold=float(np.quantile(fast_margins, 0.75)),
+                               slow_tier="teacher-int8", window=64)
+        service = SelectionService(student, distill_world["detector_names"],
+                                   ServingConfig(window=64, selector_tier="student"),
+                                   cascade=router)
+        results = service.select_batch(records)
+        assert service.last_cascade["escalated_windows"] > 64
+        for series_windows, result in zip(windows, results):
+            proba, _ = router.route(series_windows, student.predict_proba(series_windows))
+            choice, aggregated = aggregate_window_probas(proba, "vote")
+            assert result.selected_index == choice
+            assert list(result.votes.values()) == [float(v) for v in aggregated]
 
 
 # --------------------------------------------------------------------------- #

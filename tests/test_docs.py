@@ -1,10 +1,11 @@
 """Documentation consistency tests.
 
 ``docs/cli.md`` is verified against the actual argparse configuration (every
-sub-command and every long option must be documented, and nothing stale may
-remain), and the repository-wide checks of ``tools/docs_check.py`` — module
-docstrings, README/docs existence, Markdown link integrity — run as part of
-the suite.
+sub-command's option table lists exactly that command's long options, and
+no stale section remains), the ``docs/observability.md`` metric table
+against the metric names registered under ``src/repro``, and the
+repository-wide checks of ``tools/docs_check.py`` — module docstrings,
+README/docs existence, Markdown link integrity — run as part of the suite.
 """
 
 import argparse
@@ -32,6 +33,21 @@ def _subcommands():
     return action
 
 
+def _section(text: str, heading: str) -> str:
+    """The body of one ``## heading`` section of a Markdown page."""
+    return text.split(heading, 1)[1].split("\n## ", 1)[0]
+
+
+def _table_options(section: str) -> set:
+    """Long options named in the first cell of a section's table rows."""
+    options = set()
+    for line in section.splitlines():
+        if line.startswith("| "):
+            first_cell = line.split("|")[1]
+            options.update(re.findall(r"`(--[a-z0-9-]+)`", first_cell))
+    return options
+
+
 @pytest.fixture(scope="module")
 def cli_doc_text():
     path = ROOT / "docs" / "cli.md"
@@ -45,12 +61,18 @@ class TestCliDocs:
             assert f"## `{name}`" in cli_doc_text, f"docs/cli.md lacks a section for {name!r}"
 
     def test_every_long_option_is_documented(self, cli_doc_text):
+        """Each command's option table lists exactly that command's long
+        options (``--help`` aside): none missing, none stale — a flag still
+        present on another command does not count."""
+        out_of_sync = {}
         for name, sub in _subcommands().choices.items():
-            for action in sub._actions:
-                for option in action.option_strings:
-                    if option.startswith("--"):
-                        assert f"`{option}`" in cli_doc_text, \
-                            f"docs/cli.md lacks option {option} of command {name!r}"
+            real = {option for action in sub._actions for option in action.option_strings
+                    if option.startswith("--") and option != "--help"}
+            documented = _table_options(_section(cli_doc_text, f"## `{name}`"))
+            if documented != real:
+                out_of_sync[name] = {"stale": sorted(documented - real),
+                                     "missing": sorted(real - documented)}
+        assert not out_of_sync, f"docs/cli.md option tables out of sync: {out_of_sync}"
 
     def test_no_stale_command_sections(self, cli_doc_text):
         documented = set(re.findall(r"^## `([^`]+)`", cli_doc_text, flags=re.MULTILINE))
@@ -69,6 +91,20 @@ class TestCliDocs:
         for name in _subcommands().choices:
             section = cli_doc_text.split(f"## `{name}`", 1)[1].split("\n## ", 1)[0]
             assert "```bash" in section, f"docs/cli.md section for {name!r} has no example"
+
+
+class TestObservabilityDocs:
+    def test_metric_table_lists_every_registered_metric(self):
+        table = set(re.findall(r"^\| `(repro_[a-z0-9_]+)`",
+                               (ROOT / "docs" / "observability.md").read_text(),
+                               flags=re.MULTILINE))
+        registration = re.compile(
+            r"(?:Counter|Gauge|Histogram|counter|gauge|histogram)\(\s*\"(repro_[a-z0-9_]+)\"")
+        registered = {name for path in (ROOT / "src" / "repro").rglob("*.py")
+                      for name in registration.findall(path.read_text())}
+        assert table == registered, (
+            f"docs/observability.md metric table: stale {sorted(table - registered)}, "
+            f"missing {sorted(registered - table)}")
 
 
 class TestRepositoryDocs:

@@ -484,7 +484,6 @@ class TestStatsViews:
         assert stats.points == 2 * 100 * len(obs_world["streams"])
         selector = engine.streaming_selector
         assert stats.forward_windows == selector.forward_windows
-        assert stats.cached_windows == selector.cached_windows
 
     def test_cache_stats_view_reflects_counter_values(self):
         from repro.serving.cache import LRUCache

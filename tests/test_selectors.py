@@ -164,13 +164,6 @@ class TestNNSelectors:
         losses = selector.last_report_.epoch_losses
         assert losses[-1] < losses[0]
 
-    def test_predict_series_majority_vote(self, small_selector_dataset):
-        selector = make_selector("MLP", window=small_selector_dataset.windows.shape[1],
-                                 n_classes=small_selector_dataset.n_classes, hidden=16, feature_dim=8)
-        selector.fit(small_selector_dataset, config=TrainerConfig(epochs=1, batch_size=32))
-        choice = selector.predict_series(small_selector_dataset.windows[:6])
-        assert 0 <= choice < small_selector_dataset.n_classes
-
     def test_kdselector_config_accepted(self, small_selector_dataset):
         selector = make_selector("MLP", window=small_selector_dataset.windows.shape[1],
                                  n_classes=small_selector_dataset.n_classes, hidden=16, feature_dim=8)

@@ -432,7 +432,13 @@ class TestSelectionCache:
             assert {k: fresh[k] for k in ("selected_index", "votes")} \
                 == {k: cached[k] for k in ("selected_index", "votes")}
 
-    def test_drift_reselection_broadcasts_invalidation(self, service_world):
+    def test_drift_flush_sends_only_push_batch(self, service_world, monkeypatch):
+        """A drifting flush costs one request; its update is the next answer.
+
+        The front-end LRU is the one select cache: the push response
+        overwrites the stream's entry, and staged data bypasses it for the
+        shard, which recomputes from the flushed state.
+        """
         a = generate_series("ECG", 1, 640, seed=2).series
         b = generate_series("IOPS", 2, 640, seed=2).series
         stitched = np.concatenate([a, b])
@@ -444,12 +450,28 @@ class TestSelectionCache:
                                               cooldown=3),
                             keep_last_on_drift=3))
         with ShardedService(factory, ServiceConfig(n_shards=2)) as service:
-            triggered = False
+            ops = []
+            request = service._request
+            monkeypatch.setattr(service, "_request", lambda shard_id, op, **fields:
+                                ops.append(op) or request(shard_id, op, **fields))
             for start in range(0, len(stitched), 64):
+                ops.clear()
                 update = service.push("flip", stitched[start:start + 64])
-                triggered = triggered or update["drift_triggered"]
-            assert triggered
-            assert service.invalidations_broadcast >= 1
+                if update["drift_triggered"]:
+                    break
+            else:
+                pytest.fail("the stitched stream never drifted")
+            assert ops == ["push_batch"]
+            answer = {"selected_index": update["selected_index"],
+                      "votes": update["votes"], "n_windows": update["windows"]}
+            cached = service.select("flip")
+            assert cached["cached"] is True
+            assert {k: cached[k] for k in answer} == answer
+            service.append("flip", stitched[start + 64:start + 74])
+            ops.clear()
+            fresh = service.select("flip")
+            assert ops == ["select"] and "cached" not in fresh
+            assert {k: fresh[k] for k in answer} == answer
             assert service.stats()["totals"]["drift_triggers"] >= 1
 
 

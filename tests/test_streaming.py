@@ -145,16 +145,6 @@ class TestStreamingSelector:
             assert view.selected_index == choice
             assert np.array_equal(view.aggregated, aggregated)
 
-    def test_window_cache_serves_repeats_bitwise(self, streaming_world):
-        streaming = StreamingSelector(streaming_world["selector"], n_classes=4,
-                                      window=64, cache_capacity=128)
-        windows = extract_windows(streaming_world["queries"][0].series, 64, stride=64)
-        first = streaming.predict_proba(windows)
-        again = streaming.predict_proba(windows)
-        assert np.array_equal(first, again)
-        assert streaming.cached_windows == len(windows)
-        assert streaming.cache_stats.hits == len(windows)
-
     def test_provisional_selection_before_first_window(self, streaming_world):
         streaming = StreamingSelector(streaming_world["selector"], n_classes=4, window=64)
         state = streaming.new_state()

@@ -1,5 +1,7 @@
 """Tests for the end-to-end system package (repro.system)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.data import generate_series
 from repro.detectors import make_detector
 from repro.selectors import make_selector
 from repro.system import (
+    CorruptSelectorError,
     ModelSelectionPipeline,
     PipelineConfig,
     SelectorStore,
@@ -131,6 +134,27 @@ class TestSelectorStore:
         selector = make_selector("KNN").fit(small_selector_dataset)
         store.save("meta", selector, metadata={"auc_pr": 0.42, "note": "trial"})
         assert store.info("meta").metadata == {"auc_pr": 0.42, "note": "trial"}
+
+    @pytest.mark.parametrize("edit, reason", [
+        ({"selector_type": "NoSuchSelector"}, "unknown selector type 'NoSuchSelector'"),
+        ({"is_neural": True}, "manifest marks 'KNN' as neural"),
+        (None, "unreadable manifest.json (JSONDecodeError"),
+    ], ids=["unknown-type", "neural-flag", "truncated"])
+    def test_corrupt_entry_raises_typed_error(self, tmp_path, small_selector_dataset,
+                                              edit, reason):
+        store = SelectorStore(tmp_path)
+        store.save("t", make_selector("KNN").fit(small_selector_dataset))
+        manifest = tmp_path / "t" / "manifest.json"
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2] if edit is None
+                            else json.dumps({**json.loads(text), **edit}))
+        with pytest.raises(CorruptSelectorError) as caught:
+            store.load("t")
+        assert not isinstance(caught.value, KeyError)
+        assert str(caught.value).startswith("stored selector 't' is corrupt: ")
+        assert reason in str(caught.value)
+        with pytest.raises(KeyError):  # a missing entry stays a KeyError
+            store.load("ghost")
 
 
 class TestPipeline:
