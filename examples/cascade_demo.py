@@ -27,6 +27,8 @@ Run with:  python examples/cascade_demo.py
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.cascade import (
@@ -35,7 +37,6 @@ from repro.cascade import (
     CostObservation,
     calibrate_margin_threshold,
     harvest_cost_observations,
-    observed_cost,
 )
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
@@ -79,11 +80,11 @@ def probe_observations(tiers, query):
     observations = []
     for tier, selector in tiers.items():
         for n in (8, len(query)):
-            _, wall_ms, _ = observed_cost(
-                lambda sel=selector, k=n: sel.predict_proba(query[:k]))
+            start = time.perf_counter()
+            selector.predict_proba(query[:n])
             observations.append(CostObservation(
-                kind="selector_forward", target=tier,
-                n_windows=n, window=WINDOW, wall_ms=wall_ms))
+                kind="selector_forward", target=tier, n_windows=n, window=WINDOW,
+                wall_ms=(time.perf_counter() - start) * 1000.0))
     return observations
 
 
@@ -160,7 +161,7 @@ def main() -> None:
 
     # --- sweep SLO admission along the frontier ---------------------------- #
     n_windows = 64
-    teacher_ms = router.plan_cost("teacher", n_windows)[0]
+    teacher_ms = router.plan_cost("teacher", n_windows)
     print(f"admission for a {n_windows}-window request "
           f"(predicted teacher cost {teacher_ms:.2f} ms):")
     rows = []

@@ -12,6 +12,9 @@ demonstrates each surface:
    bit-for-bit** from the log + the series bytes alone.
 4. **Explain** — the per-window vote breakdown, winner margin and drift
    trajectory, from live engine state *and* from the audit log.
+5. **Sharded audit** — the same ticks through a 2-shard
+   ``ShardedService``: each shard ships the events its engine recorded,
+   so the sharded log explains exactly like the in-process one.
 
 The invariant on display: with everything enabled, selections and scores
 are bitwise identical to an uninstrumented run.
@@ -28,6 +31,7 @@ import numpy as np
 
 from repro import obs
 from repro.data import generate_series
+from repro.service import ServiceConfig, ShardedService, make_engine_factory
 from repro.streaming import DriftConfig, StreamEngine, StreamingConfig
 from repro.system import ModelSelectionPipeline, PipelineConfig
 
@@ -55,23 +59,28 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. Drive live streams through an instrumented engine.
     # ------------------------------------------------------------------ #
-    engine = StreamEngine(
-        pipeline.selector, pipeline.detector_names,
-        StreamingConfig(window=64, stride=32,
-                        drift=DriftConfig(reference_size=8, recent_size=8,
-                                          threshold=0.35, release=0.15,
-                                          cooldown=8)),
-        audit=audit)
-    steady = generate_series("ECG", 5, 1500, seed=11).series
-    drifting = np.concatenate([
-        generate_series("IOPS", 6, 750, seed=12).series,
-        generate_series("MGAB", 7, 750, seed=13).series,
-    ])
+    config = StreamingConfig(window=64, stride=32,
+                             drift=DriftConfig(reference_size=8, recent_size=8,
+                                               threshold=0.35, release=0.15,
+                                               cooldown=8))
+    engine = StreamEngine(pipeline.selector, pipeline.detector_names, config,
+                          audit=audit)
+    streams = {
+        "steady": generate_series("ECG", 5, 1500, seed=11).series,
+        "drifting": np.concatenate([
+            generate_series("IOPS", 6, 750, seed=12).series,
+            generate_series("MGAB", 7, 750, seed=13).series,
+        ]),
+    }
+
+    def drive(target) -> None:
+        for start in range(0, 1500, 125):
+            for stream_id, series in streams.items():
+                target.append(stream_id, series[start:start + 125])
+            target.flush()
+
     print("[1] replaying 2 streams in 125-point ticks ...")
-    for start in range(0, 1500, 125):
-        engine.append("steady", steady[start:start + 125])
-        engine.append("drifting", drifting[start:start + 125])
-        engine.flush()
+    drive(engine)
 
     # ------------------------------------------------------------------ #
     # 2. Metrics: the registry saw every layer.
@@ -109,10 +118,28 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("\n[5] explain (live engine state):")
     print(obs.format_explain(obs.explain_stream(engine, "drifting")))
+    in_process = obs.explain_from_audit(events, "drifting")
     print("\n    explain (audit log alone):")
-    print(obs.format_explain(obs.explain_from_audit(events, "drifting")))
-
+    print(obs.format_explain(in_process))
     obs.set_default_tracer(None)
+
+    # ------------------------------------------------------------------ #
+    # 6. The same ticks through 2 shard processes: each audited flush
+    #    returns the events the shard's engine recorded.
+    # ------------------------------------------------------------------ #
+    sharded_audit = obs.AuditLog(workdir / "sharded_audit.jsonl")
+    factory = make_engine_factory(pipeline.selector, pipeline.detector_names, config)
+    with ShardedService(factory, ServiceConfig(n_shards=2),
+                        audit=sharded_audit) as service:
+        drive(service)
+    sharded_audit.close()
+    sharded_events = obs.AuditLog.read(workdir / "sharded_audit.jsonl")
+    sharded = obs.explain_from_audit(sharded_events, "drifting")
+    assert sharded == in_process
+    print(f"\n[6] explain (2-shard audit log, {len(sharded_events)} events; "
+          f"equal to the in-process log's):")
+    print(obs.format_explain(sharded))
+
     obs.disable()
     print(f"\nartifacts kept in {workdir}")
 

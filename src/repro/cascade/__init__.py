@@ -3,22 +3,19 @@
 ``repro.cascade`` routes selector traffic by *predicted cost as well as
 quality*, in the spirit of BAO/MSCN-style learned query optimizers:
 
-* :mod:`repro.cascade.cost_model` — a learned per-tier runtime +
-  peak-memory predictor, trained from audited measurements, with a
-  deterministic analytic fallback;
+* :mod:`repro.cascade.cost_model` — a learned per-tier latency predictor
+  (one line per tier), trained from the ``cost_observation`` events of
+  audit logs, with a deterministic analytic fallback;
 * :mod:`repro.cascade.router` — the confidence-gated cascade (fast tier
   answers confident windows, uncertain ones escalate to the teacher) and
-  multi-objective SLO admission over priced plans;
+  latency-SLO admission over priced plans;
 * :mod:`repro.cascade.executor` — :class:`ForwardPlan`, the one
   selector-forward step serving, streaming and every shard run: admission,
-  the admitted plan, escalation metering and cost observations;
-* :mod:`repro.cascade.harvest` — measuring cost observations at the
-  forward sites and harvesting training labels from audit logs.
+  the admitted plan, escalation metering and timed cost observations.
 """
 
-from .cost_model import CostModel, CostObservation
+from .cost_model import CostModel, CostObservation, harvest_cost_observations
 from .executor import ForwardPlan, PlanOutput
-from .harvest import harvest_cost_observations, observed_cost
 from .router import (
     DEFAULT_THRESHOLD,
     PLAN_NAMES,
@@ -35,7 +32,6 @@ __all__ = [
     "ForwardPlan",
     "PlanOutput",
     "harvest_cost_observations",
-    "observed_cost",
     "DEFAULT_THRESHOLD",
     "PLAN_NAMES",
     "AdmitDecision",

@@ -2,19 +2,17 @@
 
 A learned query optimizer routes plans by *predicted* cost; this module is
 the analogous piece for detector selection.  :class:`CostModel` predicts
-the **per-tier forward cost** of a batch of selector windows — wall-clock
-milliseconds and peak megabytes of running ``n_windows`` windows through
-one serving tier (``teacher`` / ``teacher-int8`` / ``student``).  Forward
-cost is linear in the window count (one GEMM-bound pass per chunk), so
-each tier gets a closed-form ridge fit of ``ms ≈ a + b·n_windows`` (and
-the same for MB).
+the **per-tier forward latency** of a batch of selector windows — the
+wall-clock milliseconds of running ``n_windows`` windows through one
+serving tier (``teacher`` / ``teacher-int8`` / ``student``).  Forward cost
+is linear in the window count (one GEMM-bound pass per chunk), so each
+tier gets one closed-form ridge fit of ``ms ≈ a + b·n_windows``.
 
-Training labels come from measurements the harness already produces:
-``cost_observation`` audit events recorded by the serving and streaming
-layers (see :mod:`repro.cascade.harvest`) whenever a forward pass
-executes with auditing on.  An *untrained* model falls back to fixed
-analytic coefficients (:meth:`CostModel.default`) so that SLO admission
-stays deterministic — predictions never read a clock.
+Training labels are the ``cost_observation`` audit events the forward-plan
+executor records per forward (:func:`harvest_cost_observations`).  An
+*untrained* model falls back to fixed analytic coefficients
+(:meth:`CostModel.default`) so that SLO admission stays deterministic —
+predictions never read a clock.
 """
 
 from __future__ import annotations
@@ -37,22 +35,14 @@ DEFAULT_LATENCY_COEF: Dict[str, Tuple[float, float]] = {
     "student": (0.5, 0.030),
 }
 
-#: analytic fallback ``(intercept_mb, mb_per_window)`` per tier — dominated
-#: by the float64 window matrix plus per-tier activation working set
-DEFAULT_MEMORY_COEF: Dict[str, Tuple[float, float]] = {
-    "teacher": (2.0, 0.0120),
-    "teacher-int8": (1.0, 0.0050),
-    "student": (0.5, 0.0015),
-}
-
 
 @dataclass(frozen=True)
 class CostObservation:
-    """One measured (work, cost) pair — a cost-model training label.
+    """One measured (work, latency) pair — a cost-model training label.
 
     ``kind`` is ``"selector_forward"`` (``target`` = tier name); the model
     ignores any other kind, such as the ``"detection"`` labels of older
-    audit logs.  ``peak_mb`` is ``None`` when memory was not tracked.
+    audit logs.
     """
 
     kind: str
@@ -60,15 +50,39 @@ class CostObservation:
     n_windows: int
     window: int
     wall_ms: float
-    peak_mb: Optional[float] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "kind": self.kind, "target": self.target,
             "n_windows": int(self.n_windows), "window": int(self.window),
             "wall_ms": float(self.wall_ms),
-            "peak_mb": None if self.peak_mb is None else float(self.peak_mb),
         }
+
+
+def harvest_cost_observations(
+    events: Iterable[Dict[str, object]],
+) -> List[CostObservation]:
+    """Extract cost-model training labels from audit events.
+
+    Accepts any event iterable (``AuditLog.read(path)`` output included)
+    and keeps only well-formed ``cost_observation`` entries, ignoring any
+    other field (older logs carry memory peaks).
+    """
+    observations: List[CostObservation] = []
+    for event in events:
+        if event.get("event") != "cost_observation":
+            continue
+        try:
+            observations.append(CostObservation(
+                kind=str(event["kind"]),
+                target=str(event["target"]),
+                n_windows=int(event["n_windows"]),
+                window=int(event["window"]),
+                wall_ms=float(event["wall_ms"]),
+            ))
+        except (KeyError, TypeError, ValueError):
+            continue  # malformed/foreign entry — skip, don't fail the harvest
+    return observations
 
 
 # --------------------------------------------------------------------------- #
@@ -83,7 +97,7 @@ def _fit_line(n_windows: np.ndarray, cost: np.ndarray) -> Tuple[float, float]:
 
 
 class CostModel:
-    """Predict per-tier forward cost (latency and peak memory).
+    """Predict per-tier forward latency.
 
     Prediction is pure arithmetic over stored coefficients — deterministic,
     clock-free, and cheap enough to run on every admission decision.
@@ -93,13 +107,10 @@ class CostModel:
         self,
         window: int,
         latency: Optional[Dict[str, Tuple[float, float]]] = None,
-        memory: Optional[Dict[str, Tuple[float, float]]] = None,
     ) -> None:
         self.window = int(window)
         self.latency = {t: tuple(map(float, c))
                         for t, c in (latency or DEFAULT_LATENCY_COEF).items()}
-        self.memory = {t: tuple(map(float, c))
-                       for t, c in (memory or DEFAULT_MEMORY_COEF).items()}
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -109,7 +120,7 @@ class CostModel:
 
     @classmethod
     def fit(cls, observations: Iterable[CostObservation], window: int) -> "CostModel":
-        """Fit one latency/memory line per tier from forward observations.
+        """Fit one latency line per tier from forward observations.
 
         Tiers without any observation keep the analytic default so
         predictions stay total over every tier.
@@ -124,28 +135,13 @@ class CostModel:
             n = np.array([r.n_windows for r in rows], dtype=np.float64)
             ms = np.array([r.wall_ms for r in rows], dtype=np.float64)
             model.latency[tier] = _fit_line(n, ms)
-            with_mem = [r for r in rows if r.peak_mb is not None]
-            if with_mem:
-                n_mem = np.array([r.n_windows for r in with_mem], dtype=np.float64)
-                mb = np.array([r.peak_mb for r in with_mem], dtype=np.float64)
-                model.memory[tier] = _fit_line(n_mem, mb)
         return model
 
     # ------------------------------------------------------------------ #
-    def _coef(self, table: Dict[str, Tuple[float, float]], tier: str) -> Tuple[float, float]:
-        if tier in table:
-            return table[tier]
-        defaults = DEFAULT_LATENCY_COEF if table is self.latency else DEFAULT_MEMORY_COEF
-        return defaults.get(tier, defaults["teacher"])
-
     def predict_latency_ms(self, tier: str, n_windows: float) -> float:
         """Predicted wall-clock ms of one ``n_windows`` forward on ``tier``."""
-        a, b = self._coef(self.latency, tier)
-        return a + b * max(float(n_windows), 0.0)
-
-    def predict_memory_mb(self, tier: str, n_windows: float) -> float:
-        """Predicted peak MB of one ``n_windows`` forward on ``tier``."""
-        a, b = self._coef(self.memory, tier)
+        a, b = self.latency.get(tier) or DEFAULT_LATENCY_COEF.get(
+            tier, DEFAULT_LATENCY_COEF["teacher"])
         return a + b * max(float(n_windows), 0.0)
 
     # ------------------------------------------------------------------ #
@@ -155,7 +151,6 @@ class CostModel:
         return {
             "window": self.window,
             "latency_ms": {t: list(c) for t, c in self.latency.items()},
-            "memory_mb": {t: list(c) for t, c in self.memory.items()},
         }
 
     @classmethod
@@ -163,7 +158,6 @@ class CostModel:
         return cls(
             window=int(data["window"]),
             latency={t: tuple(c) for t, c in dict(data.get("latency_ms") or {}).items()},
-            memory={t: tuple(c) for t, c in dict(data.get("memory_mb") or {}).items()},
         )
 
     def save(self, path) -> None:

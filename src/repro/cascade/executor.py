@@ -6,13 +6,13 @@ Serving (:class:`repro.serving.SelectionService`), streaming
 :class:`ForwardPlan`.  For each unit of forward work (a cache-miss batch,
 or one flush) it
 
-1. admits the work against the layer's SLO knobs through the router,
+1. admits the work against the layer's latency SLO through the router,
    counting and auditing a fallback when no plan fits,
 2. runs the admitted plan over each stacked window group — ``teacher``
    (the router's slow selector alone), ``fast`` (the layer's own selector
    alone) or ``cascade`` (the fast forward, then the low-margin rows
    re-classified by the slow selector and counted as escalations),
-3. records a ``cost_observation`` audit event per forward it ran (report
+3. times each forward it ran as a ``cost_observation`` audit event (report
    only: the cost model's training labels, never a routing input), and
 4. summarises the decision for ``last_cascade`` and ``explain``.
 
@@ -23,13 +23,14 @@ identical.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..obs.metrics import Counter, default_registry
-from .harvest import observed_cost
+from .cost_model import CostObservation
 from .router import AdmitDecision, CascadeRouter, margins
 
 
@@ -66,8 +67,8 @@ class ForwardPlan:
     ``fast_forward`` is the layer's own selector forward (windows → proba).
     ``config`` is the layer's :class:`~repro.serving.ServingConfig` or
     :class:`~repro.streaming.StreamingConfig`: its ``window`` and
-    ``selector_tier`` label cost observations and its ``latency_slo_ms`` /
-    ``memory_budget_mb`` feed admission.  ``layer`` labels the metrics and
+    ``selector_tier`` label cost observations and its ``latency_slo_ms``
+    feeds admission.  ``layer`` labels the metrics and
     the ``slo_fallback`` audit event.
     """
 
@@ -91,11 +92,7 @@ class ForwardPlan:
         """The plan for ``n_windows`` of forward work (``None``: no router)."""
         if self.router is None or not n_windows:
             return None
-        decision = self.router.admit(
-            n_windows,
-            latency_slo_ms=self.config.latency_slo_ms,
-            memory_budget_mb=self.config.memory_budget_mb,
-        )
+        decision = self.router.admit(n_windows, latency_slo_ms=self.config.latency_slo_ms)
         if decision.fallback:
             self.slo_fallbacks.inc()
             if audit.enabled:
@@ -144,7 +141,6 @@ class ForwardPlan:
             "threshold": float(self.router.threshold),
             "min_margin": output.min_margin,
             "predicted_ms": float(decision.predicted_ms),
-            "predicted_mb": float(decision.predicted_mb),
             **report,
             "fallback": bool(decision.fallback),
         }
@@ -153,9 +149,9 @@ class ForwardPlan:
                   windows: np.ndarray, tier: str, audit) -> np.ndarray:
         if not audit.enabled:
             return forward(windows)
-        proba, wall_ms, peak_mb = observed_cost(lambda: forward(windows))
-        audit.record(
-            "cost_observation", kind="selector_forward", target=tier,
-            n_windows=len(windows), window=int(self.config.window),
-            wall_ms=float(wall_ms), peak_mb=peak_mb)
+        start = time.perf_counter()
+        proba = forward(windows)
+        audit.record("cost_observation", **CostObservation(
+            "selector_forward", tier, len(windows), int(self.config.window),
+            (time.perf_counter() - start) * 1000.0).as_dict())
         return proba

@@ -1,4 +1,4 @@
-"""Confidence-gated cascade routing with multi-objective SLO admission.
+"""Confidence-gated cascade routing with latency-SLO admission.
 
 The router implements the learned-optimizer idea of ROADMAP item 2 on top
 of the existing selector tiers:
@@ -15,9 +15,9 @@ of the existing selector tiers:
   the threshold is routed by a seeded blake2b hash of the row's bytes, so
   selections stay reproducible run-to-run and identical across shards,
   with no RNG state threaded through the serving layers.
-* **SLO admission** — given a window count and optional
-  ``latency_slo_ms`` / ``memory_budget_mb``, :meth:`CascadeRouter.admit`
-  prices the candidate plans (``teacher`` / ``cascade`` / ``fast``)
+* **SLO admission** — given a window count and an optional
+  ``latency_slo_ms``, :meth:`CascadeRouter.admit` prices the candidate
+  plans (``teacher`` / ``cascade`` / ``fast``) in predicted milliseconds
   through the :class:`repro.cascade.CostModel` and picks the best
   predicted-quality plan that fits.  When nothing fits it degrades to the
   cheapest plan and flags the decision as a fallback, which the serving
@@ -70,7 +70,6 @@ class AdmitDecision:
 
     plan: str
     predicted_ms: float
-    predicted_mb: float
     quality: float
     #: True when no plan fit the SLO and the cheapest ran anyway
     fallback: bool = False
@@ -80,7 +79,6 @@ class AdmitDecision:
         return {
             "plan": self.plan,
             "predicted_ms": float(self.predicted_ms),
-            "predicted_mb": float(self.predicted_mb),
             "quality": float(self.quality),
             "fallback": bool(self.fallback),
             "reason": self.reason,
@@ -237,17 +235,15 @@ class CascadeRouter:
     # ------------------------------------------------------------------ #
     # SLO admission
     # ------------------------------------------------------------------ #
-    def plan_cost(self, plan: str, n_windows: int) -> Tuple[float, float]:
-        """Predicted ``(ms, mb)`` of running ``n_windows`` under ``plan``."""
+    def plan_cost(self, plan: str, n_windows: int) -> float:
+        """Predicted milliseconds of running ``n_windows`` under ``plan``."""
         model = self.cost_model
         if plan == "teacher":
             # the plan keeps its name; the tier backing it may be the
             # int8 twin, which is what the cost model prices
-            return (model.predict_latency_ms(self.slow_tier, n_windows),
-                    model.predict_memory_mb(self.slow_tier, n_windows))
+            return model.predict_latency_ms(self.slow_tier, n_windows)
         if plan == "fast":
-            return (model.predict_latency_ms(self.fast_tier, n_windows),
-                    model.predict_memory_mb(self.fast_tier, n_windows))
+            return model.predict_latency_ms(self.fast_tier, n_windows)
         if plan == "cascade":
             escalated = self.escalation_rate * n_windows
             # the teacher forward only runs at all when >= 1 window
@@ -257,15 +253,9 @@ class CascadeRouter:
             # only paid that often, on the conditional escalation count
             p_any = 1.0 - (1.0 - self.escalation_rate) ** max(float(n_windows), 0.0)
             ms = model.predict_latency_ms(self.fast_tier, n_windows)
-            mb = model.predict_memory_mb(self.fast_tier, n_windows)
             if p_any > 0.0:
-                conditional = escalated / p_any
-                ms += p_any * model.predict_latency_ms(self.slow_tier, conditional)
-                # the fast forward and the escalation forward run one after
-                # the other, so peak memory is the larger of the two (sized
-                # by the rows the teacher sees when it does run), not the sum
-                mb = max(mb, model.predict_memory_mb(self.slow_tier, conditional))
-            return ms, mb
+                ms += p_any * model.predict_latency_ms(self.slow_tier, escalated / p_any)
+            return ms
         raise ValueError(f"unknown plan: {plan!r}")
 
     def plan_quality(self, plan: str) -> float:
@@ -279,40 +269,28 @@ class CascadeRouter:
             return self.fast_quality
         raise ValueError(f"unknown plan: {plan!r}")
 
-    def admit(
-        self,
-        n_windows: int,
-        latency_slo_ms: Optional[float] = None,
-        memory_budget_mb: Optional[float] = None,
-    ) -> AdmitDecision:
-        """Pick the best predicted-quality plan that fits the SLO.
+    def admit(self, n_windows: int,
+              latency_slo_ms: Optional[float] = None) -> AdmitDecision:
+        """Pick the best predicted-quality plan that fits the latency SLO.
 
         With no SLO the answer is always ``cascade`` (the whole point of
         this subsystem).  Exact quality ties break on lower predicted
         latency, then on the fixed plan order — fully deterministic.
         """
         priced = {p: self.plan_cost(p, n_windows) for p in PLAN_NAMES}
-        if latency_slo_ms is None and memory_budget_mb is None:
-            ms, mb = priced["cascade"]
-            return AdmitDecision("cascade", ms, mb, self.plan_quality("cascade"),
+        if latency_slo_ms is None:
+            return AdmitDecision("cascade", priced["cascade"],
+                                 self.plan_quality("cascade"),
                                  reason="no SLO: cascade by default")
 
-        feasible = [
-            p for p in PLAN_NAMES
-            if (latency_slo_ms is None or priced[p][0] <= latency_slo_ms)
-            and (memory_budget_mb is None or priced[p][1] <= memory_budget_mb)
-        ]
+        feasible = [p for p in PLAN_NAMES if priced[p] <= latency_slo_ms]
         if feasible:
-            best = min(feasible, key=lambda p: (-self.plan_quality(p),
-                                                priced[p][0],
+            best = min(feasible, key=lambda p: (-self.plan_quality(p), priced[p],
                                                 PLAN_NAMES.index(p)))
-            ms, mb = priced[best]
-            return AdmitDecision(best, ms, mb, self.plan_quality(best),
+            return AdmitDecision(best, priced[best], self.plan_quality(best),
                                  reason="best quality within SLO")
-        cheapest = min(PLAN_NAMES, key=lambda p: (priced[p][0], priced[p][1],
-                                                  PLAN_NAMES.index(p)))
-        ms, mb = priced[cheapest]
-        return AdmitDecision(cheapest, ms, mb, self.plan_quality(cheapest),
+        cheapest = min(PLAN_NAMES, key=lambda p: (priced[p], PLAN_NAMES.index(p)))
+        return AdmitDecision(cheapest, priced[cheapest], self.plan_quality(cheapest),
                              fallback=True,
                              reason="no plan fits the SLO; degraded to cheapest")
 

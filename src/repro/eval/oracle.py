@@ -5,12 +5,14 @@ The performance matrix ``P[i, j] = metric(detector_j on series_i)`` is the
 standard framework, the full row gives the soft-label knowledge used by
 PISL, and it also defines the evaluation target (AUC-PR of the selected
 model).  Because running 12 detectors over many series is the expensive
-step, results are cached on disk keyed by the data and detector settings.
+step, results are cached on disk keyed by every point and label scored,
+the detectors' classes and constructor settings, and the metric.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -29,13 +31,27 @@ METRICS: Dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
 }
 
 
-def _cache_key(records: Sequence[TimeSeriesRecord], detector_names: Sequence[str], metric: str) -> str:
+def _settings(value: object) -> object:
+    """A detector's class and constructor settings (recursing into dicts)."""
+    if isinstance(value, AnomalyDetector):
+        cls = type(value)
+        params = inspect.signature(cls.__init__).parameters
+        return {"class": f"{cls.__module__}.{cls.__qualname__}",
+                **{name: _settings(getattr(value, name)) for name in params
+                   if name != "self" and hasattr(value, name)}}
+    if isinstance(value, dict):
+        return {str(key): _settings(item) for key, item in value.items()}
+    return repr(value)
+
+
+def _cache_key(records: Sequence[TimeSeriesRecord], model_set: Dict[str, AnomalyDetector], metric: str) -> str:
     hasher = hashlib.blake2b(digest_size=16)
     for record in records:
-        hasher.update(record.name.encode())
-        hasher.update(np.ascontiguousarray(record.series[:64]).tobytes())
-        hasher.update(str(record.length).encode())
-    hasher.update("|".join(detector_names).encode())
+        for array in (record.series, record.labels):
+            array = np.ascontiguousarray(array)
+            hasher.update(f"{array.dtype}{array.shape}".encode())
+            hasher.update(array.tobytes())
+    hasher.update(json.dumps(_settings(model_set)).encode())
     hasher.update(metric.encode())
     return hasher.hexdigest()
 
@@ -86,7 +102,7 @@ class Oracle:
         cache_path = None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            key = _cache_key(records, self.detector_names, self.metric)
+            key = _cache_key(records, self.model_set, self.metric)
             cache_path = self.cache_dir / f"oracle_{key}.npz"
             if cache_path.exists():
                 with np.load(cache_path, allow_pickle=False) as archive:

@@ -4,10 +4,10 @@ Every consequential runtime decision — a selection, a drift-triggered
 re-selection, a cache eviction storm, a shard restart — can be recorded as
 one JSON line in an append-only log.  Selection events carry **content
 hashes of their inputs** (the same blake2b fingerprint the serving cache
-keys on, plus the windowing configuration), so any audited decision can be
-replayed bit-for-bit later: :func:`replay_selection` re-extracts the
-windows from the hashed series prefix, re-runs the selector through the
-same chunked predict path and re-aggregates the same vote rows.
+keys on, plus the windowing configuration), so any audited selection not
+routed through a cascade can be replayed bit-for-bit later:
+:func:`replay_selection` re-extracts the windows from the hashed series
+prefix, re-runs the selector and re-aggregates the same vote rows.
 
 The log itself is dumb on purpose: monotonically sequenced dicts, written
 eagerly (one ``write`` + ``flush`` per event) and mirrored in a bounded
@@ -40,11 +40,12 @@ def content_hash(series: np.ndarray, extra: Iterable[object] = ()) -> str:
 
 
 class AuditLog:
-    """Append-only, sequence-numbered JSONL event log."""
+    """Append-only, sequence-numbered JSONL event log (``keep=None``
+    mirrors every event in memory, not just the last ``keep``)."""
 
     enabled = True
 
-    def __init__(self, path: Optional[object] = None, keep: int = 4096,
+    def __init__(self, path: Optional[object] = None, keep: Optional[int] = 4096,
                  clock: Optional[Callable[[], float]] = None) -> None:
         self.path = path
         self.clock = clock
@@ -168,8 +169,9 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     over the recorded vote range — so on the NN selector path the returned
     votes are bitwise-equal to the audited ones.
 
-    Raises ``ValueError`` on hash mismatch or a provisional (pre-window)
-    event, which has no complete-window vote to replay.
+    Raises ``ValueError`` on hash mismatch, on a provisional (pre-window)
+    event, which has no complete-window vote to replay, and on a
+    cascade-routed one, whose vote one selector cannot reproduce.
     """
     from ..data.windows import extract_new_windows  # deferred: heavy import chain
     from ..eval.evaluation import aggregate_window_probas
@@ -179,6 +181,9 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     if event.get("provisional"):
         raise ValueError("provisional selections (no complete window) "
                          "are recomputed every tick and cannot be replayed")
+    if event.get("cascade"):
+        raise ValueError("the selection was routed through a cascade: its vote "
+                         "mixes fast-tier and teacher rows")
     inputs = event.get("inputs")
     if not inputs:
         raise ValueError("event carries no replayable inputs")

@@ -132,7 +132,6 @@ def _cascade_block(last: Optional[Dict[str, object]],
         "threshold": last.get("threshold"),
         "min_margin": last.get("min_margin"),
         "predicted_ms": last.get("predicted_ms"),
-        "predicted_mb": last.get("predicted_mb"),
         "actual_forward_ms": last.get("actual_forward_ms"),
         "fallback": bool(last.get("fallback")),
     }
@@ -225,8 +224,6 @@ def format_explain(info: Dict[str, object]) -> str:
                 cost_bits.append(f"predicted {cascade['predicted_ms']:.2f} ms")
             if cascade.get("actual_forward_ms") is not None:
                 cost_bits.append(f"actual {cascade['actual_forward_ms']:.2f} ms")
-            if cascade.get("predicted_mb") is not None:
-                cost_bits.append(f"predicted {cascade['predicted_mb']:.2f} MB")
             lines.append(
                 f"cascade: stage {cascade['stage']} (plan {cascade.get('plan')}"
                 + (f", slow tier {cascade['slow_tier']}"

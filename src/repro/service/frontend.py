@@ -9,7 +9,9 @@
   flushed together — the information that makes replay bitwise-exact),
 * the front-end selection LRU, the one ``select`` cache: every push
   response overwrites the stream's entry (drift re-selections included),
-  and a stream with staged, unflushed points bypasses it for its shard, and
+  and a stream with staged, unflushed points bypasses it for its shard,
+* the audit log, which receives the events each shard's engine recorded
+  in an audited flush, in shard order once the flush is acknowledged, and
 * the :class:`ShardSupervisor` and one :class:`ShardClient` per shard.
 
 Failure handling is centralised in :meth:`ShardedService._request`: any
@@ -28,7 +30,6 @@ server speaking the same length-prefixed JSON protocol, which is what the
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,9 +37,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.windows import complete_window_count
 from ..detectors.base import AnomalyDetector
-from ..obs.audit import NULL_AUDIT, selection_inputs
+from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
@@ -47,12 +47,15 @@ from ..streaming.engine import StreamEngine, StreamingConfig
 from .ring import HashRing
 from .supervisor import ShardSupervisor
 from .transport import (
+    HEADER_BYTES,
     FaultInjector,
     SharedSeriesBuffer,
     ShardClient,
     ShardTimeoutError,
     TransportError,
+    decode_frame,
     encode_message,
+    frame_length,
 )
 
 #: virtual nodes per shard on the consistent-hash ring
@@ -87,7 +90,8 @@ def make_engine_factory(
     the same way — through fork inheritance — so every shard routes with
     the identical threshold, seed and cost model.  Escalation decisions are
     per window row and content-local, which keeps routing (and therefore
-    selections) bitwise identical across any shard count.
+    selections) bitwise identical across any shard count.  Shards audit
+    their engines per flush (see :class:`ShardServer`).
     """
     def build() -> StreamEngine:
         refresher = None
@@ -97,10 +101,6 @@ def make_engine_factory(
             refresher = StudentRefresher(teacher, selector, refresh_config)
         return StreamEngine(selector, detector_names, config, model_set=model_set,
                             refresher=refresher, cascade=cascade)
-    # advertised so the router can stamp replayable windowing inputs onto
-    # its audit events without asking a shard
-    build.streaming_config = config or StreamingConfig()
-    build.detector_names = list(detector_names)
     return build
 
 
@@ -140,11 +140,6 @@ class ShardedService:
         self._closed = False
         #: structured audit trail (``repro.obs.audit``); a no-op by default
         self.audit = audit if audit is not None else NULL_AUDIT
-        #: windowing knobs advertised by :func:`make_engine_factory`, used to
-        #: stamp replayable inputs onto audited selections (None when the
-        #: factory came from elsewhere)
-        self._streaming_config: Optional[StreamingConfig] = getattr(
-            engine_factory, "streaming_config", None)
         #: counters surfaced in :meth:`stats`
         self.recoveries = 0
         self._retired_retransmits = 0
@@ -318,8 +313,8 @@ class ShardedService:
         The per-shard requests go out **concurrently** (threads; the GIL is
         released while waiting on sockets), so shard processes compute their
         batches in parallel — this is where the multi-shard throughput win
-        comes from.  Results are merged and journalled in deterministic
-        shard order afterwards.
+        comes from.  Results are merged, journalled and audited in
+        deterministic shard order afterwards.
         """
         if not self._staged:
             return {}
@@ -333,7 +328,8 @@ class ShardedService:
                       "shm": self._buffers[stream].name,
                       "length": self._buffers[stream].length}
                      for stream in by_shard[shard_id]]
-            return self._request(shard_id, "push_batch", ticks=ticks)
+            return self._request(shard_id, "push_batch", ticks=ticks,
+                                 audit=self.audit.enabled)
 
         if len(shard_order) == 1:
             responses = {shard_order[0]: push_one(shard_order[0])}
@@ -347,6 +343,9 @@ class ShardedService:
                 self._journal[stream].append(self._buffers[stream].length)
                 self._staged.discard(stream)
             updates.update(responses[shard_id]["updates"])
+            for event in responses[shard_id]["events"]:
+                del event["seq"]  # the front-end log numbers its own events
+                self.audit.record(**event)
 
         for stream, update in updates.items():
             self._selection_cache.put(stream, {
@@ -357,53 +356,7 @@ class ShardedService:
                 "n_windows": update["windows"],
                 "provisional": update["provisional"],
             })
-        if self.audit.enabled:
-            for stream in sorted(updates):
-                self._audit_update(stream, updates[stream])
         return updates
-
-    def _audit_update(self, stream: str, update: Dict[str, object]) -> None:
-        """Audit one flush decision from the router's vantage point.
-
-        The shard computed the decision; the router owns the bytes (the
-        shared buffer) and the windowing knobs the engine factory
-        advertised, so it can stamp the same replayable content-hashed
-        inputs the in-process engine records.  ``vote_start`` is recovered
-        from the total complete-window count minus the rows still voting.
-        """
-        inputs = None
-        cfg = self._streaming_config
-        if cfg is not None and not update.get("provisional"):
-            stride = cfg.stride or cfg.window
-            total = complete_window_count(int(update["length"]), cfg.window, stride)
-            inputs = selection_inputs(
-                self._buffers[stream].series,
-                window=cfg.window, stride=stride,
-                aggregation=cfg.aggregation,
-                vote_start=max(total - int(update["windows"]), 0))
-        if update.get("drift_triggered"):
-            self.audit.record(
-                "drift", stream=stream,
-                statistic=float(update.get("drift_statistic") or 0.0))
-        if update.get("changed"):
-            self.audit.record(
-                "reselection", stream=stream,
-                selected_index=update["selected_index"],
-                selected_model=update["selected_model"])
-        self.audit.record(
-            "selection", stream=stream,
-            length=update["length"],
-            n_new_windows=update["new_windows"],
-            n_windows=update["windows"],
-            selected_index=update["selected_index"],
-            selected_model=update["selected_model"],
-            votes=dict(update["votes"]),
-            changed=bool(update["changed"]),
-            provisional=bool(update["provisional"]),
-            drift_statistic=float(update.get("drift_statistic") or 0.0),
-            drift_triggered=bool(update.get("drift_triggered")),
-            selector_tier=(cfg.selector_tier if cfg is not None else "teacher"),
-            inputs=inputs)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -525,7 +478,7 @@ class ServiceFrontend:
     as JSON arrays from remote clients; the zero-copy handoff applies on the
     front-end → shard hop.  Service calls are serialised by a lock and run
     in a worker thread so one slow shard request does not stall the accept
-    loop.
+    loop.  Bad frames get an error reply; an oversized header also a close.
     """
 
     def __init__(self, service: ShardedService, host: str = "127.0.0.1",
@@ -561,19 +514,21 @@ class ServiceFrontend:
         try:
             while True:
                 try:
-                    header = await reader.readexactly(4)
-                    length = int.from_bytes(header, "big")
-                    body = await reader.readexactly(length)
+                    header = await reader.readexactly(HEADER_BYTES)
+                    body = await reader.readexactly(frame_length(header))
+                except TransportError as error:  # oversized: reply, then close
+                    writer.write(encode_message({"error": f"TransportError: {error}"}))
+                    break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
-                request: object = None
+                request: Dict[str, object] = {}
                 try:
-                    request = json.loads(body.decode("utf-8"))
+                    request = decode_frame(body)
                     response = await asyncio.get_running_loop().run_in_executor(
                         None, self._execute, request)
                 except Exception as error:
                     response = {"error": f"{type(error).__name__}: {error}"}
-                if isinstance(request, dict) and "seq" in request:
+                if "seq" in request:
                     response["seq"] = request["seq"]
                 writer.write(encode_message(response))
                 await writer.drain()
@@ -585,8 +540,6 @@ class ServiceFrontend:
                 pass
 
     def _execute(self, request: Dict[str, object]) -> Dict[str, object]:
-        if not isinstance(request, dict):
-            raise ValueError("requests must be JSON objects")
         op = request.get("op")
         with self._lock:
             if op == "ping":

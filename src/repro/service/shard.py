@@ -7,7 +7,8 @@ Series points arrive as shared-memory references (never through the
 socket): a ``push_batch`` request names ``(segment, length)`` per stream
 and the handler hands the engine zero-copy views via
 :meth:`StreamEngine.append_view`, then flushes once for the whole batch —
-the same cross-stream batching the engine performs in process.
+the same cross-stream batching the engine performs in process.  An
+audited request also returns the events the engine recorded in that flush.
 
 Protocol properties the front end and chaos harness rely on:
 
@@ -17,7 +18,7 @@ Protocol properties the front end and chaos harness rely on:
 * **replayability** — a ``replay`` request rebuilds per-stream state from
   the shared-memory buffers with the original per-stream flush boundaries,
   which makes post-restart selections and scores bitwise-equal to an
-  uninterrupted run,
+  uninterrupted run (replays are never audited),
 * **chaos hooks** — a ``chaos`` request injects a per-request sleep, the
   deterministic stand-in for a hung or pathologically slow shard.
 
@@ -36,6 +37,7 @@ from collections import OrderedDict
 from dataclasses import asdict
 from typing import Callable, Dict, List
 
+from ..obs.audit import NULL_AUDIT, AuditLog
 from ..obs.metrics import Counter, default_registry
 from ..streaming.engine import StreamEngine
 from .transport import (
@@ -111,10 +113,6 @@ class ShardServer:
                 seq = request.get("seq")
                 if seq in responses:  # retransmit/duplicate: answer, don't redo
                     self._duplicates_suppressed.inc()
-                    if self.engine.audit.enabled:
-                        self.engine.audit.record(
-                            "duplicate_suppressed", shard=self.shard_id,
-                            seq=seq, op=request.get("op"))
                     send_message(conn, responses[seq])
                     continue
                 try:
@@ -152,12 +150,16 @@ class ShardServer:
         return {"ok": True, "shard": self.shard_id, "pid": os.getpid()}
 
     def _op_push_batch(self, request: Dict[str, object]) -> Dict[str, object]:
-        ticks = request["ticks"]
-        for tick in ticks:
+        for tick in request["ticks"]:
             self._append_tick(tick)
-        updates = self.engine.flush()
-        return {"updates": {stream: update.as_dict()
-                            for stream, update in updates.items()}}
+        # an audited flush records into a log of its own, shipped back whole
+        self.engine.audit = AuditLog(keep=None) if request.get("audit") else NULL_AUDIT
+        try:
+            updates = self.engine.flush()
+        finally:
+            events, self.engine.audit = self.engine.audit.events(), NULL_AUDIT
+        return {"updates": {stream: update.as_dict() for stream, update in updates.items()},
+                "events": events}
 
     def _op_replay(self, request: Dict[str, object]) -> Dict[str, object]:
         """Rebuild streams from their shared buffers (restart/rebalance).

@@ -37,6 +37,9 @@ import numpy as np
 
 _HEADER = struct.Struct(">I")
 
+#: bytes of the big-endian length header in front of every frame body
+HEADER_BYTES = _HEADER.size
+
 #: refuse absurd frames instead of trying to allocate them (corrupt header)
 MAX_MESSAGE_BYTES = 256 * 1024 * 1024
 
@@ -62,6 +65,25 @@ def send_message(sock: socket.socket, payload: Dict[str, object]) -> None:
     sock.sendall(encode_message(payload))
 
 
+def frame_length(header: bytes) -> int:
+    """The body length a header declares; refuses more than the limit."""
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_MESSAGE_BYTES:
+        raise TransportError(f"frame of {length} bytes exceeds the protocol limit")
+    return length
+
+
+def decode_frame(body: bytes) -> Dict[str, object]:
+    """One frame body as a UTF-8 JSON object (every reader decodes here)."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise TransportError(f"undecodable frame: {error}") from None
+    if not isinstance(payload, dict):
+        raise TransportError("protocol messages must be JSON objects")
+    return payload
+
+
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     """Read exactly ``n`` bytes; None on clean EOF at a frame boundary."""
     chunks = []
@@ -79,22 +101,13 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 
 def recv_message(sock: socket.socket) -> Optional[Dict[str, object]]:
     """Read one frame; ``None`` on clean EOF (peer closed between frames)."""
-    header = _recv_exact(sock, _HEADER.size)
+    header = _recv_exact(sock, HEADER_BYTES)
     if header is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise TransportError(f"frame of {length} bytes exceeds the protocol limit")
-    body = _recv_exact(sock, length)
+    body = _recv_exact(sock, frame_length(header))
     if body is None:
         raise TransportError("connection closed mid-frame")
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TransportError(f"undecodable frame: {error}") from None
-    if not isinstance(payload, dict):
-        raise TransportError("protocol messages must be JSON objects")
-    return payload
+    return decode_frame(body)
 
 
 # --------------------------------------------------------------------------- #
@@ -271,23 +284,14 @@ class FrameReader:
             self._buf += chunk
 
     def _extract(self) -> Optional[Dict[str, object]]:
-        if len(self._buf) < _HEADER.size:
+        if len(self._buf) < HEADER_BYTES:
             return None
-        (length,) = _HEADER.unpack(bytes(self._buf[:_HEADER.size]))
-        if length > MAX_MESSAGE_BYTES:
-            raise TransportError(f"frame of {length} bytes exceeds the protocol limit")
-        end = _HEADER.size + length
+        end = HEADER_BYTES + frame_length(bytes(self._buf[:HEADER_BYTES]))
         if len(self._buf) < end:
             return None
-        body = bytes(self._buf[_HEADER.size:end])
+        body = bytes(self._buf[HEADER_BYTES:end])
         del self._buf[:end]
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise TransportError(f"undecodable frame: {error}") from None
-        if not isinstance(payload, dict):
-            raise TransportError("protocol messages must be JSON objects")
-        return payload
+        return decode_frame(body)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 Turns a trained selector into a throughput-oriented service: batches of
 series are windowed and classified in one vectorised pass, repeated queries
 are answered from a content-addressed LRU cache, and fan-out work (oracle
-labelling, per-series detection) can run on a worker pool.
+labelling, detector comparison, stream scoring) can run on a worker pool.
 
 * :mod:`repro.serving.cache`    — series fingerprinting + LRU result cache,
 * :mod:`repro.serving.transform_cache` — content-addressed memo of

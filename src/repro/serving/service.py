@@ -27,7 +27,7 @@ series per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..data.records import TimeSeriesRecord
 from ..data.windows import extract_windows_batch
@@ -37,12 +37,11 @@ from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
 from .cache import CacheStats, LRUCache, series_fingerprint
-from .workers import WorkerPool
 
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs of the serving layer (windowing, caching, fan-out)."""
+    """Knobs of the serving layer (windowing, caching, SLO admission)."""
 
     #: selector input window length (must match how the selector was trained);
     #: windows never overlap, like the pipeline's prediction-time windowing
@@ -51,10 +50,6 @@ class ServingConfig:
     aggregation: str = "vote"
     #: maximum number of cached selection results (LRU beyond that)
     cache_capacity: int = 4096
-    #: worker count for detection fan-out; 0 runs sequentially
-    max_workers: int = 0
-    #: ``"thread"`` or ``"process"`` (fork) for the detection fan-out
-    worker_mode: str = "thread"
     #: which selector tier serves this service: ``"teacher"`` (the full NN),
     #: ``"teacher-int8"`` (quantized) or ``"student"`` (distilled).
     #: Purely descriptive — the service serves whatever selector it is given
@@ -64,8 +59,6 @@ class ServingConfig:
     #: the admission step picks the best predicted-quality plan fitting it.
     #: ``None`` leaves admission quality-only (cascade plan by default).
     latency_slo_ms: Optional[float] = None
-    #: per-batch peak-memory budget in megabytes (see ``latency_slo_ms``)
-    memory_budget_mb: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -110,13 +103,12 @@ class SelectionService:
         self.detector_names = list(detector_names)
         self.config = config or ServingConfig()
         self.cache = LRUCache(self.config.cache_capacity, name="serving_selection")
-        self.workers = WorkerPool(self.config.max_workers, mode=self.config.worker_mode)
         self.audit = audit if audit is not None else NULL_AUDIT
         from ..cascade.executor import ForwardPlan  # deferred: serving imports stay cascade-free
 
         #: each miss batch's forward step; with a
         #: :class:`repro.cascade.CascadeRouter` the batch is admitted against
-        #: the SLO knobs and low-margin windows escalate from this service's
+        #: the latency SLO and low-margin windows escalate from this service's
         #: (fast) selector to the router's teacher.  ``cascade=None`` keeps
         #: the exact pre-cascade code path — selections stay bitwise identical.
         #: ``selector.predict_proba`` is looked up per call, so a selector
@@ -138,8 +130,6 @@ class SelectionService:
             buckets=DEFAULT_COUNT_BUCKETS)
         self._h_forward_seconds = registry.histogram(
             "repro_serving_forward_seconds", "selector forward-pass latency per batch")
-        self._h_detect_seconds = registry.histogram(
-            "repro_serving_detect_seconds", "worker fan-out latency per detect_batch")
 
     @property
     def cascade(self):
@@ -218,32 +208,6 @@ class SelectionService:
     def select(self, record: TimeSeriesRecord) -> SelectionResult:
         """Answer a single series (a batch of one — same code path)."""
         return self.select_batch([record])[0]
-
-    def detect_batch(
-        self,
-        records: Sequence[TimeSeriesRecord],
-        model_set: Dict[str, "object"],
-    ) -> List[Tuple[SelectionResult, "object"]]:
-        """Select a model per series, then fan detection out to the workers.
-
-        Returns ``[(selection, DetectionResult), ...]`` in input order; the
-        detection runs use the service's :class:`WorkerPool`, so
-        ``max_workers >= 2`` overlaps the per-series detector work.
-        """
-        from ..system.anomaly_detection import run_detection  # deferred: system imports serving
-
-        selections = self.select_batch(records)
-
-        def detect_one(pair):
-            record, selection = pair
-            return selection, run_detection(
-                record, model_set[selection.selected_model],
-                detector_name=selection.selected_model,
-            )
-
-        with self._h_detect_seconds.time(), \
-                span("serving.detect", series=len(records)):
-            return self.workers.map(detect_one, zip(records, selections))
 
     # ------------------------------------------------------------------ #
     @property

@@ -76,8 +76,6 @@ class StreamingConfig:
     #: the admission step picks the best predicted-quality plan fitting it.
     #: ``None`` leaves admission quality-only (cascade plan by default).
     latency_slo_ms: Optional[float] = None
-    #: per-flush peak-memory budget in megabytes (see ``latency_slo_ms``)
-    memory_budget_mb: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ class StreamEngine:
 
         #: each flush's forward step; with a
         #: :class:`repro.cascade.CascadeRouter` the flush is admitted against
-        #: the SLO knobs and low-margin windows escalate from this engine's
+        #: the latency SLO and low-margin windows escalate from this engine's
         #: (fast) selector to the router's teacher.  ``cascade=None`` keeps
         #: the exact pre-cascade code path — selections stay bitwise identical.
         self.plan = ForwardPlan("streaming", self.streaming_selector.predict_proba,

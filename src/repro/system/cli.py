@@ -15,7 +15,7 @@ be driven without writing Python:
   and save it next to the teacher, with a calibrated cascade margin
   threshold stamped on its metadata.
 * ``train-cost-model`` — harvest ``cost_observation`` events from recorded
-  audit logs and fit the cascade's runtime/peak-memory cost model.
+  audit logs and fit the cascade's per-tier latency cost model.
 * ``batch-select``  — serve a whole directory of series through the batched,
   cached selection service and report throughput + cache statistics.
 * ``serve``         — long-running mode: read series file paths from stdin,
@@ -155,9 +155,6 @@ def _add_cascade_args(parser: argparse.ArgumentParser) -> None:
                             "best predicted-quality plan (teacher/cascade/fast) "
                             "fitting it, falling back to the cheapest "
                             "(audited + metered) when nothing fits")
-    group.add_argument("--memory-budget-mb", type=float, default=None,
-                       help="per-batch peak-memory budget in MB for admission "
-                            "(see --latency-slo-ms)")
     group.add_argument("--cost-model", type=Path, default=None,
                        help="cost-model JSON fitted by train-cost-model "
                             "(default: deterministic analytic coefficients)")
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve the directory this many times (>1 shows warm-cache speed)")
     _add_tier_arg(batch)
     _add_cascade_args(batch)
-    _add_runtime_args(batch)
+    _add_runtime_args(batch, workers=False)
 
     serve = sub.add_parser("serve",
                            help="read series file paths from stdin, answer each as a JSON line")
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-capacity", type=int, default=4096)
     _add_tier_arg(serve)
     _add_cascade_args(serve)
-    _add_runtime_args(serve)
+    _add_runtime_args(serve, workers=False)
 
     stream = sub.add_parser("stream",
                             help="replay series files (or stdin ticks) through the "
@@ -666,8 +663,8 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
     ``--cascade-threshold`` → distill-calibrated store metadata → default.
     """
     if not args.cascade:
-        if args.latency_slo_ms is not None or args.memory_budget_mb is not None:
-            raise SystemExit("--latency-slo-ms/--memory-budget-mb need --cascade")
+        if args.latency_slo_ms is not None:
+            raise SystemExit("--latency-slo-ms needs --cascade")
         return None
     from ..cascade import DEFAULT_THRESHOLD, CascadeRouter, CostModel
 
@@ -728,11 +725,8 @@ def _make_service(args: argparse.Namespace) -> "SelectionService":
         window=args.window,
         aggregation=args.aggregation,
         cache_capacity=args.cache_capacity,
-        max_workers=args.workers,
-        worker_mode=args.worker_mode,
         selector_tier=tier,
         latency_slo_ms=args.latency_slo_ms,
-        memory_budget_mb=args.memory_budget_mb,
     )
     return SelectionService(selector, DEFAULT_MODEL_NAMES, config, cascade=router)
 
@@ -829,7 +823,6 @@ def _make_engine_factory(args: argparse.Namespace, model_set=None, **config_fiel
                if args.drift_threshold is not None else None),
         selector_tier=tier,
         latency_slo_ms=args.latency_slo_ms,
-        memory_budget_mb=args.memory_budget_mb,
         **config_fields,
     )
     teacher, refresh_config = _load_refresh_parts(args, store, tier)
@@ -1028,8 +1021,7 @@ def _cmd_train_cost_model(args: argparse.Namespace) -> int:
     observations = harvest_cost_observations(events)
     if not observations:
         raise SystemExit("no cost_observation events found — record some by "
-                         "running stream/serve-sharded/batch-select with --audit "
-                         "(add python -X tracemalloc for peak-memory labels)")
+                         "running stream or serve-sharded with --audit")
 
     if args.harvest_only:
         for obs in observations:

@@ -166,7 +166,7 @@ class ModelSelectionPipeline:
         Returns a :class:`repro.serving.SelectionService` configured with
         this pipeline's window settings; keyword arguments override fields
         of :class:`repro.serving.ServingConfig` (e.g. ``cache_capacity``,
-        ``max_workers``).  The service produces selections bitwise identical
+        ``aggregation``).  The service produces selections bitwise identical
         to :meth:`select_model`, but batched and cached.
         """
         from ..serving.service import SelectionService, ServingConfig
@@ -174,7 +174,6 @@ class ModelSelectionPipeline:
         if self.selector is None:
             raise RuntimeError("no trained selector; call train_selector() first")
         config_overrides.setdefault("window", self.config.window)
-        config_overrides.setdefault("max_workers", self.config.max_workers)
         return SelectionService(
             self.selector, self.detector_names, ServingConfig(**config_overrides)
         )

@@ -27,13 +27,11 @@ from repro.cascade import (
     calibrate_margin_threshold,
     harvest_cost_observations,
     margins,
-    observed_cost,
 )
-from repro.cascade.harvest import cost_observation_event
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, extract_windows, generate_series
 from repro.eval import aggregate_window_probas
-from repro.obs import AuditLog
+from repro.obs import AuditLog, replay_selection
 from repro.obs.explain import explain_from_audit, explain_stream, format_explain
 from repro.selectors import make_selector
 from repro.service import ServiceConfig, ShardedService, make_engine_factory
@@ -127,8 +125,7 @@ class TestCostModel:
     def test_save_load_round_trip(self, tmp_path):
         observations = [
             CostObservation(kind="selector_forward", target="student",
-                            n_windows=n, window=64, wall_ms=1.0 + 0.1 * n,
-                            peak_mb=0.5 + 0.01 * n)
+                            n_windows=n, window=64, wall_ms=1.0 + 0.1 * n)
             for n in (2, 8, 32)
         ]
         model = CostModel.fit(observations, window=64)
@@ -139,6 +136,16 @@ class TestCostModel:
         assert loaded.predict_latency_ms("student", 20) \
             == model.predict_latency_ms("student", 20)
 
+    def test_older_files_with_a_memory_table_load(self, tmp_path):
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps({
+            "window": 64,
+            "latency_ms": {"teacher": [1.5, 0.2]},
+            "memory_mb": {"teacher": [2.0, 0.012]}}))
+        model = CostModel.load(path)
+        assert model.predict_latency_ms("teacher", 10) == pytest.approx(3.5)
+        assert "memory_mb" not in model.to_dict()
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"not\": \"a cost model\"}")
@@ -147,28 +154,18 @@ class TestCostModel:
 
 
 class TestHarvest:
-    def test_observed_cost_measures_wall_only_by_default(self):
-        result, wall_ms, peak_mb = observed_cost(lambda: sum(range(1000)))
-        assert result == sum(range(1000))
-        assert wall_ms >= 0.0
-        assert peak_mb is None  # tracemalloc not tracing -> no memory label
-
-    def test_observed_cost_tracks_memory_when_asked(self):
-        result, _, peak_mb = observed_cost(lambda: np.zeros(100_000),
-                                           track_memory=True)
-        assert len(result) == 100_000
-        assert peak_mb is not None and peak_mb > 0.1  # ~0.76 MB of float64
-
     def test_harvest_round_trips_and_skips_malformed(self):
         obs = CostObservation(kind="selector_forward", target="teacher",
                               n_windows=12, window=64, wall_ms=3.25)
         events = [
             {"event": "selection", "stream": "s0"},
-            {"event": "cost_observation", **cost_observation_event(obs)},
+            {"event": "cost_observation", **obs.as_dict()},
             {"event": "cost_observation", "kind": "detection"},  # malformed
+            # older logs carry a memory peak, which is ignored
+            {"event": "cost_observation", **obs.as_dict(), "peak_mb": 1.5},
         ]
         harvested = harvest_cost_observations(events)
-        assert harvested == [obs]
+        assert harvested == [obs, obs]
 
 
 # --------------------------------------------------------------------------- #
@@ -281,13 +278,6 @@ class TestAdmission:
         decision = _router(cascade_world).admit(100, latency_slo_ms=1e-6)
         assert decision.fallback
         assert decision.plan == "fast"  # cheapest predicted plan
-
-    def test_memory_budget_is_enforced(self, cascade_world):
-        router = _router(cascade_world)
-        roomy = router.admit(100, memory_budget_mb=1e9)
-        tight = router.admit(100, memory_budget_mb=1e-9)
-        assert roomy.plan == "teacher" and not roomy.fallback
-        assert tight.fallback
 
     def test_admission_never_consults_a_clock(self, cascade_world):
         router = _router(cascade_world)
@@ -549,6 +539,107 @@ class TestShardedCascade:
 
 
 # --------------------------------------------------------------------------- #
+# one audit path: shards ship the events their engine recorded
+# --------------------------------------------------------------------------- #
+#: drift settings under which the conftest's flipping streams re-select
+DRIFT = {"drift": DriftConfig(reference_size=3, recent_size=3, threshold=0.05,
+                              release=0.01, cooldown=3),
+         "keep_last_on_drift": 3}
+
+#: cascade fields that depend on how many windows one flush held (the
+#: admission price) and on the clock — everything else must match
+FLUSH_DEPENDENT = ("predicted_ms", "actual_forward_ms")
+
+
+def _decisions(events, stream):
+    """One stream's selection/drift/reselection events, minus ``seq`` and
+    the flush-dependent cascade costs."""
+    kept = []
+    for event in events:
+        if event.get("stream") != stream \
+                or event["event"] not in ("selection", "drift", "reselection"):
+            continue
+        event = {k: v for k, v in event.items() if k != "seq"}
+        if "cascade" in event:
+            event["cascade"] = {k: v for k, v in event["cascade"].items()
+                                if k not in FLUSH_DEPENDENT}
+        kept.append(event)
+    return kept
+
+
+def _audited_runs(world, streams, cascade):
+    """``(in_process_events, sharded_events)`` of the same drifting traffic."""
+    config = StreamingConfig(window=64, stride=64, **DRIFT)
+    in_process = AuditLog()
+    _drive(StreamEngine(world["fast"], world["detector_names"], config,
+                        audit=in_process, cascade=cascade), streams, chunk=64)
+    sharded = AuditLog()
+    factory = make_engine_factory(world["fast"], world["detector_names"], config,
+                                  cascade=cascade)
+    with ShardedService(factory, ServiceConfig(n_shards=2), audit=sharded) as service:
+        assert len({service.ring.owner(sid) for sid in streams}) == 2
+        _drive(service, streams, chunk=64)
+    return in_process.events(), sharded.events()
+
+
+class TestShardedAudit:
+    @pytest.fixture(scope="class")
+    def cascade_logs(self, cascade_world, drifting_streams):
+        return _audited_runs(cascade_world, drifting_streams, _router(cascade_world))
+
+    def test_same_event_kinds_as_in_process(self, cascade_logs):
+        in_process, sharded = cascade_logs
+        kinds = {e["event"] for e in in_process}
+        assert {"selection", "drift", "cost_observation"} <= kinds
+        assert {e["event"] for e in sharded} == kinds
+
+    def test_decisions_equal_field_by_field(self, cascade_logs, drifting_streams):
+        in_process, sharded = cascade_logs
+        for sid in drifting_streams:
+            expected = _decisions(in_process, sid)
+            assert any("cascade" in e for e in expected)
+            assert _decisions(sharded, sid) == expected
+
+    def test_sharded_log_trains_and_explains_the_cascade(self, cascade_logs,
+                                                         drifting_streams):
+        _, sharded = cascade_logs
+        assert harvest_cost_observations(sharded)
+        for sid in drifting_streams:
+            assert explain_from_audit(sharded, sid)["cascade"]["plan"] == "cascade"
+
+    def test_sharded_selections_replay_bitwise(self, cascade_world,
+                                               drifting_streams):
+        _, sharded = _audited_runs(cascade_world, drifting_streams, None)
+        for sid, series in drifting_streams.items():
+            final = [e for e in sharded if e["event"] == "selection"
+                     and e["stream"] == sid and not e["provisional"]][-1]
+            assert final["inputs"]["vote_start"] > 0  # drift narrowed the vote
+            replayed = replay_selection(final, series, cascade_world["fast"])
+            assert replayed["selected_index"] == final["selected_index"]
+            assert replayed["votes"] == final["votes"]
+            assert replayed["n_windows"] == final["n_windows"]
+
+
+class TestCascadeReplay:
+    def test_replay_refuses_an_escalated_vote(self, cascade_world):
+        audit = AuditLog()
+        engine = StreamEngine(cascade_world["fast"],
+                              cascade_world["detector_names"],
+                              StreamingConfig(window=64, stride=64),
+                              audit=audit, cascade=_router(cascade_world))
+        _drive(engine, cascade_world["streams"])
+        escalated = [sid for sid in cascade_world["streams"]
+                     if explain_stream(engine, sid)["cascade"]["escalated_total"]]
+        assert escalated
+        sid = escalated[0]
+        final = audit.events(event="selection", stream=sid)[-1]
+        # no drift: the vote covers every window, the escalated ones included
+        assert final["inputs"]["vote_start"] == 0
+        with pytest.raises(ValueError, match="cascade"):
+            replay_selection(final, engine.series(sid), cascade_world["fast"])
+
+
+# --------------------------------------------------------------------------- #
 # explain + train-cost-model CLI
 # --------------------------------------------------------------------------- #
 class TestExplainCascade:
@@ -595,9 +686,9 @@ class TestTrainCostModelCLI:
         path = tmp_path / "audit.jsonl"
         audit = AuditLog(path=path)
         for n, ms in ((4, 4.0), (16, 10.0), (64, 34.0)):
-            audit.record("cost_observation", **cost_observation_event(
-                CostObservation(kind="selector_forward", target="teacher",
-                                n_windows=n, window=64, wall_ms=ms)))
+            audit.record("cost_observation", **CostObservation(
+                kind="selector_forward", target="teacher",
+                n_windows=n, window=64, wall_ms=ms).as_dict())
         audit.record("selection", stream="s0")  # foreign events are ignored
         audit.close()
         return path

@@ -493,6 +493,22 @@ class TestDistillCLI:
                   "--name", "m", "--refresh-min-agreement", "0.9",
                   "--window", "64"])
 
+    def test_sharded_cascade_audit_trains_and_explains(self, cli_distilled,
+                                                        tmp_path, capsys):
+        from repro.system.cli import main
+
+        files = sorted(cli_distilled["data_dir"].glob("*.csv"))[:2]
+        audit, model = tmp_path / "audit.jsonl", tmp_path / "cost_model.json"
+        assert main(["serve-sharded", *map(str, files),
+                     "--store", str(cli_distilled["store"]), "--name", "m",
+                     "--cascade", "--audit", str(audit), "--window", "64",
+                     "--shards", "2"]) == 0
+        assert main(["train-cost-model", str(audit), "--output", str(model),
+                     "--window", "64"]) == 0
+        capsys.readouterr()
+        assert main(["explain", files[0].stem, "--audit", str(audit)]) == 0
+        assert "cascade:" in capsys.readouterr().out
+
     def test_stream_with_refresh_and_tier(self, cli_distilled, capsys):
         from repro.system.cli import main
 

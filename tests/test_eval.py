@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import generate_series
+from repro.data import TimeSeriesRecord, generate_series
 from repro.detectors import make_detector
 from repro.eval import (
     Oracle,
@@ -135,6 +135,24 @@ class TestOracle:
         assert len(list(tmp_path.glob("oracle_*.npz"))) == 1
         second = oracle.performance_matrix(records)
         assert np.allclose(first, second)
+
+    def test_cache_keys_on_detector_settings(self, small_model_set, records, tmp_path):
+        Oracle(small_model_set, cache_dir=tmp_path).performance_matrix(records)
+        wider = {name: make_detector(name, window=48) for name in small_model_set}
+        cached = Oracle(wider, cache_dir=tmp_path).performance_matrix(records)
+        assert np.array_equal(cached, Oracle(wider).performance_matrix(records))
+
+    def test_cache_keys_on_every_point_and_label(self, small_model_set, records,
+                                                 tmp_path):
+        Oracle(small_model_set, cache_dir=tmp_path).performance_matrix(records)
+        edited = []
+        for record in records:
+            series, labels = record.series.copy(), np.zeros_like(record.labels)
+            series[200:260] += 5.0
+            labels[200:260] = 1
+            edited.append(TimeSeriesRecord(record.name, record.dataset, series, labels))
+        cached = Oracle(small_model_set, cache_dir=tmp_path).performance_matrix(edited)
+        assert np.array_equal(cached, Oracle(small_model_set).performance_matrix(edited))
 
     def test_unknown_metric_raises(self, small_model_set):
         with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ this module covers the ring, the transport layer, the shared-memory
 handoff and the happy-path service semantics.
 """
 
+import asyncio
+import contextlib
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +34,35 @@ from repro.service import (
     recv_message,
     send_message,
 )
+from repro.service.transport import MAX_MESSAGE_BYTES
 from repro.streaming import DriftConfig, StreamEngine, StreamingConfig
+
+
+@contextlib.contextmanager
+def _running_frontend(service):
+    """A :class:`ServiceFrontend` serving ``service`` on an event loop thread."""
+    from repro.service import ServiceFrontend
+
+    frontend = ServiceFrontend(service)
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+
+    def run_loop():
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(frontend.start())
+        started.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=run_loop, daemon=True)
+    thread.start()
+    assert started.wait(timeout=10.0)
+    try:
+        yield frontend
+    finally:
+        asyncio.run_coroutine_threadsafe(frontend.stop(), loop).result(timeout=10.0)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10.0)
+        loop.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -156,12 +187,32 @@ class TestTransport:
             recv_message(b)
         b.close()
 
-    def test_oversized_frame_rejected(self):
+    @pytest.mark.parametrize("reader", ["recv_message", "FrameReader", "frontend"])
+    def test_oversized_frame_rejected(self, reader):
+        oversized = (MAX_MESSAGE_BYTES + 1).to_bytes(4, "big")
+        if reader == "frontend":
+            # the front end never reaches its service for a frame it refuses
+            with _running_frontend(service=None) as frontend:
+                with socket.create_connection(("127.0.0.1", frontend.port),
+                                              timeout=5.0) as conn:
+                    # undecodable bodies are answered on the same connection
+                    conn.sendall(len(b"\xff{").to_bytes(4, "big") + b"\xff{")
+                    assert "error" in recv_message(conn)
+                    send_message(conn, [1, 2])
+                    assert "JSON objects" in recv_message(conn)["error"]
+                    # an oversized header is answered, then the peer hangs up
+                    conn.sendall(oversized)
+                    assert "exceeds the protocol limit" in recv_message(conn)["error"]
+                    assert recv_message(conn) is None
+            return
         a, b = socket.socketpair()
         try:
-            a.sendall((1 << 31).to_bytes(4, "big"))
-            with pytest.raises(TransportError):
-                recv_message(b)
+            a.sendall(oversized)
+            with pytest.raises(TransportError, match="protocol limit"):
+                if reader == "recv_message":
+                    recv_message(b)
+                else:
+                    FrameReader(b).read_frame(timeout_s=1.0)
         finally:
             a.close()
             b.close()

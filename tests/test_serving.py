@@ -346,17 +346,6 @@ class TestSelectionService:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["selected_model"] in serving_world["detector_names"]
 
-    def test_detect_batch_sequential_and_parallel_agree(self, serving_world):
-        model_set = {name: make_detector(name, window=16)
-                     for name in serving_world["detector_names"]}
-        records = serving_world["queries"][:3]
-        sequential = _fresh_service(serving_world, max_workers=0).detect_batch(records, model_set)
-        parallel = _fresh_service(serving_world, max_workers=3).detect_batch(records, model_set)
-        for (sel_a, det_a), (sel_b, det_b) in zip(sequential, parallel):
-            assert sel_a.selected_model == sel_b.selected_model
-            assert det_a.detector_name == det_b.detector_name
-            assert np.array_equal(det_a.scores, det_b.scores)
-
     def test_pipeline_as_service_matches_select_model(self):
         model_set = {name: make_detector(name, window=16) for name in ("IForest", "HBOS")}
         pipeline = ModelSelectionPipeline(
