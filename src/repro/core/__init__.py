@@ -26,7 +26,6 @@ from .config import (
     kdselector_config,
     standard_config,
 )
-from .inference import DEFAULT_PREDICT_BATCH_SIZE, batched_predict_proba
 from .lsh import SimHashLSH, bucket_indices
 from .tuning import PAPER_GRID, GridSearchResult, Trial, grid_search
 from .mki import MKIModule, ProjectionHead
@@ -40,7 +39,6 @@ __all__ = [
     "PAPER_GRID", "GridSearchResult", "Trial", "grid_search",
     "MKIConfig", "PISLConfig", "PruningConfig", "TrainerConfig",
     "kdselector_config", "standard_config",
-    "DEFAULT_PREDICT_BATCH_SIZE", "batched_predict_proba",
     "SimHashLSH", "bucket_indices",
     "MKIModule", "ProjectionHead",
     "PISLLoss", "performance_to_soft_labels",

@@ -235,7 +235,15 @@ class Tensor:
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
-        out = self._make(self.data @ other.data, (self, other))
+        if self.data.ndim == 2 and other.data.ndim == 2 and not is_grad_enabled():
+            # Inference runs one single-row product per row: a plain GEMM
+            # picks its blocking (hence its summation order) from the row
+            # count, so a row's bits would depend on how many rows share
+            # the call.  Training keeps the one GEMM per batch.
+            data = np.matmul(self.data[:, None, :], other.data)[:, 0, :]
+        else:
+            data = self.data @ other.data
+        out = self._make(data, (self, other))
 
         def _backward() -> None:
             grad = out.grad

@@ -137,24 +137,31 @@ NULL_AUDIT = NullAuditLog()
 # --------------------------------------------------------------------------- #
 # replay: recompute an audited selection decision bit-for-bit
 # --------------------------------------------------------------------------- #
+#: version of a selection event's ``inputs`` block.  Format 2 votes come
+#: from the row-invariant selector forward and hash the series with the
+#: bytes-first :func:`repro.serving.cache.series_fingerprint` layout.
+#: Earlier events (stamped ``predict_batch_size`` instead) were recorded
+#: with a padded forward and another hash layout; replay refuses them.
+SELECTION_INPUTS_FORMAT = 2
+
+
 def selection_inputs(series: np.ndarray, window: int, stride: int,
-                     aggregation: str, vote_start: int) -> Dict[str, object]:
+                     aggregation: str, vote_start: int,
+                     fingerprint) -> Dict[str, object]:
     """The replayable ``inputs`` block of a selection audit event.
 
-    ``predict_batch_size`` records the chunk width of the float NN predict
-    path (every layer calls the selector's own ``predict_proba``).
+    ``series`` is the float64 stream prefix and ``fingerprint`` the
+    stream's :class:`repro.serving.cache.RunningFingerprint`, which hashes
+    only the points appended since its last digest.
     """
-    from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE  # deferred: heavy import chain
-
-    series = np.ascontiguousarray(np.asarray(series, dtype=np.float64))
     return {
-        "series_hash": content_hash(series, extra=(window, stride, aggregation)),
-        "length": int(len(series)),
+        "format": SELECTION_INPUTS_FORMAT,
+        "series_hash": fingerprint.digest(series, (window, stride, aggregation)),
+        "length": len(series),
         "window": int(window),
         "stride": int(stride),
         "aggregation": str(aggregation),
         "vote_start": int(vote_start),
-        "predict_batch_size": DEFAULT_PREDICT_BATCH_SIZE,
     }
 
 
@@ -170,8 +177,9 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     votes are bitwise-equal to the audited ones.
 
     Raises ``ValueError`` on hash mismatch, on a provisional (pre-window)
-    event, which has no complete-window vote to replay, and on a
-    cascade-routed one, whose vote one selector cannot reproduce.
+    event, which has no complete-window vote to replay, on a cascade-routed
+    one, whose vote one selector cannot reproduce, and on an ``inputs``
+    block older than :data:`SELECTION_INPUTS_FORMAT`.
     """
     from ..data.windows import extract_new_windows  # deferred: heavy import chain
     from ..eval.evaluation import aggregate_window_probas
@@ -187,6 +195,12 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     inputs = event.get("inputs")
     if not inputs:
         raise ValueError("event carries no replayable inputs")
+    if inputs.get("format") != SELECTION_INPUTS_FORMAT:
+        raise ValueError(
+            f"cannot replay inputs format {inputs.get('format')!r} (expected "
+            f"{SELECTION_INPUTS_FORMAT}); events without a format were recorded with "
+            "the padded predict forward and the old hash layout, so their bits "
+            "are not reproducible")
 
     series = np.ascontiguousarray(
         np.asarray(series, dtype=np.float64).ravel()[: int(inputs["length"])])

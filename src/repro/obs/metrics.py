@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import os
 import threading
+import time
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: log-scale latency ladder: 10 µs .. 10 s in 1-2.5-5 steps (seconds)
@@ -135,14 +137,10 @@ class _HistogramTimer:
         self._start = 0.0
 
     def __enter__(self) -> "_HistogramTimer":
-        import time
-
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        import time
-
         self._histogram.observe(time.perf_counter() - self._start)
         return False
 
@@ -168,11 +166,8 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        # first bucket with ``value <= bound``; NaN lands in the overflow
+        index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             self._counts[index] += 1
             self._sum += value

@@ -46,46 +46,37 @@ class RocketFeatureTransform:
         return dilation
 
     def transform(self, windows: np.ndarray) -> np.ndarray:
-        """Grouped im2col transform.
+        """Shift-add transform: each kernel is ``klen`` shifted multiply-adds.
 
-        Kernels sharing ``(length, effective dilation)`` read the exact
-        same patch matrix, so the expensive gather runs once per group
-        (a dozen groups versus hundreds of kernels) instead of once per
-        kernel.  Each kernel still applies as its own matrix–vector
-        product over the shared patches — the same operands in the same
-        order as the per-kernel reference loop, so the features are
-        bitwise identical to :meth:`_transform_per_kernel` (a grouped
-        multi-kernel GEMM would not be: BLAS changes its summation order
-        with the operand shape).
+        ``conv = w[0] * x[:, 0:L'] + w[1] * x[:, d:d + L'] + ... + bias`` is
+        elementwise per window, so a window's features never depend on how
+        many windows share the call (a GEMV over gathered patches picks its
+        summation blocking from the row count).  The products are summed in
+        tap order; the regression test pins the features bitwise to the
+        per-kernel reference loop :meth:`_transform_per_kernel`.
         """
         if self._kernels is None:
             raise RuntimeError("transform must be fitted before use")
         x = np.asarray(windows, dtype=np.float64)
         n, length = x.shape
         features = np.zeros((n, 2 * self.n_kernels))
-        groups: dict = {}
-        for k, (weights, _, dilation) in enumerate(self._kernels):
+        for k, (weights, bias, dilation) in enumerate(self._kernels):
             klen = len(weights)
-            groups.setdefault(
-                (klen, self._effective_dilation(klen, dilation, length)), []).append(k)
-        for (klen, dilation), kernel_ids in groups.items():
-            span = (klen - 1) * dilation + 1
-            idx = np.arange(klen) * dilation
-            out_len = length - span + 1
-            positions = idx[None, :] + np.arange(out_len)[:, None]
-            patches = x[:, positions]  # (n, out_len, klen) — shared gather
-            for k in kernel_ids:
-                weights, bias, _ = self._kernels[k]
-                conv = patches @ weights + bias  # (n, out_len)
-                features[:, 2 * k] = (conv > 0).mean(axis=1)
-                features[:, 2 * k + 1] = conv.max(axis=1)
+            dilation = self._effective_dilation(klen, dilation, length)
+            out_len = length - (klen - 1) * dilation
+            conv = weights[0] * x[:, :out_len]
+            for j in range(1, klen):
+                conv += weights[j] * x[:, j * dilation:j * dilation + out_len]
+            conv += bias
+            features[:, 2 * k] = (conv > 0).mean(axis=1)
+            features[:, 2 * k + 1] = conv.max(axis=1)
         return features
 
     def _transform_per_kernel(self, windows: np.ndarray) -> np.ndarray:
         """Reference implementation: one gather + matvec per kernel.
 
         Kept as the ground truth for the bitwise regression test of the
-        grouped :meth:`transform` above.
+        shift-add :meth:`transform` above.
         """
         if self._kernels is None:
             raise RuntimeError("transform must be fitted before use")

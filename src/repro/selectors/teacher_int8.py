@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .. import nn
 from ..accel.precision import use_precision
 from ..nn.quant import QuantizedConv1d, QuantizedLinear
@@ -29,11 +27,6 @@ from .nn_selector import NNSelector
 
 #: default architecture quantized when ``base_type`` is not recorded
 DEFAULT_BASE_TYPE = "ResNet"
-
-#: inference chunk for the int8 teacher — its outputs are exact scaled
-#: integers, hence bitwise chunk-independent, so a larger chunk than the
-#: float default simply amortises the per-call quantize/gather overhead
-INT8_TEACHER_PREDICT_BATCH_SIZE = 512
 
 
 class FoldedBatchNorm(nn.Module):
@@ -141,6 +134,10 @@ class Int8TeacherSelector(NNSelector):
     identical to the teacher it was quantized from.
     """
 
+    #: a wider chunk than the float tiers' amortises the per-call
+    #: quantize/gather overhead of the int8 convs
+    predict_chunk = 512
+
     def build(self, window: Optional[int] = None, n_classes: Optional[int] = None) -> "Int8TeacherSelector":
         if window is not None:
             self.window = window
@@ -184,25 +181,3 @@ class Int8TeacherSelector(NNSelector):
     def encode(self, windows):
         with use_precision("float32"):
             return super().encode(windows)
-
-    def predict_proba(self, windows, batch_size=None):
-        """Chunked inference WITHOUT padding partial chunks.
-
-        ``batched_predict_proba`` pads every chunk to a fixed width because
-        float GEMM bits depend on the matrix shape.  The int8 forward
-        accumulates exact integers, so each window's bits are already
-        independent of chunk width — padding would only burn time, and
-        small serving batches can run at their natural size.
-        """
-        self.build()
-        self.train_mode(False)
-        windows = np.asarray(windows)
-        size = batch_size or INT8_TEACHER_PREDICT_BATCH_SIZE
-        proba = np.empty((len(windows), self.n_classes), dtype=np.float64)
-        for start in range(0, len(windows), size):
-            chunk = windows[start:start + size]
-            with nn.no_grad():
-                logits, _ = self.forward(chunk)
-                proba[start:start + len(chunk)] = nn.functional.softmax(
-                    logits, axis=-1).numpy()
-        return proba

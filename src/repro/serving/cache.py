@@ -32,17 +32,46 @@ def series_fingerprint(series: np.ndarray, extra: Iterable[object] = ()) -> str:
 
     Hashes the full byte content, dtype and shape, so any change to the data
     yields a different key; ``extra`` tokens (window size, aggregation, ...)
-    separate answers computed under different serving configurations.
+    separate answers computed under different serving configurations.  The
+    bytes come first, so a :class:`RunningFingerprint` can keep the same key
+    for a growing series at O(new points) per digest.
     """
-    series = np.ascontiguousarray(np.asarray(series))
-    hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(str(series.dtype).encode())
-    hasher.update(str(series.shape).encode())
-    hasher.update(series.tobytes())
-    for token in extra:
-        hasher.update(b"\x00")
-        hasher.update(str(token).encode())
-    return hasher.hexdigest()
+    return RunningFingerprint().digest(series, extra)
+
+
+class RunningFingerprint:
+    """:func:`series_fingerprint` of an append-only series, kept incrementally.
+
+    One blake2b state absorbs each point's bytes once, the first time a
+    digest covers it; :meth:`digest` then mixes dtype, shape and ``extra``
+    into a copy of that state.  A stream therefore pays for its new points
+    only — and nothing when no digest is asked for — while every digest
+    equals :func:`series_fingerprint` of the whole prefix.
+    """
+
+    def __init__(self) -> None:
+        self._hasher = hashlib.blake2b(digest_size=16)
+        self._hashed = 0
+        self._extra: Optional[tuple] = None
+        self._extra_bytes = b""
+
+    def digest(self, series: np.ndarray, extra: Iterable[object] = ()) -> str:
+        """Fingerprint of ``series``, which must extend every series digested
+        before (same dtype, earlier rows unchanged)."""
+        series = np.ascontiguousarray(series)
+        if len(series) < self._hashed:
+            raise ValueError(f"series shrank from {self._hashed} to {len(series)} rows; "
+                             "a running fingerprint covers append-only series")
+        self._hasher.update(series[self._hashed:])
+        self._hashed = len(series)
+        extra = tuple(extra)
+        if extra != self._extra:  # a stream's tokens never change: encode once
+            self._extra = extra
+            self._extra_bytes = "".join(["\x00" + str(token) for token in extra]).encode()
+        # ``dtype.str`` ("<f8"): ``str(dtype)`` runs Python-level formatting
+        hasher = self._hasher.copy()
+        hasher.update(f"{series.dtype.str}{series.shape}".encode() + self._extra_bytes)
+        return hasher.hexdigest()
 
 
 @dataclass(frozen=True)

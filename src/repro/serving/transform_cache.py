@@ -3,10 +3,9 @@
 Feature extraction (the ~40-statistic catalogue of
 :mod:`repro.selectors.features`) and ROCKET kernel transforms are pure
 functions of their input bytes: the same windows matrix always produces
-the same feature matrix.  Serving traffic repeats those inputs constantly
-— dashboards re-query the same series, the chunk-padded predict path
-re-presents identical window blocks — so this module memoises transform
-outputs behind the same blake2b content fingerprint the selection cache
+the same feature matrix.  Serving traffic repeats those inputs (dashboards
+re-query the same series), so this module memoises transform outputs
+behind the same blake2b content fingerprint the selection cache
 keys on (:func:`repro.serving.cache.series_fingerprint`), with the
 transform's identity mixed into the key.
 

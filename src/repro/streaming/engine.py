@@ -36,6 +36,7 @@ from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
 from ..serving.batching import window_budget_groups
+from ..serving.cache import RunningFingerprint
 from ..serving.workers import WorkerPool
 from .buffer import StreamBuffer
 from .drift import DriftConfig, DriftMonitor
@@ -147,6 +148,8 @@ class _StreamState:
         self.escalated_windows = 0
         #: the last flush's cascade decision for this stream (``explain``)
         self.last_cascade: Optional[Dict[str, object]] = None
+        #: content hash of the series so far, advanced by each audited flush
+        self.fingerprint = RunningFingerprint()
 
 
 class StreamEngine:
@@ -467,6 +470,7 @@ class StreamEngine:
                 stride=self.config.stride or self.config.window,
                 aggregation=self.config.aggregation,
                 vote_start=state.votes.vote_start,
+                fingerprint=state.fingerprint,
             ),
             **cascade_fields)
 

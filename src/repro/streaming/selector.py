@@ -113,10 +113,9 @@ class StreamingSelector:
     def predict_proba(self, windows: np.ndarray) -> np.ndarray:
         """One selector forward pass over a (k, L) window matrix.
 
-        NN selectors chunk their own predict path at a fixed width (float
-        ones pad partial chunks, int8 ones accumulate exact integers), so
-        per-row bits do not depend on how many windows arrived together —
-        the bitwise-equality guarantee.  Classical selectors are called
+        NN selectors run a row-invariant forward, so per-row bits do not
+        depend on how many windows arrived together — the bitwise-equality
+        guarantee.  Classical selectors are called
         exactly like the batch pipeline and the serving layer call them;
         their probabilities are typically discrete vote/count fractions,
         but tick-boundary bit-equality is *engineered* only for the NN path.

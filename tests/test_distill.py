@@ -709,9 +709,7 @@ class TestQuantizeTeacher:
         full = quantized.predict_proba(windows)
         chunked = np.vstack([quantized.predict_proba(windows[i:i + 37])
                              for i in range(0, len(windows), 37)])
-        small_batch = quantized.predict_proba(windows, batch_size=16)
         assert np.array_equal(full, chunked)
-        assert np.array_equal(full, small_batch)
 
     def test_fit_raises(self, quantized_teacher):
         quantized, _ = quantized_teacher

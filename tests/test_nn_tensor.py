@@ -149,6 +149,21 @@ class TestMatmulGradients:
         assert a.grad.shape == (2, 3, 4)
         assert b.grad.shape == (2, 4, 5)
 
+    def test_no_grad_2d_rows_are_batch_independent(self):
+        """Inference rows match one-row products bitwise at any row count;
+        with gradients on, the product stays the plain one-GEMM batch."""
+        rng = np.random.default_rng(2)
+        for k in (1, 3, 7, 16, 33, 64, 127, 257):
+            for m in (1, 4, 12, 64, 100):
+                a, b = rng.normal(size=(130, k)), rng.normal(size=(k, m))
+                assert np.array_equal(Tensor(a).matmul(Tensor(b)).numpy(), a @ b)
+                with nn.no_grad():
+                    single = np.vstack([Tensor(a[i:i + 1]).matmul(Tensor(b)).numpy()
+                                        for i in range(len(a))])
+                    for n in (2, 3, 7, 31, 64, 65, 130):
+                        assert np.array_equal(Tensor(a[:n]).matmul(Tensor(b)).numpy(),
+                                              single[:n]), (k, m, n)
+
 
 class TestNonLinearities:
     @pytest.mark.parametrize("op", ["exp", "log", "tanh", "sigmoid", "relu", "gelu", "abs", "sqrt"])

@@ -32,7 +32,9 @@ from repro.obs import (
     set_default_tracer,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs.audit import SELECTION_INPUTS_FORMAT
 from repro.selectors import make_selector
+from repro.serving import series_fingerprint
 from repro.streaming import StreamEngine, StreamingConfig, StreamingSelector
 
 
@@ -391,6 +393,45 @@ class TestAuditReplay:
         tampered[0] += 1e-9
         with pytest.raises(ValueError, match="hash"):
             replay_selection(final, tampered, obs_world["selector"])
+
+    def test_replay_refuses_unversioned_inputs(self, obs_world):
+        """Events of the padded-forward era carry ``predict_batch_size``
+        and no format version; their bits cannot be reproduced."""
+        audit = AuditLog()
+        engine = StreamEngine(obs_world["selector"], obs_world["detector_names"],
+                              StreamingConfig(window=64, stride=32), audit=audit)
+        _drive_engine(engine, obs_world["streams"])
+        final = audit.events(event="selection", stream="s0")[-1]
+        assert final["inputs"]["format"] == SELECTION_INPUTS_FORMAT
+        legacy = {k: v for k, v in final["inputs"].items() if k != "format"}
+        legacy["predict_batch_size"] = 64
+        with pytest.raises(ValueError, match="format None"):
+            replay_selection(dict(final, inputs=legacy), engine.series("s0"),
+                             obs_world["selector"])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("via_view", [False, True])
+    def test_running_digest_equals_fingerprint_from_scratch(self, obs_world,
+                                                            chunk, via_view):
+        """After every tick the audited hash, kept incrementally, equals the
+        fingerprint of the whole prefix hashed from scratch."""
+        series = obs_world["streams"]["s0"][:150]
+        chunk = chunk or len(series)
+        audit = AuditLog(keep=None)
+        config = StreamingConfig(window=64, stride=32)
+        engine = StreamEngine(obs_world["selector"], obs_world["detector_names"],
+                              config, audit=audit)
+        for start in range(0, len(series), chunk):
+            end = min(start + chunk, len(series))
+            if via_view:
+                engine.append_view("s", series[:end])
+            else:
+                engine.append("s", series[start:end])
+            engine.flush()
+            inputs = audit.events(event="selection")[-1]["inputs"]
+            assert inputs["length"] == end
+            assert inputs["series_hash"] == series_fingerprint(
+                series[:end], extra=(64, 32, "vote"))
 
     def test_replay_refuses_foreign_events(self, obs_world):
         with pytest.raises(ValueError):

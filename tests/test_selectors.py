@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TrainerConfig, kdselector_config
+from repro.distill import quantize_teacher
 from repro.selectors import (
     FEATURE_NAMES,
     ConvNetEncoder,
@@ -229,3 +230,60 @@ class TestNonNNSelectors:
         predictions = selector.predict(small_selector_dataset.windows)
         agreement = (predictions == small_selector_dataset.hard_labels).mean()
         assert agreement > 0.9
+
+
+#: batch sizes the row-invariance tests slice: one window, small odd
+#: batches, and sizes below, at and across the 64-window predict chunk
+ROW_COUNTS = (1, 2, 3, 7, 31, 64, 65, 100, 130)
+
+#: tiny untrained architectures for every NN tier
+TINY_TIERS = {
+    "ConvNet": ("ConvNet", {"mid_channels": 8}),
+    "ResNet": ("ResNet", {"mid_channels": 8, "num_layers": 2}),
+    "InceptionTime": ("InceptionTime", {"mid_channels": 8, "num_layers": 2}),
+    "Transformer": ("Transformer", {"embed_dim": 16, "num_layers": 1, "num_heads": 2}),
+    "MLP": ("MLP", {"hidden": 32, "feature_dim": 16}),
+    "LSTMSelector": ("LSTMSelector", {"hidden": 8, "downsample": 8}),
+    "Student-stats": ("Student", {"features": "stats", "hidden": 16}),
+    "Student-rocket": ("Student", {"features": "rocket", "hidden": 16, "n_kernels": 16}),
+    "Student-both": ("Student", {"features": "both", "hidden": 16, "n_kernels": 16}),
+}
+
+
+class TestRowInvariance:
+    """A window's output is bitwise independent of the batch it arrives in."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return np.random.default_rng(5).normal(size=(max(ROW_COUNTS), 64))
+
+    @staticmethod
+    def _tier(tier, windows):
+        if tier == "TeacherInt8":
+            teacher = make_selector("ResNet", window=windows.shape[1], n_classes=5,
+                                    seed=0, mid_channels=8, num_layers=2)
+            quantized, _ = quantize_teacher(teacher, windows[:32], min_agreement=None)
+            return quantized
+        name, kwargs = TINY_TIERS[tier]
+        return make_selector(name, window=windows.shape[1], n_classes=5, seed=0,
+                             **kwargs).build()
+
+    @pytest.mark.parametrize("tier", list(TINY_TIERS) + ["TeacherInt8"])
+    def test_predict_proba_rows_match_single_window_calls(self, tier, windows):
+        selector = self._tier(tier, windows)
+        single = np.vstack([selector.predict_proba(windows[i:i + 1])
+                            for i in range(len(windows))])
+        for n in ROW_COUNTS:
+            assert np.array_equal(selector.predict_proba(windows[:n]), single[:n]), \
+                f"{tier}: rows of a {n}-window batch differ from one-window calls"
+
+    def test_rocket_transform_rows_match_single_window_calls(self):
+        transform = RocketFeatureTransform(n_kernels=24, seed=0).fit(window_length=64)
+        rng = np.random.default_rng(6)
+        for length in (64, 16):  # 16 forces the dilation clamp
+            windows = rng.normal(size=(max(ROW_COUNTS), length))
+            single = np.vstack([transform.transform(windows[i:i + 1])
+                                for i in range(len(windows))])
+            for n in ROW_COUNTS:
+                assert np.array_equal(transform.transform(windows[:n]), single[:n]), \
+                    f"length {length}: rows of a {n}-window transform differ"
