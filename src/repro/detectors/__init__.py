@@ -9,6 +9,7 @@ CNN, OCSVM.
 from .base import (
     DEFAULT_MODEL_NAMES,
     AnomalyDetector,
+    NonFiniteSeriesError,
     detector_names,
     make_default_model_set,
     make_detector,
@@ -39,7 +40,7 @@ __all__ = [
     "DEFAULT_MODEL_NAMES",
     "DetectorEnsemble", "ensemble_cost_model",
     "SpectralResidualDetector", "SubsequenceKNNDetector", "make_extended_model_set",
-    "AnomalyDetector", "detector_names", "make_default_model_set", "make_detector",
+    "AnomalyDetector", "NonFiniteSeriesError", "detector_names", "make_default_model_set", "make_detector",
     "normalize_scores", "register_detector", "sliding_windows", "window_scores_to_point_scores",
     "IForestDetector", "IForest1Detector", "IsolationForest",
     "LOFDetector", "local_outlier_factor",

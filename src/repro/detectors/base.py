@@ -71,6 +71,27 @@ def window_scores_to_point_scores(
     return scores / counts
 
 
+class NonFiniteSeriesError(ValueError):
+    """A detector was given a series holding NaN or an infinity."""
+
+
+def check_finite(series: np.ndarray, detector_name: str, start: int = 0) -> None:
+    """Raise :class:`NonFiniteSeriesError` when ``series`` holds NaN or an infinity.
+
+    No detector defines a score for a non-finite point: some raise (each
+    its own error), some return NaN scores and some return finite scores
+    that ignore the point.  ``AnomalyDetector.detect`` and the streaming
+    scorer check before they call ``score``, so a non-finite series fails
+    one way, naming the detector and the first bad index.  ``series`` may
+    be the part of a longer series that begins at index ``start``.
+    """
+    finite = np.isfinite(series)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise NonFiniteSeriesError(f"{detector_name} cannot score a non-finite series: "
+                                   f"value {series[index]} at index {start + index}")
+
+
 def normalize_scores(scores: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Min-max normalise scores to [0, 1]; constant scores map to zeros."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -102,10 +123,14 @@ class AnomalyDetector(ABC):
         """Return raw per-point anomaly scores for ``series``."""
 
     def detect(self, series: np.ndarray) -> np.ndarray:
-        """Return per-point anomaly scores normalised to [0, 1]."""
+        """Return per-point anomaly scores normalised to [0, 1].
+
+        A series holding NaN or an infinity raises ``ValueError``.
+        """
         series = np.asarray(series, dtype=np.float64).ravel()
         if len(series) == 0:
             return np.zeros(0)
+        check_finite(series, self.name)
         scores = self.score(series)
         if len(scores) != len(series):
             raise RuntimeError(

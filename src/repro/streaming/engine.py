@@ -14,7 +14,9 @@ together by :meth:`flush`:
    detector re-selection (drift) swaps the stream's scorer.
 
 Scorer updates fan out on a :class:`repro.serving.workers.WorkerPool` when
-``max_workers >= 2`` — per-stream detection work is independent.
+``max_workers >= 2`` — per-stream detection work is independent.  A stream
+holding a NaN or an infinity gets no new scores and names the point in
+``StreamUpdate.score_error``; the other streams of the flush score as usual.
 
 The result of a flush is one :class:`StreamUpdate` per touched stream: the
 running selection (bitwise identical to the batch pipeline on the same
@@ -25,12 +27,12 @@ drift flags, and bookkeeping counters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..detectors.base import AnomalyDetector
+from ..detectors.base import AnomalyDetector, NonFiniteSeriesError
 from ..obs.audit import NULL_AUDIT, selection_inputs
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
@@ -98,6 +100,8 @@ class StreamUpdate:
     drift_triggered: bool = False
     #: new windows of this flush the cascade escalated to the teacher
     escalated_windows: int = 0
+    #: why the stream's scores did not advance: it holds a non-finite point
+    score_error: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (the ``stream`` CLI output format)."""
@@ -114,6 +118,7 @@ class StreamUpdate:
             "drift_statistic": self.drift_statistic,
             "drift_triggered": self.drift_triggered,
             "escalated_windows": self.escalated_windows,
+            "score_error": self.score_error,
         }
 
 
@@ -150,6 +155,15 @@ class _StreamState:
         self.last_cascade: Optional[Dict[str, object]] = None
         #: content hash of the series so far, advanced by each audited flush
         self.fingerprint = RunningFingerprint()
+
+
+def _update_scores(state: _StreamState) -> Optional[str]:
+    """Advance one stream's scores; the scorer's message if it rejects the series."""
+    try:
+        state.scorer.update(state.buffer.series)
+    except NonFiniteSeriesError as error:
+        return str(error)
+    return None
 
 
 class StreamEngine:
@@ -347,7 +361,7 @@ class StreamEngine:
 
         # 3. votes, drift, selection per stream
         updates: Dict[str, StreamUpdate] = {}
-        to_score: List[_StreamState] = []
+        to_score: Dict[str, _StreamState] = {}
         for (stream_id, state), windows, output in zip(pending, new_windows, outputs):
             stream_probas = output.proba
             if admitted is not None and len(windows):
@@ -393,7 +407,7 @@ class StreamEngine:
                                                 verify=self.config.verify_scores)
                 elif state.scorer.detector is not chosen:
                     state.scorer.switch_detector(chosen)
-                to_score.append(state)
+                to_score[stream_id] = state
 
             updates[stream_id] = StreamUpdate(
                 stream=stream_id,
@@ -419,8 +433,10 @@ class StreamEngine:
         # 4. per-stream scoring fan-out (independent work, thread-friendly)
         if to_score:
             with span("engine.score", streams=len(to_score)):
-                self.workers.map(
-                    lambda state: state.scorer.update(state.buffer.series), to_score)
+                errors = self.workers.map(_update_scores, to_score.values())
+            for stream_id, error in zip(to_score, errors):
+                if error is not None:
+                    updates[stream_id] = replace(updates[stream_id], score_error=error)
 
         return updates
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..detectors.base import AnomalyDetector, normalize_scores
+from ..detectors.base import AnomalyDetector, check_finite, normalize_scores
 
 #: ``detector.score`` needs at least this many points (the effective-window
 #: floor of :meth:`AnomalyDetector.effective_window`).
@@ -119,12 +119,16 @@ class OnlineScorer:
         keeps scores, not points, so the caller (the stream buffer) is the
         source of truth for the data.  ``force=True`` ignores the
         ``rescore_every`` cadence (useful to bring a lagging scorer fully
-        current, e.g. at end of stream).
+        current, e.g. at end of stream).  A new point that is NaN or an
+        infinity raises :class:`~repro.detectors.base.NonFiniteSeriesError`
+        and leaves the scorer unchanged, so every later update raises too.
         """
         series = np.asarray(series, dtype=np.float64).ravel()
         n_new = len(series)
         if n_new < self._seen_length:
             raise ValueError("series shrank: online scoring needs append-only input")
+        # the points up to _seen_length passed this check on an earlier update
+        check_finite(series[self._seen_length:], self.detector.name, start=self._seen_length)
         self._pending_since_rescore += n_new - self._seen_length
         self._seen_length = n_new
         if n_new == self._scored_length or n_new < _MIN_SCORABLE:

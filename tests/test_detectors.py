@@ -1,5 +1,7 @@
 """Tests for the 12-model TSAD detector zoo."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,16 @@ class TestDetectorContracts:
         scores = detector.detect(series)
         assert auc_roc(labels, scores) > 0.7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", EXPECTED_DETECTORS)
+    def test_non_finite_series_rejected(self, name, bad):
+        """One typed error for every detector, naming it and the first bad point."""
+        series = np.sin(2 * np.pi * np.arange(300) / 40)
+        series[137] = bad
+        series[200] = bad
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} .* at index 137$"):
+            make_detector(name, window=24).detect(series)
+
     def test_detect_empty_series(self):
         detector = make_detector("HBOS", window=8)
         assert detector.detect(np.array([])).shape == (0,)
@@ -208,7 +220,7 @@ class TestIsolationForest:
         x = np.random.default_rng(3).normal(size=(50, 2))
         s1 = IsolationForest(seed=7).fit(x).score_samples(x)
         s2 = IsolationForest(seed=7).fit(x).score_samples(x)
-        assert np.allclose(s1, s2)
+        assert np.array_equal(s1, s2)
 
 
 class TestLOFandHBOS:

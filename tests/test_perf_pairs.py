@@ -1,0 +1,115 @@
+"""The perf ledger's summariser on synthetic runs (no benchmark is run).
+
+``tools/perf_pairs.py`` pairs perfbench runs of a parent and a change and
+appends one summary record to ``BENCH_perfbench.json``.  These tests pin
+the arithmetic of that record: quartiles, wins in each metric's direction,
+the bound check, the clear-gain rule and the alternating run order.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SPEC = {
+    "end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "points_per_ref", "unit": "points/ref", "better": "higher", "bound": 0.25},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def perf_pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", ROOT / "tools" / "perf_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(setup_s, points, failed=0):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
+                        "points_per_ref": {"value": points, "unit": "points/ref"}}}
+
+
+def test_quartiles_interpolate_linearly(perf_pairs):
+    assert perf_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert perf_pairs.quartiles([1.0, 2.0]) == {"q1": 1.25, "median": 1.5, "q3": 1.75}
+    assert perf_pairs.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0}
+
+
+def test_run_order_alternates_starting_with_the_parent(perf_pairs):
+    assert [perf_pairs.run_order(i) for i in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_summary_of_a_clear_gain(perf_pairs):
+    parent_points = [24.0, 25.0, 24.5, 25.5, 24.8, 25.2, 24.2, 25.1, 24.9, 24.6]
+    pairs = [(_result(1.0, p), _result(1.0 + 0.01 * i, 1.7 * p))
+             for i, p in enumerate(parent_points)]
+    pairs[3] = (_result(1.0, 25.5), _result(1.0, 25.0))  # one pair the change loses
+    summary = perf_pairs.summarise(pairs, SPEC)
+    assert summary["pairs"] == 10
+    assert summary["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+    points = summary["metrics"]["points_per_ref"]
+    assert points["change_wins"] == 9
+    assert points["clear_gain"] and points["within_bound"]
+    assert points["parent"]["median"] == pytest.approx(24.85)
+    assert points["runs"]["parent"] == parent_points and points["runs"]["change"][3] == 25.0
+    assert points["change_over_parent"] == pytest.approx(points["change"]["median"] / 24.85)
+    setup = summary["metrics"]["setup_s"]
+    # equal values are not wins; a slower change within the bound still holds
+    assert setup["change_wins"] == 0 and setup["within_bound"] and not setup["clear_gain"]
+    assert (setup["unit"], setup["better"], setup["bound"]) == ("s", "lower", 0.25)
+
+
+def test_bound_and_failures_are_reported(perf_pairs):
+    pairs = [(_result(1.0, 10.0), _result(1.3, 7.2, failed=1)),
+             (_result(1.1, 10.0), _result(1.4, 7.4))]
+    summary = perf_pairs.summarise(pairs, SPEC)
+    assert summary["failed"] == {"parent": [0, 0], "change": [1, 0]}
+    assert not summary["metrics"]["setup_s"]["within_bound"]        # 1.35 > 1.05 * 1.25
+    assert not summary["metrics"]["points_per_ref"]["within_bound"]  # 7.3 < 10 * 0.75
+    assert summary["metrics"]["setup_s"]["change_wins"] == 0
+
+
+def test_gain_inside_the_parent_spread_is_not_clear(perf_pairs):
+    pairs = [(_result(1.0, p), _result(1.0, p + 0.1)) for p in (10.0, 12.0, 14.0, 16.0)]
+    points = perf_pairs.summarise(pairs, SPEC)["metrics"]["points_per_ref"]
+    assert points["change_wins"] == 4 and not points["clear_gain"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved(perf_pairs):
+    # setup_s quartiles 1.0-2.0 around 1.5: a spread of 67 % against a 25 % bound
+    wide = [(_result(s, 10.0), _result(s, 10.0)) for s in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    assert perf_pairs.summarise(wide, SPEC)["metrics"]["setup_s"]["unresolved"]
+    # ... unless every change run beats every parent run
+    apart = [(_result(s + 3.0, 10.0), _result(s, 10.0)) for s in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    assert not perf_pairs.summarise(apart, SPEC)["metrics"]["setup_s"]["unresolved"]
+    narrow = [(_result(1.0, 10.0), _result(1.05, 10.0))] * 3
+    assert not perf_pairs.summarise(narrow, SPEC)["metrics"]["setup_s"]["unresolved"]
+
+
+def test_append_record_keeps_earlier_records(perf_pairs, tmp_path):
+    ledger = tmp_path / "BENCH_perfbench.json"
+    perf_pairs.append_record(ledger, {"label": "first"})
+    perf_pairs.append_record(ledger, {"label": "second"})
+    assert [r["label"] for r in json.loads(ledger.read_text())] == ["first", "second"]
+
+
+def test_committed_ledger_records_are_complete():
+    ledger = json.loads((ROOT / "BENCH_perfbench.json").read_text())
+    assert ledger, "the ledger holds at least one record"
+    for record in ledger:
+        for side in ("parent", "change"):
+            assert {"ref", "commit", "tree", "src_tree"} <= set(record[side])
+        assert {"nproc", "python", "numpy", "seed", "seconds", "workloads"} <= set(record)
+        for summary in record["workloads"].values():
+            assert summary["pairs"] == len(summary["failed"]["parent"])
+            for metric in summary["metrics"].values():
+                assert {"q1", "median", "q3"} <= set(metric["parent"]) & set(metric["change"])
+                assert 0 <= metric["change_wins"] <= summary["pairs"]

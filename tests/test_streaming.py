@@ -1,6 +1,7 @@
 """Tests for the online selection + detection engine (repro.streaming)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ class TestOnlineScorer:
         with pytest.raises(ValueError):
             scorer.update(np.arange(50.0))
 
+    @pytest.mark.parametrize("name", ["POLY", "MP"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected_before_scoring(self, name, bad):
+        """A local (tail) and a global (full) detector alike: the update
+        raises, names the detector and the index, and changes nothing."""
+        series = np.sin(np.arange(300) / 7.0)
+        scorer = OnlineScorer(make_detector(name, window=16))
+        scorer.update(series[:200])
+        before = scorer.raw_scores.copy()
+        series[250] = bad
+        with pytest.raises(ValueError, match=rf"^{name} .* at index 250$"):
+            scorer.update(series)
+        assert scorer.scored_length == 200
+        assert np.array_equal(scorer.raw_scores, before)
+        assert scorer.update(series[:240], force=True)
+
 
 class TestStreamEngine:
     def test_selections_match_batch_pipeline_bitwise(self, streaming_world):
@@ -392,6 +409,33 @@ class TestStreamEngine:
             for start in range(0, 768, 64):
                 update = alone.push(sid, series[start:start + 64])
             assert last[sid] == update
+
+    def test_non_finite_stream_does_not_hold_up_the_others(self, streaming_world):
+        """A stream whose scorer rejects a NaN says so on every later flush and
+        gets no new scores; the stream sharing its flushes answers and scores
+        exactly as it would alone."""
+        model_set = {name: make_detector(name, window=16)
+                     for name in streaming_world["detector_names"]}
+        healthy = streaming_world["queries"][0].series
+        broken = streaming_world["queries"][1].series.copy()
+        broken[450] = np.nan
+        together = _fresh_engine(streaming_world, model_set=model_set)
+        alone = _fresh_engine(streaming_world, model_set=model_set)
+        for start in range(0, 700, 100):
+            together.append("healthy", healthy[start:start + 100])
+            together.append("broken", broken[start:start + 100])
+            updates = together.flush()
+            assert updates["healthy"] == alone.push("healthy", healthy[start:start + 100])
+            assert updates["healthy"].score_error is None
+            if start < 400:
+                assert updates["broken"].score_error is None
+                scored = together.scores("broken")
+            else:
+                assert re.fullmatch(r".* at index 450", updates["broken"].score_error)
+                assert np.array_equal(together.scores("broken"), scored)
+        assert len(scored) == 400
+        assert np.array_equal(together.scores("healthy"), alone.scores("healthy"))
+        assert len(together.scores("healthy")) == 700
 
     def test_engine_without_pending_flushes_to_nothing(self, streaming_world):
         engine = _fresh_engine(streaming_world)
