@@ -6,8 +6,10 @@
 #                      wall-clock timeout
 #   make bench-smoke - fast serving + streaming + kernel + service benchmarks
 #                      (assert speedups; smoke runs gate against
-#                      benchmarks/baselines.json with recorded margins and
-#                      print per-gate wall time)
+#                      benchmarks/baselines.json with recorded margins).
+#                      Every gate runs and prints its verdict and wall
+#                      time; the target fails at the end, naming the
+#                      gates that failed
 #   make bench       - every paper-table benchmark (slow: trains many selectors)
 #   make stream-demo - run the streaming quickstart example end to end
 #   make obs-demo    - run the observability walkthrough example end to end
@@ -31,17 +33,19 @@ chaos:
 	PYTHONPATH=$(PYTHONPATH) timeout $(CHAOS_TIMEOUT) $(PYTHON) -m pytest -x -q tests/chaos
 
 bench-smoke:
-	@export PYTHONPATH=$(PYTHONPATH); set -e; \
-	total=$$(date +%s); \
-	gate() { name=$$1; shift; start=$$(date +%s); "$$@"; \
-	  echo "gate $$name: $$(( $$(date +%s) - start ))s"; }; \
+	@export PYTHONPATH=$(PYTHONPATH); \
+	total=$$(date +%s); failed=""; \
+	gate() { name=$$1; shift; start=$$(date +%s); \
+	  if "$$@"; then verdict=pass; else verdict=FAIL; failed="$$failed $$name"; fi; \
+	  echo "gate $$name: $$verdict in $$(( $$(date +%s) - start ))s"; }; \
 	gate bench-pytest        $(PYTHON) -m pytest -q benchmarks/bench_serving_throughput.py benchmarks/bench_streaming_throughput.py; \
 	gate detector-kernels    $(PYTHON) benchmarks/bench_detector_kernels.py --smoke; \
 	gate streaming           $(PYTHON) benchmarks/bench_streaming_throughput.py --smoke; \
 	gate service-scalability $(PYTHON) benchmarks/bench_service_scalability.py --smoke; \
 	gate serving-tiers       $(PYTHON) benchmarks/bench_serving_throughput.py --smoke; \
 	gate e2e-slo             $(PYTHON) benchmarks/bench_e2e_slo.py --smoke; \
-	echo "bench-smoke total: $$(( $$(date +%s) - total ))s"
+	echo "bench-smoke total: $$(( $$(date +%s) - total ))s"; \
+	if [ -n "$$failed" ]; then echo "bench-smoke failed gates:$$failed"; exit 1; fi
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q benchmarks/

@@ -135,8 +135,7 @@ def _build_tiers(scale, tier_scale, e2e_scale):
                            seed=scale["seed"])
     transfer = _transfer_windows(scale, tier_scale)
     student, _ = distill_student(teacher, transfer, detector_names, config)
-    teacher_int8, teacher_gate = quantize_teacher(teacher, transfer,
-                                                  min_agreement=0.0)
+    teacher_int8, _ = quantize_teacher(teacher, transfer, min_agreement=0.0)
 
     calib = _calibration_windows(scale, e2e_scale)
     calibration = calibrate_margin_threshold(
@@ -148,7 +147,7 @@ def _build_tiers(scale, tier_scale, e2e_scale):
     # selector answering the escalated rows changes
     router_int8 = CascadeRouter.from_calibration(
         teacher_int8, calibration, seed=scale["seed"], window=scale["window"],
-        slow_tier="teacher-int8", slow_quality=teacher_gate["agreement"])
+        slow_tier="teacher-int8")
     return (teacher, student, router, router_int8, calibration,
             detector_names)
 

@@ -23,6 +23,7 @@ from typing import Optional
 #: default scratch budget of one tiled kernel invocation, in bytes
 DEFAULT_MEMORY_BUDGET_MB = 256
 
+#: backings of :class:`repro.serving.workers.WorkerPool`
 WORKER_MODES = ("thread", "process")
 
 

@@ -154,7 +154,6 @@ class CascadeRouter:
         cost_model: Optional[CostModel] = None,
         fast_tier: str = "student",
         slow_tier: str = "teacher",
-        slow_quality: float = 1.0,
         escalation_rate: float = 0.1,
         kept_agreement: float = 0.995,
         fast_quality: float = 0.97,
@@ -168,9 +167,10 @@ class CascadeRouter:
         #: cost-model tier backing escalations and the "teacher" plan —
         #: "teacher-int8" swaps the quantized twin in as the slow selector
         self.slow_tier = slow_tier
-        #: expected teacher-agreement of the slow tier (1.0 for the float
-        #: teacher; the quantize_teacher gate's measured agreement for int8)
-        self.slow_quality = float(slow_quality)
+        #: expected teacher-agreement of the slow tier: 1.0 for the float
+        #: teacher, the gate-measured agreement an int8 twin carries
+        provenance = getattr(slow_selector, "quant_provenance", None) or {}
+        self.slow_quality = float(provenance.get("agreement", 1.0))
         #: calibration-time expectations feeding plan quality/cost estimates
         self.escalation_rate = float(min(max(escalation_rate, 0.0), 1.0))
         self.kept_agreement = float(kept_agreement)

@@ -72,23 +72,29 @@ def window_scores_to_point_scores(
 
 
 class NonFiniteSeriesError(ValueError):
-    """A detector was given a series holding NaN or an infinity."""
+    """A detector or a selector was given a series holding NaN or an infinity."""
 
 
-def check_finite(series: np.ndarray, detector_name: str, start: int = 0) -> None:
+def check_finite(series: np.ndarray, reader: str, start: int = 0,
+                 series_name: Optional[str] = None) -> None:
     """Raise :class:`NonFiniteSeriesError` when ``series`` holds NaN or an infinity.
 
     No detector defines a score for a non-finite point: some raise (each
     its own error), some return NaN scores and some return finite scores
-    that ignore the point.  ``AnomalyDetector.detect`` and the streaming
-    scorer check before they call ``score``, so a non-finite series fails
-    one way, naming the detector and the first bad index.  ``series`` may
-    be the part of a longer series that begins at index ``start``.
+    that ignore the point.  No selector defines a choice either: a window
+    holding one normalises to an all-NaN probability row, whose vote goes
+    to the first detector.  ``AnomalyDetector.detect``, the streaming
+    scorer and the selection entry points check first, so a non-finite
+    series fails one way, naming ``reader`` (the detector or selector),
+    the series when ``series_name`` is given, and the first bad index.
+    ``series`` may be the part of a longer series that begins at index
+    ``start``.
     """
     finite = np.isfinite(series)
     if not finite.all():
         index = int(np.argmin(finite))
-        raise NonFiniteSeriesError(f"{detector_name} cannot score a non-finite series: "
+        named = "" if series_name is None else f" {series_name!r}"
+        raise NonFiniteSeriesError(f"{reader} cannot use non-finite series{named}: "
                                    f"value {series[index]} at index {start + index}")
 
 

@@ -30,11 +30,7 @@ from ..nn.quant import calibrate_activation_scale
 from ..selectors.base import Selector
 from ..selectors.nn_selector import NNSelector
 from ..selectors.student import StudentSelector
-from ..selectors.teacher_int8 import (
-    Int8TeacherSelector,
-    conv_fold_plan,
-    named_conv_modules,
-)
+from ..selectors.teacher_int8 import Int8TeacherSelector, conv_bn_sites
 
 
 @dataclass(frozen=True)
@@ -176,41 +172,6 @@ def _parameter_count(selector: Selector) -> int:
         return 0
 
 
-def _calibrate_conv_inputs(teacher: NNSelector, convs, calibration_windows: np.ndarray):
-    """Per-conv input abs-max observed during one float calibration pass.
-
-    Each conv's ``forward`` is shadowed with an instance-level wrapper that
-    records ``max|x|`` of whatever reaches it, the calibration windows are
-    pushed through the float encoder once, and the wrappers are removed
-    again (plain functions bypass ``Module.__setattr__``, so shadowing and
-    ``del`` leave the module registry untouched).  Returns the encoder's
-    output features (reused to calibrate the classifier input scale) and a
-    ``{conv_name: absmax}`` dict.
-    """
-    absmax = {name: 0.0 for name, _ in convs}
-
-    def _shadow(conv, name):
-        orig = conv.forward
-
-        def wrapped(x, *args, **kwargs):
-            data = getattr(x, "data", x)
-            data = np.asarray(data)
-            if data.size:
-                absmax[name] = max(absmax[name], float(np.abs(data).max()))
-            return orig(x, *args, **kwargs)
-
-        conv.forward = wrapped
-
-    for name, conv in convs:
-        _shadow(conv, name)
-    try:
-        features = teacher.encode(calibration_windows)
-    finally:
-        for _, conv in convs:
-            del conv.forward
-    return features, absmax
-
-
 def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
                      min_agreement: Optional[float] = 0.97,
                      ) -> Tuple[Int8TeacherSelector, dict]:
@@ -240,18 +201,32 @@ def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
     teacher.build()
     teacher.train_mode(False)
 
-    from .. import nn
-
-    fold_plan = conv_fold_plan(teacher.encoder)
-    convs = [(name, conv) for name, conv, _ in fold_plan]
-    if not convs:
+    sites = [(name, parent._modules[conv_name], parent._modules.get(bn_name))
+             for name, parent, conv_name, bn_name in conv_bn_sites(teacher.encoder)]
+    if not sites:
         raise ValueError(
             f"{type(teacher).__name__} encoder has no Conv1d layers; "
             "feature-based selectors have no int8 tier")
 
-    features, absmax = _calibrate_conv_inputs(teacher, convs, calibration_windows)
+    # one float pass records max|x| of every conv's input through forward
+    # hooks; the encoder's output features calibrate the classifier input
+    absmax = {name: 0.0 for name, _, _ in sites}
+
+    def record(name):
+        def hook(conv, args, output):
+            data = np.asarray(getattr(args[0], "data", args[0]))
+            if data.size:
+                absmax[name] = max(absmax[name], float(np.abs(data).max()))
+        return hook
+
+    handles = [conv.register_forward_hook(record(name)) for name, conv, _ in sites]
+    try:
+        features = teacher.encode(calibration_windows)
+    finally:
+        for handle in handles:
+            handle.remove()
     act_scales = {name: calibrate_activation_scale(np.asarray([absmax[name]]))
-                  for name, _ in convs}
+                  for name, _, _ in sites}
     act_scale_clf = calibrate_activation_scale(features)
 
     quantized = Int8TeacherSelector(
@@ -268,8 +243,8 @@ def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
         shared = {k: v for k, v in float_mod.state_dict().items() if k in target_keys}
         quant_mod.load_state_dict(shared)
 
-    quant_convs = dict(named_conv_modules(quantized.encoder, conv_types=(nn.QuantizedConv1d,)))
-    for name, conv, bn in fold_plan:
+    quant_modules = dict(quantized.encoder.named_modules())
+    for name, conv, bn in sites:
         weight = np.asarray(conv.weight.data, dtype=np.float64)
         bias = (np.asarray(conv.bias.data, dtype=np.float64) if conv.bias is not None
                 else np.zeros(conv.out_channels, dtype=np.float64))
@@ -279,7 +254,7 @@ def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
             weight = weight * gain[:, None, None]
             bias = (bias - np.asarray(bn.running_mean, dtype=np.float64)) * gain \
                 + np.asarray(bn.bias.data, dtype=np.float64)
-        quant_convs[name].load_weights(weight, bias, act_scales[name])
+        quant_modules[name].load_weights(weight, bias, act_scales[name])
     quantized.classifier.load_weights(teacher.classifier.weight.data,
                                       teacher.classifier.bias.data, act_scale_clf)
 
@@ -304,8 +279,8 @@ def quantize_teacher(teacher: NNSelector, calibration_windows: np.ndarray,
         "act_scales": all_scales,
         "act_scales_hash": hashlib.blake2b(scales_blob, digest_size=8).hexdigest(),
         "base_type": teacher.name,
-        "n_quantized_convs": len(convs),
-        "n_folded_bns": sum(1 for _, _, bn in fold_plan if bn is not None),
+        "n_quantized_convs": len(sites),
+        "n_folded_bns": sum(1 for _, _, bn in sites if bn is not None),
     }
     quantized.quant_provenance = dict(gate)
     return quantized, gate

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..data.records import TimeSeriesRecord
 from ..data.windows import extract_windows
+from ..detectors.base import check_finite
 from ..selectors.base import Selector
 from .metrics import accuracy, top_k_accuracy
 
@@ -66,7 +67,12 @@ def predict_for_series(
     window: int,
     aggregation: str = "vote",
 ) -> tuple[int, np.ndarray]:
-    """Predict a TSAD model for one series (window, classify, aggregate)."""
+    """Predict a TSAD model for one series (window, classify, aggregate).
+
+    A series holding NaN or an infinity raises
+    :class:`~repro.detectors.base.NonFiniteSeriesError`.
+    """
+    check_finite(record.series, "selection", series_name=record.name)
     windows = extract_windows(record.series, window, stride=window)
     return aggregate_window_probas(selector.predict_proba(windows), aggregation)
 

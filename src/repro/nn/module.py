@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .tensor import Tensor
+
+#: process-wide hook ids, so a handle removes exactly the hook it registered
+_HOOK_IDS = itertools.count()
 
 
 class Parameter(Tensor):
@@ -15,6 +19,17 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: Optional[str] = None) -> None:
         super().__init__(data, requires_grad=True, name=name)
+
+
+class RemovableHandle:
+    """What :meth:`Module.register_forward_hook` returns; ``remove()`` unhooks."""
+
+    def __init__(self, hooks: Dict[int, Callable], hook_id: int) -> None:
+        self._hooks = hooks
+        self._id = hook_id
+
+    def remove(self) -> None:
+        self._hooks.pop(self._id, None)
 
 
 class Module:
@@ -29,6 +44,7 @@ class Module:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._forward_hooks: Dict[int, Callable] = {}
         self.training = True
 
     # ------------------------------------------------------------------ #
@@ -160,8 +176,24 @@ class Module:
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
+    def register_forward_hook(self, hook: Callable) -> RemovableHandle:
+        """Call ``hook(module, args, output)`` after every call of this module.
+
+        Hooks run in registration order and only observe: they see the
+        positional arguments the module was called with (a conv's input
+        before its padding) and its output, and their return value is
+        ignored.
+        """
+        hook_id = next(_HOOK_IDS)
+        self._forward_hooks[hook_id] = hook
+        return RemovableHandle(self._forward_hooks, hook_id)
+
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        output = self.forward(*args, **kwargs)
+        if self._forward_hooks:
+            for hook in tuple(self._forward_hooks.values()):
+                hook(self, args, output)
+        return output
 
     def __repr__(self) -> str:
         child_repr = ", ".join(self._modules.keys())

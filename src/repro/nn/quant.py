@@ -16,11 +16,11 @@ products are exactly representable in float32 while
 integer semantics.  Wider layers fall back to an ``int32`` matmul (slower
 but exact for any width that fits 31 bits).
 
-:class:`QuantizedLinear` is buffers-only (no :class:`Parameter`): it
-cannot be trained, round-trips through :mod:`repro.nn.serialization` with
-its ``int8`` payload intact, and is built either directly (then filled by
-``load_state``) or from a trained float layer via
-:meth:`QuantizedLinear.from_linear`.
+:class:`QuantizedLinear` and :class:`QuantizedConv1d` are buffers-only
+(no :class:`Parameter`): they cannot be trained, round-trip through
+:mod:`repro.nn.serialization` with their ``int8`` payload intact, and are
+built empty, then filled by ``load_weights`` (quantizing float weights) or
+``load_state``.
 """
 
 from __future__ import annotations
@@ -102,19 +102,9 @@ class QuantizedLinear(Module):
         self.register_buffer("bias", np.zeros(out_features, dtype=np.float64))
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_linear(cls, linear, act_scale: float) -> "QuantizedLinear":
-        """Quantize a trained float ``Linear`` under a calibrated act scale."""
-        out_features, in_features = linear.weight.shape
-        module = cls(in_features, out_features)
-        module.load_weights(linear.weight.data,
-                            linear.bias.data if linear.bias is not None else None,
-                            act_scale)
-        return module
-
     def load_weights(self, weight: np.ndarray, bias: Optional[np.ndarray],
                      act_scale: float) -> None:
-        """(Re-)quantize float weights in place (used by student refresh)."""
+        """(Re-)quantize float ``(out, in)`` weights in place."""
         q, scale = quantize_weight_per_channel(weight)
         self.update_buffer("weight_q", q)
         self.update_buffer("weight_scale", scale)
@@ -207,16 +197,6 @@ class QuantizedConv1d(Module):
         self.register_buffer("bias", np.zeros(out_channels, dtype=np.float64))
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_conv1d(cls, conv, act_scale: float) -> "QuantizedConv1d":
-        """Quantize a trained float ``Conv1d`` under a calibrated act scale."""
-        module = cls(conv.in_channels, conv.out_channels, conv.kernel_size,
-                     stride=conv.stride, padding=conv.padding, dilation=conv.dilation)
-        module.load_weights(conv.weight.data,
-                            conv.bias.data if conv.bias is not None else None,
-                            act_scale)
-        return module
-
     def load_weights(self, weight: np.ndarray, bias: Optional[np.ndarray],
                      act_scale: float) -> None:
         """(Re-)quantize float ``(O, C, K)`` weights in place."""

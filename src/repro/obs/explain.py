@@ -26,6 +26,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..selectors.teacher_int8 import quant_summary
+
 
 def _margin(votes: Dict[str, float]) -> Dict[str, object]:
     """Winner margin + runner-up from a ``{model: share}`` vote map."""
@@ -37,22 +39,12 @@ def _margin(votes: Dict[str, float]) -> Dict[str, object]:
     return {"margin": float(ranked[0][1] - ranked[1][1]), "runner_up": ranked[1][0]}
 
 
-#: gate fields surfaced when an int8 tier (served or escalation) is live
-_QUANT_SUMMARY_KEYS = ("agreement", "act_scales_hash", "n_calibration",
-                       "base_type", "n_quantized_convs", "n_folded_bns")
-
-
 def _quantization_block(engine) -> Optional[Dict[str, object]]:
-    """Quantization provenance of whichever int8 selector is in the path:
-    the served selector, or the cascade's slow (escalation) selector."""
+    """Gate summary of whichever int8 selector is in the path: the served
+    selector, or the cascade's slow (escalation) selector."""
     served = getattr(getattr(engine, "streaming_selector", None), "selector", None)
     slow = getattr(getattr(engine, "cascade", None), "slow_selector", None)
-    for selector in (served, slow):
-        provenance = getattr(selector, "quant_provenance", None)
-        if provenance:
-            return {key: provenance[key] for key in _QUANT_SUMMARY_KEYS
-                    if key in provenance}
-    return None
+    return quant_summary(served) or quant_summary(slow)
 
 
 def explain_stream(engine, stream_id: str) -> Dict[str, object]:

@@ -13,11 +13,15 @@ leaves — which is what lets the selector store round-trip it from
 Instances are produced by :func:`repro.distill.quantize_teacher` (which
 calibrates per-conv activation scales and enforces the dequantize-compare
 agreement gate) or restored from the selector store; ``fit`` raises.
+Either way the twin carries its gate result as ``quant_provenance``: the
+store manifest and ``explain`` show its :func:`quant_summary`, and a
+:class:`repro.cascade.CascadeRouter` escalating to the twin prices its
+``agreement`` as the slow tier's quality.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .. import nn
 from ..accel.precision import use_precision
@@ -27,6 +31,11 @@ from .nn_selector import NNSelector
 
 #: default architecture quantized when ``base_type`` is not recorded
 DEFAULT_BASE_TYPE = "ResNet"
+
+#: the gate fields of an int8 twin's ``quant_provenance`` that the store
+#: manifest and ``explain`` show (the full per-conv scale table is not)
+QUANT_SUMMARY_KEYS = ("agreement", "act_scales_hash", "n_calibration",
+                      "base_type", "n_quantized_convs", "n_folded_bns")
 
 
 class FoldedBatchNorm(nn.Module):
@@ -43,85 +52,37 @@ class FoldedBatchNorm(nn.Module):
         return x
 
 
-def paired_bn_name(parent: nn.Module, conv_name: str, conv) -> Optional[str]:
-    """Name of the batch norm that directly follows ``conv`` in ``parent``.
+def conv_bn_sites(module: nn.Module, prefix: str = ""
+                  ) -> Iterator[Tuple[str, nn.Module, str, Optional[str]]]:
+    """Every float conv of ``module`` with the batch norm that folds into it.
 
-    Encoders here follow the ``convX``/``bnX`` naming convention
-    (``_ConvBlock.conv``/``.bn``, ``_ResidualBlock.conv3``/``.bn3``); a
-    norm is foldable only when it is a :class:`~repro.nn.BatchNorm1d` over
-    exactly the conv's output channels.  Norms applied to merged outputs
-    (e.g. InceptionTime's post-concat norm) never pair and stay float.
+    Yields ``(qualified_name, parent, conv_name, bn_name)`` in the module
+    registry's order, so a walk over the float teacher and a walk over the
+    base encoder its twin is built from visit the same convs under the
+    same qualified names.  Encoders follow the ``convX``/``bnX`` naming
+    convention (``_ConvBlock.conv``/``.bn``, ``_ResidualBlock.conv3``/
+    ``.bn3``); a norm folds only when it is a :class:`~repro.nn.BatchNorm1d`
+    over exactly the conv's output channels, otherwise ``bn_name`` is
+    ``None``.  Norms applied to merged outputs (InceptionTime's post-concat
+    norm) never pair and stay float.
     """
-    if not conv_name.startswith("conv"):
+    for name, child in module._modules.items():
+        if isinstance(child, nn.Conv1d):
+            bn_name = "bn" + name[len("conv"):]
+            bn = module._modules.get(bn_name) if name.startswith("conv") else None
+            foldable = isinstance(bn, nn.BatchNorm1d) and bn.num_features == child.out_channels
+            yield prefix + name, module, name, bn_name if foldable else None
+        else:
+            yield from conv_bn_sites(child, prefix=f"{prefix}{name}.")
+
+
+def quant_summary(selector) -> Optional[Dict[str, object]]:
+    """The :data:`QUANT_SUMMARY_KEYS` of ``selector``'s gate result, or
+    ``None`` for a selector that is not an int8 twin."""
+    provenance = getattr(selector, "quant_provenance", None)
+    if not provenance:
         return None
-    bn_name = "bn" + conv_name[len("conv"):]
-    bn = parent._modules.get(bn_name)
-    if isinstance(bn, nn.BatchNorm1d) and bn.num_features == conv.out_channels:
-        return bn_name
-    return None
-
-
-def swap_conv_modules(module: nn.Module) -> int:
-    """Replace every ``Conv1d`` child of ``module`` (recursively) in place.
-
-    Each float conv becomes an empty :class:`QuantizedConv1d` of the same
-    geometry (weights are filled later by ``load_weights`` or
-    ``load_state``), and its paired batch norm — when the
-    :func:`paired_bn_name` convention identifies one — becomes a
-    :class:`FoldedBatchNorm` identity.  Returns the number of convs
-    swapped.  Replacement goes through ``setattr`` on the owning parent so
-    both the module registry and the plain attribute stay consistent.
-    """
-    count = 0
-    for name, child in list(module._modules.items()):
-        if isinstance(child, nn.Conv1d):
-            bn_name = paired_bn_name(module, name, child)
-            setattr(module, name, QuantizedConv1d(
-                child.in_channels, child.out_channels, child.kernel_size,
-                stride=child.stride, padding=child.padding, dilation=child.dilation))
-            if bn_name is not None:
-                setattr(module, bn_name, FoldedBatchNorm())
-            count += 1
-        elif not isinstance(child, (QuantizedConv1d, FoldedBatchNorm)):
-            count += swap_conv_modules(child)
-    return count
-
-
-def named_conv_modules(module: nn.Module, conv_types=(nn.Conv1d,),
-                       prefix: str = "") -> List[Tuple[str, nn.Module]]:
-    """``(qualified_name, conv)`` pairs in deterministic traversal order.
-
-    Shares its traversal with :func:`conv_fold_plan` and
-    :func:`swap_conv_modules`, so float convs and their quantized twins
-    resolve to identical qualified names.
-    """
-    out: List[Tuple[str, nn.Module]] = []
-    for name, child in module._modules.items():
-        qualified = prefix + name
-        if isinstance(child, tuple(conv_types)):
-            out.append((qualified, child))
-        else:
-            out.extend(named_conv_modules(child, conv_types, prefix=qualified + "."))
-    return out
-
-
-def conv_fold_plan(module: nn.Module, prefix: str = "") -> List[Tuple[str, nn.Module, Optional[nn.Module]]]:
-    """``(qualified_name, conv, folded_bn_or_None)`` for every float conv.
-
-    The traversal order and the pairing rule match
-    :func:`swap_conv_modules` exactly, so a plan computed on the float
-    teacher lines up one-to-one with the quantized twin's conv modules.
-    """
-    plan: List[Tuple[str, nn.Module, Optional[nn.Module]]] = []
-    for name, child in module._modules.items():
-        qualified = prefix + name
-        if isinstance(child, nn.Conv1d):
-            bn_name = paired_bn_name(module, name, child)
-            plan.append((qualified, child,
-                         module._modules[bn_name] if bn_name is not None else None))
-        else:
-            plan.extend(conv_fold_plan(child, prefix=qualified + "."))
-    return plan
+    return {key: provenance[key] for key in QUANT_SUMMARY_KEYS if key in provenance}
 
 
 @register_selector("TeacherInt8", neural=True)
@@ -151,11 +112,20 @@ class Int8TeacherSelector(NNSelector):
             if not isinstance(base, NNSelector):
                 raise ValueError(f"base selector {base_type!r} is not a neural selector")
             base.build()
-            swapped = swap_conv_modules(base.encoder)
-            if swapped == 0:
+            sites = list(conv_bn_sites(base.encoder))
+            if not sites:
                 raise ValueError(
                     f"{base_type!r} encoder has no Conv1d layers to quantize; "
                     "feature-based selectors have no int8 tier")
+            # empty int8 convs of the same geometry (filled by load_weights
+            # or load_state); setattr keeps the module registry consistent
+            for _, parent, conv_name, bn_name in sites:
+                conv = parent._modules[conv_name]
+                setattr(parent, conv_name, QuantizedConv1d(
+                    conv.in_channels, conv.out_channels, conv.kernel_size,
+                    stride=conv.stride, padding=conv.padding, dilation=conv.dilation))
+                if bn_name is not None:
+                    setattr(parent, bn_name, FoldedBatchNorm())
             self.encoder = base.encoder
             self.classifier = QuantizedLinear(base.encoder.feature_dim, self.n_classes)
         return self

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..data.records import TimeSeriesRecord
 from ..data.windows import extract_windows_batch
+from ..detectors.base import check_finite
 from ..eval.evaluation import aggregate_window_probas
 from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
@@ -145,7 +146,14 @@ class SelectionService:
                                   extra=(self.config.window, self.config.aggregation))
 
     def select_batch(self, records: Sequence[TimeSeriesRecord]) -> List[SelectionResult]:
-        """Answer a batch of series, vectorised across the cache misses."""
+        """Answer a batch of series, vectorised across the cache misses.
+
+        A series holding NaN or an infinity raises
+        :class:`~repro.detectors.base.NonFiniteSeriesError` before anything
+        is fingerprinted or cached.
+        """
+        for record in records:
+            check_finite(record.series, "selection", series_name=record.name)
         results: List[Optional[SelectionResult]] = [None] * len(records)
         self._h_batch_series.observe(len(records))
         self._tier_selections.inc(len(records))

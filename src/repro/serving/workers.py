@@ -29,10 +29,10 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from ..accel.config import WORKER_MODES
+
 T = TypeVar("T")
 R = TypeVar("R")
-
-WORKER_MODES = ("thread", "process")
 
 
 class WorkerError(RuntimeError):

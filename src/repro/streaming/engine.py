@@ -15,8 +15,9 @@ together by :meth:`flush`:
 
 Scorer updates fan out on a :class:`repro.serving.workers.WorkerPool` when
 ``max_workers >= 2`` — per-stream detection work is independent.  A stream
-holding a NaN or an infinity gets no new scores and names the point in
-``StreamUpdate.score_error``; the other streams of the flush score as usual.
+holding a NaN or an infinity, or one its detector rejects, gets no new
+scores and says why in ``StreamUpdate.score_error``; the other streams of
+the flush score as usual.
 
 The result of a flush is one :class:`StreamUpdate` per touched stream: the
 running selection (bitwise identical to the batch pipeline on the same
@@ -100,7 +101,8 @@ class StreamUpdate:
     drift_triggered: bool = False
     #: new windows of this flush the cascade escalated to the teacher
     escalated_windows: int = 0
-    #: why the stream's scores did not advance: it holds a non-finite point
+    #: why the stream's scores did not advance: it holds a non-finite point,
+    #: or its detector rejected the series
     score_error: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -158,11 +160,19 @@ class _StreamState:
 
 
 def _update_scores(state: _StreamState) -> Optional[str]:
-    """Advance one stream's scores; the scorer's message if it rejects the series."""
+    """Advance one stream's scores; why not, if the series cannot be scored.
+
+    The scorer rejects a non-finite point, and a detector may reject a
+    finite series it cannot score (HBOS at 1e300 scale, whose histogram
+    range overflows).  Either error stays with its stream, so the other
+    streams of the flush score as usual.
+    """
     try:
         state.scorer.update(state.buffer.series)
     except NonFiniteSeriesError as error:
         return str(error)
+    except ValueError as error:
+        return f"{state.scorer.detector.name} cannot score the series: {error}"
     return None
 
 

@@ -46,13 +46,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..accel.config import WORKER_MODES
 from ..core.config import MKIConfig, PISLConfig, PruningConfig, TrainerConfig
 from ..data import generate_series
 from ..data.loaders import load_series_directory, load_series_file, save_series_file
 from ..data.records import DATASET_NAMES
 from ..data.windows import build_selector_dataset, extract_windows
 from ..detectors import make_default_model_set
-from ..detectors.base import DEFAULT_MODEL_NAMES
+from ..detectors.base import DEFAULT_MODEL_NAMES, NonFiniteSeriesError
 from ..eval import Oracle, evaluate_selection, predict_for_series
 from ..selectors import make_selector, selector_names
 from ..selectors.nn_selector import NNSelector
@@ -78,7 +79,7 @@ def _add_runtime_args(parser: argparse.ArgumentParser, workers: bool = True,
                            help="fan-out worker count, 0 = sequential "
                                 "(default: $REPRO_MAX_WORKERS or 0)")
         if worker_mode:
-            group.add_argument("--worker-mode", choices=["thread", "process"],
+            group.add_argument("--worker-mode", choices=WORKER_MODES,
                                default=None,
                                help="worker pool backing "
                                     "(default: $REPRO_WORKER_MODE or thread)")
@@ -487,9 +488,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = build_selector_dataset(records, matrix, detector_names,
                                      window=args.window, stride=args.stride, seed=args.seed)
     selector = make_selector(args.selector, n_classes=dataset.n_classes, seed=args.seed,
-                             **({"window": args.window} if args.selector in
-                                ("ConvNet", "ResNet", "InceptionTime", "Transformer", "MLP", "LSTMSelector")
-                                else {}))
+                             **({"window": args.window}
+                                if args.selector in selector_names(neural=True) else {}))
 
     if isinstance(selector, NNSelector):
         config = TrainerConfig(
@@ -658,8 +658,8 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
     With the cascade on, the serving selector is the fast tier — the
     distilled student — and the router carries the slow tier for
     escalations: the float teacher, unless ``--selector-tier teacher-int8``
-    swaps in the quantized teacher (its gate-measured agreement becomes the
-    plan quality the SLO admission prices).  The margin threshold resolves
+    swaps in the quantized teacher (the router prices the agreement its
+    gate measured as the slow tier's quality).  The margin threshold resolves
     ``--cascade-threshold`` → distill-calibrated store metadata → default.
     """
     if not args.cascade:
@@ -670,14 +670,6 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
 
     slow_tier = "teacher-int8" if args.selector_tier == "teacher-int8" else "teacher"
     teacher = _load_tier_selector(store, args.name, slow_tier)
-    slow_quality = 1.0
-    if slow_tier != "teacher":
-        try:
-            quant_meta = store.info(_tier_name(args.name, slow_tier)).metadata or {}
-        except KeyError:
-            quant_meta = {}
-        slow_quality = _meta_float(quant_meta.get("quantization", {}) or {},
-                                   "agreement", 1.0)
     try:
         metadata = dict(store.info(_tier_name(args.name, "student")).metadata or {})
     except KeyError:
@@ -697,7 +689,6 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
         seed=args.cascade_seed,
         cost_model=cost_model,
         slow_tier=slow_tier,
-        slow_quality=slow_quality,
         escalation_rate=_meta_float(metadata, "cascade_escalation_rate", 0.1),
         kept_agreement=_meta_float(metadata, "cascade_kept_agreement", 0.995),
         fast_quality=_meta_float(metadata, "cascade_overall_agreement", 0.97),
@@ -777,13 +768,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             continue
         try:
             record = load_series_file(Path(path))
+            answer = service.select(record).as_dict()
         except (OSError, ValueError) as error:
+            # unreadable files and non-finite series answer with an error
+            # line; the loop keeps reading
             message = str(error) or type(error).__name__
             if isinstance(error, FileNotFoundError):
                 message = f"no such file: {error}"
             print(json.dumps({"series": path, "error": message}), flush=True)
             continue
-        print(json.dumps(service.select(record).as_dict()), flush=True)
+        print(json.dumps(answer), flush=True)
     print(format_cache_stats(service.stats), file=sys.stderr)
     return 0
 
@@ -1111,7 +1105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CorruptSelectorError as error:
+    except (CorruptSelectorError, NonFiniteSeriesError) as error:
         raise SystemExit(str(error))
 
 

@@ -20,7 +20,7 @@ from ..data.windows import SelectorDataset, build_selector_dataset, extract_wind
 from ..detectors.base import AnomalyDetector, make_default_model_set
 from ..eval.evaluation import SelectionEvaluation, evaluate_selection, predict_for_series
 from ..eval.oracle import Oracle
-from ..selectors.base import Selector, make_selector
+from ..selectors.base import Selector, make_selector, selector_names
 from ..selectors.nn_selector import NNSelector
 from .anomaly_detection import DetectionResult, run_detection
 
@@ -106,7 +106,7 @@ class ModelSelectionPipeline:
             raise RuntimeError("call prepare_training_data() first or pass a dataset")
         if isinstance(selector, str):
             selector_kwargs.setdefault("n_classes", dataset.n_classes)
-            if selector in ("ConvNet", "ResNet", "InceptionTime", "Transformer", "MLP", "LSTMSelector"):
+            if selector in selector_names(neural=True):
                 selector_kwargs.setdefault("window", dataset.windows.shape[1])
             selector = make_selector(selector, **selector_kwargs)
 

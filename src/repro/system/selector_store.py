@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Union
 from .. import nn
 from ..selectors.base import Selector, make_selector, selector_names
 from ..selectors.nn_selector import NNSelector
+from ..selectors.teacher_int8 import quant_summary
 
 PathLike = Union[str, Path]
 
@@ -81,12 +82,7 @@ class SelectorStore:
         if provenance and "quantization" not in merged:
             # compact manifest form: enough to audit the int8 payload
             # (the full per-conv scale table rides in encoder.npz metadata)
-            merged["quantization"] = {
-                key: provenance[key]
-                for key in ("agreement", "act_scales_hash", "n_calibration",
-                            "base_type", "n_quantized_convs", "n_folded_bns")
-                if key in provenance
-            }
+            merged["quantization"] = quant_summary(selector)
 
         info = StoredSelectorInfo(
             name=name,

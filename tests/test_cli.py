@@ -7,6 +7,7 @@ are generated.
 """
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -14,6 +15,18 @@ import numpy as np
 import pytest
 
 from repro.system.cli import build_parser, main
+
+
+def _with_value_at(series_file: Path, directory: Path, index: int, value: str) -> Path:
+    """A copy of a labelled series CSV (header + ``value,label`` rows), named
+    ``broken.csv``, whose point ``index`` reads ``value``."""
+    lines = series_file.read_text().splitlines()
+    row = lines[index + 1].split(",")
+    row[0] = value
+    lines[index + 1] = ",".join(row)
+    broken = directory / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    return broken
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +169,34 @@ class TestTrainEvaluateDetect:
         assert answers[0]["selected_model"] == answers[1]["selected_model"]
         assert "error" in answers[2]
         assert "cache hits" in captured.err
+
+    def test_serve_answers_non_finite_series_with_an_error_line(self, cli_workspace,
+                                                                trained_store, capsys,
+                                                                monkeypatch, tmp_path):
+        import io
+
+        series_file = sorted(cli_workspace["data_dir"].glob("*.csv"))[0]
+        broken = _with_value_at(series_file, tmp_path, 120, "nan")
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{broken}\n{series_file}\n"))
+        assert main([
+            "serve",
+            "--store", str(trained_store), "--name", "mlp", "--window", "64",
+        ]) == 0
+        answers = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                   if line.strip()]
+        assert len(answers) == 2
+        assert set(answers[0]) == {"series", "error"}
+        assert answers[0]["series"] == str(broken)
+        assert re.fullmatch(r"selection .*'broken'.* at index 120", answers[0]["error"])
+        assert answers[1]["selected_model"] is not None
+
+    def test_select_exits_with_the_non_finite_error(self, cli_workspace, trained_store,
+                                                    tmp_path):
+        series_file = sorted(cli_workspace["data_dir"].glob("*.csv"))[0]
+        broken = _with_value_at(series_file, tmp_path, 30, "-inf")
+        with pytest.raises(SystemExit, match=r"^selection .*'broken'.* at index 30$"):
+            main(["select", str(broken), "--store", str(trained_store), "--name", "mlp",
+                  "--window", "64"])
 
     def test_stream_replays_files_as_ticks(self, cli_workspace, trained_store, capsys):
         files = sorted(cli_workspace["data_dir"].glob("*.csv"))[:2]

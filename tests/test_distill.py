@@ -35,7 +35,7 @@ from repro.nn.quant import (
     calibrate_activation_scale,
     quantize_weight_per_channel,
 )
-from repro.selectors.teacher_int8 import conv_fold_plan, named_conv_modules
+from repro.selectors.teacher_int8 import conv_bn_sites
 from repro.obs import AuditLog
 from repro.selectors import make_selector
 from repro.selectors.features import (
@@ -100,7 +100,8 @@ class TestQuantKernels:
         linear = nn.Linear(24, 6)
         x = rng.normal(size=(32, 24))
         act_scale = calibrate_activation_scale(x)
-        quantized = QuantizedLinear.from_linear(linear, act_scale)
+        quantized = QuantizedLinear(24, 6)
+        quantized.load_weights(linear.weight.data, linear.bias.data, act_scale)
         expected = linear(nn.Tensor(x)).numpy()
         got = quantized(nn.Tensor(x)).numpy()
         # both operands carry at most half-a-level error; the product error
@@ -129,7 +130,8 @@ class TestQuantKernels:
 
     def test_serialization_round_trips_int8_payload(self, rng, tmp_path):
         linear = nn.Linear(12, 5)
-        module = QuantizedLinear.from_linear(linear, act_scale=0.1)
+        module = QuantizedLinear(12, 5)
+        module.load_weights(linear.weight.data, linear.bias.data, act_scale=0.1)
         nn.save_state(module, tmp_path / "q.npz")
         restored = QuantizedLinear(12, 5)
         nn.load_state(restored, tmp_path / "q.npz")
@@ -601,7 +603,8 @@ class TestQuantConvBoundary:
         """Geometry check: padding/stride/dilation agree with the float conv
         up to the bounded quantization error."""
         float_conv = nn.Conv1d(3, 5, 5, stride=2, padding=3, dilation=2)
-        quant = QuantizedConv1d.from_conv1d(float_conv, act_scale=0.05)
+        quant = QuantizedConv1d(3, 5, 5, stride=2, padding=3, dilation=2)
+        quant.load_weights(float_conv.weight.data, float_conv.bias.data, act_scale=0.05)
         x = rng.normal(size=(4, 3, 40))
         expected = float_conv(nn.Tensor(x)).numpy()
         actual = quant.forward(x).numpy()
@@ -668,13 +671,14 @@ def quantized_teacher(distill_world):
 class TestQuantizeTeacher:
     def test_structure_is_fully_quantized(self, quantized_teacher, distill_world):
         quantized, gate = quantized_teacher
-        convs = named_conv_modules(quantized.encoder, conv_types=(QuantizedConv1d,))
-        plan = conv_fold_plan(distill_world["teacher"].encoder)
-        assert len(convs) == len(plan) == gate["n_quantized_convs"]
-        assert all(conv.weight_q.dtype == np.int8 for _, conv in convs)
+        convs = [module for _, module in quantized.encoder.named_modules()
+                 if isinstance(module, QuantizedConv1d)]
+        sites = list(conv_bn_sites(distill_world["teacher"].encoder))
+        assert len(convs) == len(sites) == gate["n_quantized_convs"]
+        assert all(conv.weight_q.dtype == np.int8 for conv in convs)
         assert isinstance(quantized.classifier, QuantizedLinear)
         # every ConvBlock/ResidualBlock norm folds; merged-output norms stay
-        assert gate["n_folded_bns"] == sum(1 for _, _, bn in plan if bn is not None) > 0
+        assert gate["n_folded_bns"] == sum(1 for *_, bn in sites if bn is not None) > 0
 
     def test_gate_measures_agreement(self, quantized_teacher, distill_world):
         quantized, gate = quantized_teacher

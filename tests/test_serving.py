@@ -1,6 +1,7 @@
 """Tests for the batched, cached selection-serving layer (repro.serving)."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
 from repro.data.windows import extract_windows, extract_windows_batch, znormalize_windows
-from repro.detectors import make_detector
+from repro.detectors import NonFiniteSeriesError, make_detector
 from repro.eval import Oracle, predict_for_series
 from repro.ml.scalers import zscore
 from repro.selectors import make_selector
@@ -367,6 +368,39 @@ class TestSelectionService:
         pipeline = ModelSelectionPipeline(model_set={"HBOS": make_detector("HBOS")})
         with pytest.raises(RuntimeError):
             pipeline.as_service()
+
+
+class TestNonFiniteSelection:
+    """A series holding NaN or an infinity gets a typed error at both
+    selection entry points, naming the series and the first bad point,
+    and nothing about it reaches the cache."""
+
+    BAD_VALUES = (np.nan, np.inf, -np.inf)
+
+    @staticmethod
+    def _broken(world, value):
+        record = world["queries"][0]
+        series = record.series.copy()
+        series[100] = value
+        return replace(record, name="broken", series=series)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_select_batch_rejects_before_caching(self, serving_world, value):
+        service = _fresh_service(serving_world)
+        healthy = serving_world["queries"][1]
+        with pytest.raises(NonFiniteSeriesError,
+                           match=r"^selection .*'broken'.* at index 100$"):
+            service.select_batch([healthy, self._broken(serving_world, value)])
+        stats = service.stats
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        # the rejected batch left no trace: the healthy series is a cold miss
+        assert not service.select(healthy).from_cache
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_predict_for_series_rejects(self, serving_world, value):
+        with pytest.raises(NonFiniteSeriesError,
+                           match=r"^selection .*'broken'.* at index 100$"):
+            predict_for_series(serving_world["selector"], self._broken(serving_world, value), 64)
 
 
 class TestWorkerFanOut:

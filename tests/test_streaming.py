@@ -437,6 +437,28 @@ class TestStreamEngine:
         assert np.array_equal(together.scores("healthy"), alone.scores("healthy"))
         assert len(together.scores("healthy")) == 700
 
+    def test_detector_error_stays_with_its_stream(self, streaming_world):
+        """A detector that raises on a finite series (HBOS at 1e300 scale, whose
+        histogram range overflows) fails only its own stream's scoring; the
+        stream sharing its flushes answers and scores exactly as it would alone."""
+        model_set = {name: make_detector("HBOS", window=16)
+                     for name in streaming_world["detector_names"]}
+        healthy = streaming_world["queries"][0].series
+        huge = streaming_world["queries"][1].series * 1e300
+        together = _fresh_engine(streaming_world, model_set=model_set)
+        alone = _fresh_engine(streaming_world, model_set=model_set)
+        for start in range(0, 700, 100):
+            together.append("healthy", healthy[start:start + 100])
+            together.append("huge", huge[start:start + 100])
+            updates = together.flush()
+            assert updates["healthy"] == alone.push("healthy", healthy[start:start + 100])
+            assert updates["healthy"].score_error is None
+            assert re.fullmatch(r"HBOS cannot score the series: .*not finite",
+                                updates["huge"].score_error)
+        assert len(together.scores("huge")) == 0
+        assert np.array_equal(together.scores("healthy"), alone.scores("healthy"))
+        assert len(together.scores("healthy")) == 700
+
     def test_engine_without_pending_flushes_to_nothing(self, streaming_world):
         engine = _fresh_engine(streaming_world)
         assert engine.flush() == {}
