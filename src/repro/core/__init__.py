@@ -10,35 +10,24 @@ wired together by :class:`repro.core.trainer.SelectorTrainer` under the
 configurations in :mod:`repro.core.config`.
 """
 
-from .analysis import (
-    SelectorDiagnostics,
-    confusion_matrix,
-    diagnose_selector,
-    gradient_redundancy,
-    per_class_accuracy,
-    pruning_summary,
-)
+from .analysis import gradient_redundancy
 from .config import (
     MKIConfig,
     PISLConfig,
     PruningConfig,
     TrainerConfig,
     kdselector_config,
-    standard_config,
 )
 from .lsh import SimHashLSH, bucket_indices
-from .tuning import PAPER_GRID, GridSearchResult, Trial, grid_search
 from .mki import MKIModule, ProjectionHead
 from .pisl import PISLLoss, performance_to_soft_labels
 from .pruning import InfoBatchPruner, NoPruning, PAPruner, SamplePruner, make_pruner
 from .trainer import SelectorTrainer, TrainingReport
 
 __all__ = [
-    "SelectorDiagnostics", "confusion_matrix", "diagnose_selector",
-    "gradient_redundancy", "per_class_accuracy", "pruning_summary",
-    "PAPER_GRID", "GridSearchResult", "Trial", "grid_search",
+    "gradient_redundancy",
     "MKIConfig", "PISLConfig", "PruningConfig", "TrainerConfig",
-    "kdselector_config", "standard_config",
+    "kdselector_config",
     "SimHashLSH", "bucket_indices",
     "MKIModule", "ProjectionHead",
     "PISLLoss", "performance_to_soft_labels",

@@ -1,23 +1,15 @@
-"""Analysis utilities for selector training and the PA redundancy theory.
+"""Empirical check of the PA redundancy theory (Sect. A.1).
 
-Two purposes:
-
-* **Training introspection** — per-class accuracy and confusion matrices of
-  a fitted selector, and summaries of what the pruner did per epoch.  These
-  back the validation views of the demo system (loss/accuracy curves,
-  top-k accuracy) with numbers instead of plots.
-* **Empirical check of Sect. A.1** — the paper argues that samples that are
-  similar in value and in loss contribute nearly identical gradients, which
-  justifies pruning redundant bucket members.  :func:`gradient_redundancy`
-  measures exactly that on a trained selector: the average gradient
-  distance between samples that PA would place in the same bucket versus
-  random sample pairs.
+The paper argues that samples that are similar in value and in loss
+contribute nearly identical gradients, which justifies pruning redundant
+bucket members.  :func:`gradient_redundancy` measures exactly that on a
+trained selector: the average gradient distance between samples that PA
+would place in the same bucket versus random sample pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,85 +19,6 @@ from .config import PruningConfig
 from .lsh import SimHashLSH, bucket_indices
 
 
-# --------------------------------------------------------------------------- #
-# classification introspection
-# --------------------------------------------------------------------------- #
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
-    """Counts[i, j] = samples of true class i predicted as class j."""
-    y_true = np.asarray(y_true, dtype=int).ravel()
-    y_pred = np.asarray(y_pred, dtype=int).ravel()
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have the same length")
-    counts = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(counts, (y_true, y_pred), 1)
-    return counts
-
-
-def per_class_accuracy(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
-    """Recall of each class (NaN-free: classes without samples report 0)."""
-    counts = confusion_matrix(y_true, y_pred, n_classes)
-    totals = counts.sum(axis=1)
-    correct = np.diag(counts)
-    return np.where(totals > 0, correct / np.maximum(totals, 1), 0.0)
-
-
-@dataclass
-class SelectorDiagnostics:
-    """Classification diagnostics of a fitted selector on a dataset."""
-
-    accuracy: float
-    per_class_accuracy: np.ndarray
-    confusion: np.ndarray
-    class_names: List[str]
-
-    def most_confused_pairs(self, top: int = 3) -> List[Tuple[str, str, int]]:
-        """The off-diagonal (true, predicted, count) cells with the most mass."""
-        pairs = []
-        for i in range(len(self.class_names)):
-            for j in range(len(self.class_names)):
-                if i != j and self.confusion[i, j] > 0:
-                    pairs.append((self.class_names[i], self.class_names[j], int(self.confusion[i, j])))
-        pairs.sort(key=lambda item: -item[2])
-        return pairs[:top]
-
-
-def diagnose_selector(selector, dataset: SelectorDataset, max_samples: Optional[int] = 2048,
-                      seed: int = 0) -> SelectorDiagnostics:
-    """Evaluate a fitted selector's window-level classification behaviour."""
-    indices = np.arange(len(dataset))
-    if max_samples is not None and len(indices) > max_samples:
-        indices = np.random.default_rng(seed).choice(indices, size=max_samples, replace=False)
-    windows = dataset.windows[indices]
-    labels = dataset.hard_labels[indices]
-    predictions = selector.predict_proba(windows).argmax(axis=1)
-    counts = confusion_matrix(labels, predictions, dataset.n_classes)
-    return SelectorDiagnostics(
-        accuracy=float((predictions == labels).mean()),
-        per_class_accuracy=per_class_accuracy(labels, predictions, dataset.n_classes),
-        confusion=counts,
-        class_names=list(dataset.detector_names),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# pruning introspection
-# --------------------------------------------------------------------------- #
-def pruning_summary(kept_fraction_history: Sequence[float]) -> Dict[str, float]:
-    """Aggregate what a pruner did over the epochs."""
-    history = np.asarray(list(kept_fraction_history), dtype=np.float64)
-    if history.size == 0:
-        return {"epochs": 0, "mean_kept": 1.0, "min_kept": 1.0, "total_saved": 0.0}
-    return {
-        "epochs": int(history.size),
-        "mean_kept": float(history.mean()),
-        "min_kept": float(history.min()),
-        "total_saved": float(1.0 - history.mean()),
-    }
-
-
-# --------------------------------------------------------------------------- #
-# empirical check of the Sect. A.1 redundancy argument
-# --------------------------------------------------------------------------- #
 def _per_sample_gradient(selector, window: np.ndarray, label: int) -> np.ndarray:
     """Flattened gradient of the CE loss of one sample w.r.t. all parameters."""
     for p in selector.parameters():

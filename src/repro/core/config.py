@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,6 @@ class TrainerConfig:
     @property
     def uses_knowledge(self) -> bool:
         return self.pisl.enabled or self.mki.enabled
-
-
-def standard_config(**overrides) -> TrainerConfig:
-    """The standard NN selector learning framework (hard labels, no pruning)."""
-    return TrainerConfig(**overrides)
 
 
 def kdselector_config(

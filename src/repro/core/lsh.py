@@ -44,16 +44,6 @@ class SimHashLSH:
     def fit_signatures(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).signatures(x)
 
-    @staticmethod
-    def group_by_signature(signatures: np.ndarray) -> Dict[int, np.ndarray]:
-        """Map signature -> indices of the samples hashed to it."""
-        signatures = np.asarray(signatures)
-        order = np.argsort(signatures, kind="mergesort")
-        sorted_sigs = signatures[order]
-        boundaries = np.flatnonzero(np.diff(sorted_sigs)) + 1
-        groups = np.split(order, boundaries)
-        return {int(signatures[g[0]]): g for g in groups}
-
 
 def bucket_indices(
     signatures: np.ndarray,

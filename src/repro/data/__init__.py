@@ -7,14 +7,14 @@ benchmark protocol.
 
 from .anomalies import INJECTORS, AnomalySpan, inject_anomalies
 from .benchmark import BenchmarkSplit, TSBUADBenchmark
-from .generators import FAMILY_CONFIGS, generate_dataset, generate_series
+from .generators import FAMILY_CONFIGS, generate_series
 from .loaders import (
     labels_to_spans,
     load_series_directory,
     load_series_file,
     save_series_file,
 )
-from .metadata import describe_record, describe_subsequence
+from .metadata import describe_record
 from .records import (
     DATASET_DESCRIPTIONS,
     DATASET_NAMES,
@@ -29,16 +29,15 @@ from .windows import (
     extract_new_windows,
     extract_windows,
     extract_windows_batch,
-    znormalize_windows,
 )
 
 __all__ = [
     "INJECTORS", "AnomalySpan", "inject_anomalies",
     "BenchmarkSplit", "TSBUADBenchmark",
-    "FAMILY_CONFIGS", "generate_dataset", "generate_series",
+    "FAMILY_CONFIGS", "generate_series",
     "labels_to_spans", "load_series_directory", "load_series_file", "save_series_file",
-    "describe_record", "describe_subsequence",
+    "describe_record",
     "DATASET_DESCRIPTIONS", "DATASET_NAMES", "TEST_DATASET_NAMES", "TimeSeriesRecord",
     "SelectorDataset", "build_selector_dataset", "complete_window_count", "count_windows",
-    "extract_new_windows", "extract_windows", "extract_windows_batch", "znormalize_windows",
+    "extract_new_windows", "extract_windows", "extract_windows_batch",
 ]

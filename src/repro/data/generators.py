@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -204,12 +204,3 @@ def generate_series(
         anomalies=spans,
     )
 
-
-def generate_dataset(
-    dataset: str,
-    n_series: int,
-    length: int = 1600,
-    seed: int = 0,
-) -> List[TimeSeriesRecord]:
-    """Generate ``n_series`` labelled series from one family."""
-    return [generate_series(dataset, index, length, seed) for index in range(n_series)]

@@ -37,21 +37,3 @@ def describe_record(record: TimeSeriesRecord) -> str:
         parts.append(f"The lengths of the anomalies are {_format_lengths(record.anomaly_lengths)}.")
     return " ".join(parts)
 
-
-def describe_subsequence(record: TimeSeriesRecord, start: int, window: int) -> str:
-    """Describe a subsequence of a series, restricted to local anomalies.
-
-    Used when metadata is attached per training window rather than per
-    series: the anomaly count/durations are those that overlap the window.
-    """
-    end = start + window
-    local = [span for span in record.anomalies if span.start < end and span.end > start]
-    parts = [
-        f"This is a time series from dataset {record.dataset}, which is {record.domain_description}.",
-        f"The length of the series is {window}.",
-        f"There are {len(local)} anomalies in this series.",
-    ]
-    if local:
-        lengths = [min(span.end, end) - max(span.start, start) for span in local]
-        parts.append(f"The lengths of the anomalies are {_format_lengths(lengths)}.")
-    return " ".join(parts)

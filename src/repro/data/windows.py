@@ -24,27 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..ml.scalers import zscore_rows
 from .metadata import describe_record
 from .records import TimeSeriesRecord
-
-
-def znormalize_windows(windows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Z-normalise each row of a (N, L) window matrix in one vectorised pass.
-
-    Constant rows (std below ``eps``) map to zeros, matching
-    :func:`repro.ml.scalers.zscore` applied row by row.  Because every row is
-    reduced independently along the last axis, the result is bitwise
-    identical whether rows from one series or from a whole batch of series
-    are stacked together — the property the serving layer's batch path
-    relies on.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    mean = windows.mean(axis=1, keepdims=True)
-    std = windows.std(axis=1, keepdims=True)
-    constant = std.ravel() < eps
-    out = (windows - mean) / np.where(std < eps, 1.0, std)
-    out[constant] = 0.0
-    return out
 
 
 def _pad_series(series: np.ndarray, window: int) -> np.ndarray:
@@ -96,8 +78,8 @@ def extract_new_windows(
     this after appending points to obtain exactly the windows that newly
     became complete (possibly none — shape ``(0, window)``).
 
-    Because :func:`znormalize_windows` reduces every row independently, the
-    returned rows are bitwise identical to rows ``n_emitted:`` of
+    Because :func:`repro.ml.scalers.zscore_rows` reduces every row on its
+    own, the returned rows are bitwise identical to rows ``n_emitted:`` of
     ``extract_windows(series, window, stride)`` — incremental extraction can
     never drift from batch extraction.
     """
@@ -109,7 +91,7 @@ def extract_new_windows(
     starts = stride * np.arange(n_emitted, total)
     windows = series[starts[:, None] + np.arange(window)[None, :]]
     if normalize:
-        windows = znormalize_windows(windows)
+        windows = zscore_rows(windows, dtype=np.float64)
     return windows
 
 
@@ -126,7 +108,7 @@ def extract_windows(series: np.ndarray, window: int, stride: Optional[int] = Non
     idx = np.arange(window)[None, :] + stride * np.arange(n)[:, None]
     windows = series[idx]
     if normalize:
-        windows = znormalize_windows(windows)
+        windows = zscore_rows(windows, dtype=np.float64)
     return windows
 
 
@@ -163,7 +145,7 @@ def extract_windows_batch(
         idx = base + stride * np.arange(counts[i])[:, None]
         stacked[offsets[i]:offsets[i + 1]] = series[idx]
     if normalize:
-        stacked = znormalize_windows(stacked)
+        stacked = zscore_rows(stacked, dtype=np.float64)
     return stacked, offsets
 
 

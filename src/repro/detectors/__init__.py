@@ -18,12 +18,7 @@ from .base import (
     sliding_windows,
     window_scores_to_point_scores,
 )
-from .ensemble import DetectorEnsemble, ensemble_cost_model
-from .extended import (
-    SpectralResidualDetector,
-    SubsequenceKNNDetector,
-    make_extended_model_set,
-)
+from .ensemble import DetectorEnsemble
 from .iforest import IForest1Detector, IForestDetector, IsolationForest
 from .lof import LOFDetector, local_outlier_factor
 from .hbos import HBOSDetector, hbos_scores
@@ -38,8 +33,7 @@ from .ocsvm import OCSVMDetector
 
 __all__ = [
     "DEFAULT_MODEL_NAMES",
-    "DetectorEnsemble", "ensemble_cost_model",
-    "SpectralResidualDetector", "SubsequenceKNNDetector", "make_extended_model_set",
+    "DetectorEnsemble",
     "AnomalyDetector", "NonFiniteSeriesError", "detector_names", "make_default_model_set", "make_detector",
     "normalize_scores", "register_detector", "sliding_windows", "window_scores_to_point_scores",
     "IForestDetector", "IForest1Detector", "IsolationForest",

@@ -191,8 +191,8 @@ def make_default_model_set(window: int = 32, fast: bool = True) -> Dict[str, Ano
 
     ``fast=True`` configures the neural detectors (AE / LSTM-AD / CNN) with
     small budgets so that the oracle labelling pass stays laptop-friendly.
-    Extension detectors (see :mod:`repro.detectors.extended`) are *not*
-    included, keeping the candidate set identical to the paper's.
+    Detectors added with :func:`register_detector` are *not* included,
+    keeping the candidate set identical to the paper's.
     """
     from . import (  # local import to avoid a registration cycle
         autoencoder, cnn_ad, hbos, iforest, lof, lstm_ad,

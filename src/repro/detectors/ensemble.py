@@ -9,11 +9,11 @@ one.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
-from .base import AnomalyDetector, make_default_model_set, normalize_scores
+from .base import AnomalyDetector, make_default_model_set
 
 
 class DetectorEnsemble(AnomalyDetector):
@@ -46,21 +46,6 @@ class DetectorEnsemble(AnomalyDetector):
             return all_scores.max(axis=0)
         return np.median(all_scores, axis=0)
 
-    def per_detector_scores(self, series: np.ndarray) -> Dict[str, np.ndarray]:
-        """The individual normalised score vector of every member."""
-        series = np.asarray(series, dtype=np.float64).ravel()
-        return {name: det.detect(series) for name, det in self.model_set.items()}
-
     def __repr__(self) -> str:
         return f"DetectorEnsemble(aggregation={self.aggregation!r}, members={len(self.model_set)})"
 
-
-def ensemble_cost_model(n_detectors: int, selected_only: bool) -> float:
-    """Relative detection cost: ensembles run all models, selection runs one.
-
-    A deliberately simple cost model used by the scalability benchmark: the
-    unit is "detector runs per series".
-    """
-    if n_detectors <= 0:
-        raise ValueError("n_detectors must be positive")
-    return 1.0 if selected_only else float(n_detectors)

@@ -19,13 +19,6 @@ from .evaluation import (
     predict_for_series,
     single_best_baseline,
 )
-from .ranking import (
-    PairwiseRecord,
-    average_ranks,
-    bootstrap_mean_ci,
-    improvement_significance,
-    pairwise_comparison,
-)
 
 __all__ = [
     "accuracy", "auc_pr", "auc_roc", "best_f1", "detection_report",
@@ -33,6 +26,4 @@ __all__ = [
     "METRICS", "Oracle",
     "SelectionEvaluation", "aggregate_window_probas", "evaluate_selection",
     "oracle_upper_bound", "predict_for_series", "single_best_baseline",
-    "PairwiseRecord", "average_ranks", "bootstrap_mean_ci",
-    "improvement_significance", "pairwise_comparison",
 ]

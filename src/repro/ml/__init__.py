@@ -5,7 +5,7 @@ on (KNN, SVC, AdaBoost, RandomForest, Ridge) plus the clustering /
 decomposition / one-class tools that the TSAD detectors need.
 """
 
-from .scalers import MinMaxScaler, StandardScaler, zscore, zscore_rows
+from .scalers import StandardScaler, zscore, zscore_rows
 from .neighbors import KNeighborsClassifier, kneighbors, pairwise_sq_euclidean
 from .linear import LogisticRegression, RidgeClassifier, RidgeRegression
 from .svm import LinearSVC, OneClassSVM
@@ -14,7 +14,7 @@ from .ensemble import AdaBoostClassifier, RandomForestClassifier
 from .cluster import KMeans, PCA
 
 __all__ = [
-    "MinMaxScaler", "StandardScaler", "zscore", "zscore_rows",
+    "StandardScaler", "zscore", "zscore_rows",
     "KNeighborsClassifier", "kneighbors", "pairwise_sq_euclidean",
     "LogisticRegression", "RidgeClassifier", "RidgeRegression",
     "LinearSVC", "OneClassSVM",

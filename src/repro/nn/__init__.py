@@ -12,34 +12,17 @@ from .layers import (
     BatchNorm1d,
     Conv1d,
     Dropout,
-    Embedding,
-    Flatten,
-    GELU,
-    GlobalAvgPool1d,
-    GlobalMaxPool1d,
     LayerNorm,
     Linear,
     LSTM,
     LSTMCell,
-    MaxPool1d,
     MultiHeadSelfAttention,
     PositionalEncoding,
     ReLU,
-    Sigmoid,
-    Tanh,
     TransformerEncoderLayer,
 )
-from .losses import (
-    CrossEntropyLoss,
-    InfoNCELoss,
-    MSELoss,
-    SoftCrossEntropyLoss,
-    cross_entropy,
-    info_nce,
-    mse_loss,
-    soft_cross_entropy,
-)
-from .optim import SGD, Adam, AdamW, CosineAnnealingLR, LRScheduler, Optimizer, StepLR
+from .losses import cross_entropy, info_nce, mse_loss, soft_cross_entropy
+from .optim import Adam, Optimizer
 from .quant import (
     QuantizedConv1d,
     QuantizedLinear,
@@ -53,13 +36,11 @@ from . import init
 __all__ = [
     "Tensor", "no_grad", "concatenate", "stack", "where",
     "Module", "ModuleList", "Parameter", "Sequential",
-    "BatchNorm1d", "Conv1d", "Dropout", "Embedding", "Flatten", "GELU",
-    "GlobalAvgPool1d", "GlobalMaxPool1d", "LayerNorm", "Linear", "LSTM",
-    "LSTMCell", "MaxPool1d", "MultiHeadSelfAttention", "PositionalEncoding",
-    "ReLU", "Sigmoid", "Tanh", "TransformerEncoderLayer",
-    "CrossEntropyLoss", "InfoNCELoss", "MSELoss", "SoftCrossEntropyLoss",
+    "BatchNorm1d", "Conv1d", "Dropout", "LayerNorm", "Linear", "LSTM",
+    "LSTMCell", "MultiHeadSelfAttention", "PositionalEncoding",
+    "ReLU", "TransformerEncoderLayer",
     "cross_entropy", "info_nce", "mse_loss", "soft_cross_entropy",
-    "SGD", "Adam", "AdamW", "CosineAnnealingLR", "LRScheduler", "Optimizer", "StepLR",
+    "Adam", "Optimizer",
     "QuantizedConv1d", "QuantizedLinear",
     "calibrate_activation_scale", "quantize_weight_per_channel",
     "load_state", "save_state", "functional", "init",

@@ -2,8 +2,8 @@
 
 These mirror the subset of ``torch.nn.functional`` that the selector
 architectures (ConvNet / ResNet / InceptionTime / Transformer) and the
-KDSelector losses need: 1-D convolution, pooling, softmax/log-softmax,
-dropout and normalisation helpers.
+KDSelector losses need: 1-D convolution, softmax/log-softmax, dropout,
+the affine map and cosine similarity.
 """
 
 from __future__ import annotations
@@ -87,42 +87,6 @@ def conv1d(
     return out
 
 
-def max_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over the last axis of a (N, C, L) tensor."""
-    stride = stride or kernel_size
-    n, c, length = x.shape
-    l_out = (length - kernel_size) // stride + 1
-    idx = np.arange(kernel_size)[None, :] + np.arange(l_out)[:, None] * stride
-    windows = x.data[:, :, idx]  # (N, C, L_out, K)
-    argmax = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,))
-
-    def _backward() -> None:
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        # Source index in the original series for every pooled element.
-        src = idx[np.arange(l_out)[None, None, :], argmax]  # (N, C, L_out)
-        n_idx = np.arange(n)[:, None, None]
-        c_idx = np.arange(c)[None, :, None]
-        np.add.at(gx, (n_idx, c_idx, src), out.grad)
-        x._accumulate(gx)
-
-    out._backward = _backward
-    return out
-
-
-def global_avg_pool1d(x: Tensor) -> Tensor:
-    """Average over the temporal axis of a (N, C, L) tensor -> (N, C)."""
-    return x.mean(axis=2)
-
-
-def global_max_pool1d(x: Tensor) -> Tensor:
-    """Max over the temporal axis of a (N, C, L) tensor -> (N, C)."""
-    return x.max(axis=2)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
@@ -165,14 +129,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a dense one-hot encoding of integer ``labels``."""
-    labels = np.asarray(labels, dtype=int)
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded
 
 
 def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:

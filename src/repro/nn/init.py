@@ -45,12 +45,6 @@ def kaiming_uniform(shape, rng: np.random.Generator | None = None) -> np.ndarray
     return rng.uniform(-bound, bound, size=shape).astype(resolve_dtype(None), copy=False)
 
 
-def normal(shape, std: float = 0.02, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Gaussian initialisation with the given standard deviation."""
-    rng = rng or get_rng()
-    return rng.normal(0.0, std, size=shape).astype(resolve_dtype(None), copy=False)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=resolve_dtype(None))
 

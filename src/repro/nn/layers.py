@@ -132,21 +132,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.gelu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Dropout(Module):
     """Inverted dropout; a seeded generator keeps training runs reproducible."""
 
@@ -157,45 +142,6 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self.training, rng=self._rng)
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(start_dim=1)
-
-
-class MaxPool1d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool1d(x, self.kernel_size, self.stride)
-
-
-class GlobalAvgPool1d(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool1d(x)
-
-
-class GlobalMaxPool1d(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_max_pool1d(x)
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.normal((num_embeddings, embedding_dim)))
-
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=int)
-        return self.weight[ids]
 
 
 class MultiHeadSelfAttention(Module):

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from .module import Module
 from .tensor import Tensor
 
 
@@ -103,45 +102,3 @@ def info_nce(
     per_sample = (loss_ab + loss_ba) * 0.5
     return _reduce(per_sample, reduction)
 
-
-class CrossEntropyLoss(Module):
-    """Module wrapper around :func:`cross_entropy`."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        return cross_entropy(logits, targets, reduction=self.reduction)
-
-
-class SoftCrossEntropyLoss(Module):
-    """Module wrapper around :func:`soft_cross_entropy` (PISL)."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, logits: Tensor, soft_targets: np.ndarray) -> Tensor:
-        return soft_cross_entropy(logits, soft_targets, reduction=self.reduction)
-
-
-class InfoNCELoss(Module):
-    """Module wrapper around :func:`info_nce` (MKI)."""
-
-    def __init__(self, temperature: float = 0.1, reduction: str = "mean") -> None:
-        super().__init__()
-        self.temperature = temperature
-        self.reduction = reduction
-
-    def forward(self, z_a: Tensor, z_b: Tensor) -> Tensor:
-        return info_nce(z_a, z_b, temperature=self.temperature, reduction=self.reduction)
-
-
-class MSELoss(Module):
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, pred: Tensor, target: np.ndarray) -> Tensor:
-        return mse_loss(pred, target, reduction=self.reduction)

@@ -104,10 +104,6 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{name}.")
 
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return int(sum(p.size for p in self.parameters()))
-
     # ------------------------------------------------------------------ #
     # train / eval, grad bookkeeping
     # ------------------------------------------------------------------ #
@@ -123,12 +119,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
-
-    def freeze(self) -> "Module":
-        """Mark every parameter as non-trainable (used for frozen encoders)."""
-        for p in self.parameters():
-            p.requires_grad = False
-        return self
 
     # ------------------------------------------------------------------ #
     # state dict

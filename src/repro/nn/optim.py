@@ -1,8 +1,8 @@
-"""Optimizers and learning-rate schedulers for the NumPy NN substrate."""
+"""Optimizers for the NumPy NN substrate."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -44,35 +44,6 @@ class Optimizer:
         return norm
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, vel in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            p.data -= self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
 
@@ -110,58 +81,3 @@ class Adam(Optimizer):
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for p in self.params:
-                if p.grad is not None:
-                    p.data -= self.lr * self.weight_decay * p.data
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay
-
-
-class LRScheduler:
-    """Base learning-rate scheduler."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine annealing from the base LR down to ``eta_min``."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        self.t_max = max(1, t_max)
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1.0 + np.cos(np.pi * progress))

@@ -42,7 +42,7 @@ from .metrics import (
     enabled,
     set_default_registry,
 )
-from .trace import NULL_TRACER, NullTracer, Span, Tracer, default_tracer, set_default_tracer, span
+from .trace import NULL_TRACER, NullTracer, Span, Tracer, set_default_tracer, span
 
 __all__ = [
     "AuditLog", "NullAuditLog", "NULL_AUDIT", "content_hash",
@@ -52,5 +52,5 @@ __all__ = [
     "DEFAULT_COUNT_BUCKETS", "DEFAULT_LATENCY_BUCKETS",
     "default_registry", "set_default_registry", "enable", "disable", "enabled",
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
-    "default_tracer", "set_default_tracer", "span",
+    "set_default_tracer", "span",
 ]

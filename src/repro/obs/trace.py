@@ -198,11 +198,6 @@ NULL_TRACER = NullTracer()
 _default_tracer: object = NULL_TRACER
 
 
-def default_tracer():
-    """The process-wide tracer the :func:`span` helper forwards to."""
-    return _default_tracer
-
-
 def set_default_tracer(tracer: Optional[object]):
     """Install (or, with ``None``, remove) the default tracer; returns the old."""
     global _default_tracer

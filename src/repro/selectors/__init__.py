@@ -36,7 +36,6 @@ from .classical import (
     RidgeSelector,
     SVCSelector,
 )
-from .ensemble_selector import SelectorEnsemble
 from .rocket import RocketFeatureTransform, RocketSelector
 from .student import StaticFeatureEncoder, StudentSelector
 from .teacher_int8 import Int8TeacherSelector
@@ -52,6 +51,5 @@ __all__ = [
     "RandomForestSelector", "LogisticRegressionSelector", "DecisionTreeSelector",
     "RidgeSelector", "NearestNeighborRawSelector",
     "RocketFeatureTransform", "RocketSelector",
-    "SelectorEnsemble",
     "StaticFeatureEncoder", "StudentSelector", "Int8TeacherSelector",
 ]

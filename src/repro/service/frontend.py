@@ -197,27 +197,6 @@ class ShardedService:
                 self._request(old_owner, "drop_streams", streams=streams)
         return shard_id
 
-    def remove_shard(self, shard_id: str) -> None:
-        """Shrink the topology; the shard's streams move to their new owners."""
-        if len(self.ring) <= 1:
-            raise ValueError("cannot remove the last shard")
-        moved = [stream for stream in self._buffers
-                 if self.ring.owner(stream) == shard_id]
-        self.ring.remove(shard_id)
-        new_owners: Dict[str, List[str]] = {}
-        for stream in moved:
-            new_owners.setdefault(self.ring.owner(stream), []).append(stream)
-        for new_owner, streams in sorted(new_owners.items()):
-            self._replay_streams(new_owner, streams)
-        client = self._clients.get(shard_id)
-        if client is not None:
-            try:
-                client.request("shutdown")
-            except (RuntimeError, OSError):  # pragma: no cover - best effort
-                pass
-        self._retire_client(shard_id)
-        self.supervisor.forget(shard_id)
-
     # ------------------------------------------------------------------ #
     # request path with supervised recovery
     # ------------------------------------------------------------------ #

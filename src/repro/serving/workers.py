@@ -140,10 +140,6 @@ class WorkerPool:
             raise cause
         return results
 
-    def starmap(self, fn: Callable[..., R], items: Iterable[Sequence]) -> List[R]:
-        """Like :meth:`map` but unpacks each item as positional arguments."""
-        return self.map(lambda args: fn(*args), items)
-
     def __repr__(self) -> str:
         if self.is_parallel:
             mode = f"{self.mode}s={self.max_workers}"

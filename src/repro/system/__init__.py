@@ -8,14 +8,14 @@ reporting helpers the benchmark harness uses.  High-traffic serving
 package; :meth:`ModelSelectionPipeline.as_service` bridges the two.
 """
 
-from .anomaly_detection import DetectionResult, compare_models, run_detection
+from .anomaly_detection import DetectionResult, run_detection
 from .pipeline import ModelSelectionPipeline, PipelineConfig
-from .reporting import format_cache_stats, format_markdown_table, format_table, per_dataset_table
+from .reporting import format_cache_stats, format_table, per_dataset_table
 from .selector_store import CorruptSelectorError, SelectorStore, StoredSelectorInfo
 
 __all__ = [
-    "DetectionResult", "compare_models", "run_detection",
+    "DetectionResult", "run_detection",
     "ModelSelectionPipeline", "PipelineConfig",
-    "format_cache_stats", "format_markdown_table", "format_table", "per_dataset_table",
+    "format_cache_stats", "format_table", "per_dataset_table",
     "CorruptSelectorError", "SelectorStore", "StoredSelectorInfo",
 ]

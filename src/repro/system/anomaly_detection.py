@@ -2,21 +2,19 @@
 
 This is the "Anomaly Detection" component of the demo system: given a time
 series and a chosen detector, it produces the point-wise anomaly scores and
-the evaluation metrics that the system visualises, and it can run several
-models side by side for comparative analysis.
+the evaluation metrics that the system visualises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..data.records import TimeSeriesRecord
 from ..detectors.base import AnomalyDetector
 from ..eval.metrics import detection_report
-from ..serving.workers import WorkerPool
 
 
 @dataclass
@@ -49,27 +47,3 @@ def run_detection(record: TimeSeriesRecord, detector: AnomalyDetector,
         metrics=metrics,
     )
 
-
-def compare_models(
-    record: TimeSeriesRecord,
-    model_set: Dict[str, AnomalyDetector],
-    names: Optional[Sequence[str]] = None,
-    max_workers: int = 0,
-    worker_mode: str = "thread",
-) -> Dict[str, DetectionResult]:
-    """Run several candidate detectors on the same series (comparative analysis).
-
-    ``max_workers >= 2`` fans the detector runs out to a worker pool (the
-    detectors are independent of each other); the default runs sequentially.
-    ``worker_mode="process"`` forks the workers — worthwhile when the
-    candidate set includes the GIL-bound neural detectors.
-    """
-    names = list(names) if names is not None else list(model_set)
-    for name in names:
-        if name not in model_set:
-            raise KeyError(f"detector {name!r} is not part of the model set")
-    pool = WorkerPool(max_workers, mode=worker_mode)
-    results = pool.map(
-        lambda name: run_detection(record, model_set[name], detector_name=name), names
-    )
-    return dict(zip(names, results))

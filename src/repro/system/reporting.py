@@ -1,7 +1,7 @@
 """Plain-text reporting helpers used by the examples and the benchmark harness.
 
 The benchmarks print the same rows the paper's tables report; these helpers
-format them consistently (fixed-width ASCII and Markdown)."""
+format them consistently as fixed-width ASCII."""
 
 from __future__ import annotations
 
@@ -39,16 +39,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     out = [line(list(headers)), separator]
     out.extend(line(row) for row in str_rows)
     return "\n".join(out)
-
-
-def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
-                          float_format: str = "{:.4f}") -> str:
-    """Render a GitHub-flavoured Markdown table (NaN floats as ``n/a``)."""
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_render_cell(v, float_format) for v in row) + " |")
-    return "\n".join(lines)
 
 
 def format_cache_stats(stats, throughput: Optional[Dict[str, float]] = None) -> str:

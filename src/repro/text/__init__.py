@@ -1,9 +1,9 @@
 """``repro.text`` — frozen text encoders used by the MKI module."""
 
-from .embedder import AveragedWordVectorEncoder, HashingTextEncoder, TextEncoder
+from .embedder import HashingTextEncoder, TextEncoder
 from .tokenizer import char_ngrams, tokenize, tokenize_with_subwords
 
 __all__ = [
-    "AveragedWordVectorEncoder", "HashingTextEncoder", "TextEncoder",
+    "HashingTextEncoder", "TextEncoder",
     "char_ngrams", "tokenize", "tokenize_with_subwords",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class TextEncoder(ABC):
     @abstractmethod
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         """Return an (n_texts, dim) matrix of embeddings."""
-
-    def encode_one(self, text: str) -> np.ndarray:
-        return self.encode([text])[0]
 
 
 def _stable_token_hash(token: str, buckets: int) -> int:
@@ -86,35 +83,3 @@ class HashingTextEncoder(TextEncoder):
         self._cache[text] = embedding
         return embedding
 
-
-class AveragedWordVectorEncoder(TextEncoder):
-    """Alternative frozen encoder: averaged fixed random word vectors.
-
-    Provided mainly to demonstrate that MKI is agnostic to the specific
-    frozen encoder (mirroring the paper's claim that any pre-trained LLM
-    can be plugged in).
-    """
-
-    def __init__(self, dim: int = 256, seed: int = 99) -> None:
-        self.dim = dim
-        self.seed = seed
-        self._vectors: Dict[str, np.ndarray] = {}
-        self._rng = np.random.default_rng(seed)
-
-    def _vector(self, token: str) -> np.ndarray:
-        if token not in self._vectors:
-            # Per-token deterministic vector derived from a stable hash.
-            token_seed = _stable_token_hash(token, 2 ** 31)
-            rng = np.random.default_rng(token_seed)
-            self._vectors[token] = rng.normal(0.0, 1.0, size=self.dim)
-        return self._vectors[token]
-
-    def encode(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            tokens: List[str] = tokenize_with_subwords(text)
-            if tokens:
-                vec = np.mean([self._vector(t) for t in tokens], axis=0)
-                norm = np.linalg.norm(vec)
-                out[i] = vec / norm if norm > 1e-12 else vec
-        return out

@@ -1,21 +1,9 @@
-"""Tests for selector diagnostics, redundancy analysis and grid search."""
+"""Tests for the PA gradient-redundancy analysis."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    MKIConfig,
-    PAPER_GRID,
-    PruningConfig,
-    TrainerConfig,
-    confusion_matrix,
-    diagnose_selector,
-    gradient_redundancy,
-    grid_search,
-    per_class_accuracy,
-    pruning_summary,
-)
-from repro.core.tuning import GridSearchResult, Trial, default_validation_scorer
+from repro.core import PruningConfig, TrainerConfig, gradient_redundancy
 from repro.selectors import make_selector
 
 
@@ -24,65 +12,6 @@ def _fit_mlp(dataset, epochs=2, **kwargs):
                              n_classes=dataset.n_classes, hidden=32, feature_dim=16, seed=0)
     selector.fit(dataset, config=TrainerConfig(epochs=epochs, batch_size=32, seed=0, **kwargs))
     return selector
-
-
-class TestConfusionMatrix:
-    def test_counts_sum_to_samples(self):
-        y_true = np.array([0, 1, 2, 1, 0])
-        y_pred = np.array([0, 2, 2, 1, 1])
-        counts = confusion_matrix(y_true, y_pred, 3)
-        assert counts.sum() == 5
-        assert counts[0, 0] == 1 and counts[1, 2] == 1
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.zeros(3), np.zeros(4), 2)
-
-    def test_per_class_accuracy_perfect(self):
-        y = np.array([0, 1, 2])
-        assert np.allclose(per_class_accuracy(y, y, 3), 1.0)
-
-    def test_per_class_accuracy_missing_class_is_zero(self):
-        acc = per_class_accuracy(np.array([0, 0]), np.array([0, 0]), 3)
-        assert acc[0] == 1.0 and acc[1] == 0.0 and acc[2] == 0.0
-
-
-class TestDiagnostics:
-    def test_diagnose_selector(self, small_selector_dataset):
-        selector = _fit_mlp(small_selector_dataset)
-        diag = diagnose_selector(selector, small_selector_dataset)
-        assert 0.0 <= diag.accuracy <= 1.0
-        assert diag.confusion.shape == (small_selector_dataset.n_classes,) * 2
-        assert diag.confusion.sum() == len(small_selector_dataset)
-        assert len(diag.per_class_accuracy) == small_selector_dataset.n_classes
-        assert len(diag.class_names) == small_selector_dataset.n_classes
-
-    def test_most_confused_pairs(self, small_selector_dataset):
-        selector = _fit_mlp(small_selector_dataset, epochs=1)
-        diag = diagnose_selector(selector, small_selector_dataset)
-        pairs = diag.most_confused_pairs(top=2)
-        assert len(pairs) <= 2
-        for true_name, pred_name, count in pairs:
-            assert true_name != pred_name
-            assert count > 0
-
-    def test_subsampling(self, selector_dataset):
-        selector = _fit_mlp(selector_dataset, epochs=1)
-        diag = diagnose_selector(selector, selector_dataset, max_samples=32)
-        assert diag.confusion.sum() == 32
-
-
-class TestPruningSummary:
-    def test_empty_history(self):
-        summary = pruning_summary([])
-        assert summary["epochs"] == 0
-        assert summary["total_saved"] == 0.0
-
-    def test_partial_pruning(self):
-        summary = pruning_summary([1.0, 0.5, 0.25])
-        assert summary["epochs"] == 3
-        assert summary["min_kept"] == 0.25
-        assert summary["total_saved"] == pytest.approx(1.0 - (1.75 / 3))
 
 
 class TestGradientRedundancy:
@@ -110,46 +39,3 @@ class TestGradientRedundancy:
         with pytest.raises(ValueError):
             gradient_redundancy(selector, small_selector_dataset, np.zeros(3))
 
-
-class TestGridSearch:
-    def test_paper_grid_contents(self):
-        assert set(PAPER_GRID) == {"alpha", "t_soft", "mki_weight", "projection_dim"}
-
-    def test_small_grid_search(self, small_selector_dataset):
-        def factory():
-            return make_selector("MLP", window=small_selector_dataset.windows.shape[1],
-                                 n_classes=small_selector_dataset.n_classes,
-                                 hidden=16, feature_dim=8, seed=0)
-
-        result = grid_search(
-            factory, small_selector_dataset,
-            grid={"alpha": (0.2, 1.0), "t_soft": (0.25,)},
-            # keep MKI disabled so every grid point trains in well under a second
-            base_config=TrainerConfig(epochs=1, batch_size=32, seed=0, mki=MKIConfig(enabled=False)),
-            val_fraction=0.3,
-            seed=0,
-        )
-        assert len(result.trials) == 2
-        best = result.best
-        assert 0.0 <= best.score <= 1.0
-        assert set(best.params) == {"alpha", "t_soft"}
-        assert len(result.top(1)) == 1
-        rows = result.as_rows()
-        assert len(rows) == 2 and len(rows[0]) == 4
-
-    def test_empty_grid_raises(self, small_selector_dataset):
-        with pytest.raises(ValueError):
-            grid_search(lambda: None, small_selector_dataset, grid={})
-
-    def test_best_requires_trials(self):
-        with pytest.raises(RuntimeError):
-            GridSearchResult().best
-
-    def test_trial_is_frozen_dataclass(self):
-        trial = Trial(params={"alpha": 0.2}, score=0.5, training_time_s=1.0)
-        assert trial.score == 0.5
-
-    def test_default_scorer(self, small_selector_dataset):
-        selector = _fit_mlp(small_selector_dataset, epochs=1)
-        score = default_validation_scorer(selector, small_selector_dataset)
-        assert 0.0 <= score <= 1.0

@@ -20,14 +20,13 @@ from repro.core import (
     kdselector_config,
     make_pruner,
     performance_to_soft_labels,
-    standard_config,
 )
-from repro.text import AveragedWordVectorEncoder
+from repro.text import HashingTextEncoder
 
 
 class TestConfigs:
     def test_standard_config_disables_everything(self):
-        config = standard_config()
+        config = TrainerConfig()
         assert not config.pisl.enabled
         assert not config.mki.enabled
         assert config.pruning.method == "none"
@@ -40,7 +39,7 @@ class TestConfigs:
         assert config.uses_knowledge
 
     def test_replace_returns_modified_copy(self):
-        config = standard_config(epochs=3)
+        config = TrainerConfig(epochs=3)
         other = config.replace(epochs=7)
         assert config.epochs == 3 and other.epochs == 7
 
@@ -124,7 +123,7 @@ class TestMKI:
     def module(self):
         config = MKIConfig(enabled=True, projection_dim=16, projection_hidden=32, text_dim=64)
         return MKIModule(feature_dim=24, config=config,
-                         text_encoder=AveragedWordVectorEncoder(dim=64))
+                         text_encoder=HashingTextEncoder(dim=64))
 
     def test_projection_head_shape(self):
         head = ProjectionHead(10, 4, hidden=8)
@@ -157,7 +156,7 @@ class TestMKI:
         """Minimising L_MKI should pull matched series/text pairs together."""
         rng = np.random.default_rng(6)
         config = MKIConfig(enabled=True, projection_dim=8, projection_hidden=16, text_dim=32)
-        module = MKIModule(feature_dim=8, config=config, text_encoder=AveragedWordVectorEncoder(dim=32))
+        module = MKIModule(feature_dim=8, config=config, text_encoder=HashingTextEncoder(dim=32))
         features_value = rng.normal(size=(16, 8))
         texts = [f"group {i % 4} metadata description" for i in range(16)]
         embeddings = module.encode_texts(texts)
@@ -205,13 +204,6 @@ class TestSimHashLSH:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             SimHashLSH(n_bits=0)
-
-    def test_group_by_signature_partitions_everything(self):
-        sigs = np.array([3, 1, 3, 2, 1, 1])
-        groups = SimHashLSH.group_by_signature(sigs)
-        total = sorted(int(i) for members in groups.values() for i in members)
-        assert total == list(range(6))
-        assert len(groups[1]) == 3
 
     def test_bucket_indices_only_multi_member_buckets(self):
         signatures = np.array([0, 0, 0, 1, 2, 2])

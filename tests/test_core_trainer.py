@@ -99,10 +99,10 @@ class TestKnowledgeModules:
         assert len(report.epoch_losses) == 3
 
     def test_custom_text_encoder_is_used(self, small_selector_dataset):
-        from repro.text import AveragedWordVectorEncoder
+        from repro.text import HashingTextEncoder
 
         selector = _mlp(small_selector_dataset)
-        encoder = AveragedWordVectorEncoder(dim=32)
+        encoder = HashingTextEncoder(dim=32)
         config = TrainerConfig(epochs=1, mki=MKIConfig(enabled=True, projection_dim=8,
                                                        projection_hidden=16, text_dim=32))
         trainer = SelectorTrainer(selector, config, text_encoder=encoder)

@@ -14,9 +14,7 @@ from repro.data import (
     TimeSeriesRecord,
     build_selector_dataset,
     describe_record,
-    describe_subsequence,
     extract_windows,
-    generate_dataset,
     generate_series,
     inject_anomalies,
 )
@@ -186,11 +184,6 @@ class TestGenerators:
         with pytest.raises(KeyError):
             generate_series("NotADataset", 0, 100, 0)
 
-    def test_generate_dataset_count_and_names(self):
-        records = generate_dataset("SMD", n_series=4, length=300, seed=0)
-        assert len(records) == 4
-        assert len({r.name for r in records}) == 4
-
 
 class TestMetadata:
     def test_describe_record_follows_template(self):
@@ -204,13 +197,6 @@ class TestMetadata:
         record = generate_series("ECG", 0, 500, seed=2, anomaly_free=True)
         text = describe_record(record)
         assert "lengths of the anomalies" not in text
-
-    def test_describe_subsequence_restricts_to_window(self):
-        record = generate_series("IOPS", 0, 800, seed=3)
-        text_all = describe_subsequence(record, 0, record.length)
-        text_none = describe_subsequence(record, 0, 1)
-        assert "There are 0 anomalies" in text_none or record.labels[0] == 1
-        assert f"The length of the series is {record.length}" in text_all
 
 
 class TestWindowsAndBenchmark:

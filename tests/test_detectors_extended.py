@@ -1,19 +1,10 @@
-"""Tests for the ensemble baselines and extension detectors."""
+"""Tests for the ensemble baseline."""
 
 import numpy as np
 import pytest
 
 from repro.data import generate_series
-from repro.detectors import (
-    DEFAULT_MODEL_NAMES,
-    DetectorEnsemble,
-    SpectralResidualDetector,
-    SubsequenceKNNDetector,
-    ensemble_cost_model,
-    make_default_model_set,
-    make_detector,
-    make_extended_model_set,
-)
+from repro.detectors import DetectorEnsemble, make_detector
 from repro.eval import auc_roc
 
 
@@ -26,40 +17,6 @@ def spike_series():
     series[300:312] += 4.0
     labels[300:312] = 1
     return series, labels
-
-
-class TestExtendedDetectors:
-    def test_default_model_set_excludes_extensions(self):
-        model_set = make_default_model_set(window=16)
-        assert list(model_set) == DEFAULT_MODEL_NAMES
-        assert "SubKNN" not in model_set
-
-    def test_extended_model_set_adds_two(self):
-        model_set = make_extended_model_set(window=16)
-        assert len(model_set) == 14
-        assert "SubKNN" in model_set and "SpectralResidual" in model_set
-
-    def test_extensions_registered_by_name(self):
-        assert isinstance(make_detector("SubKNN"), SubsequenceKNNDetector)
-        assert isinstance(make_detector("SpectralResidual"), SpectralResidualDetector)
-
-    @pytest.mark.parametrize("name", ["SubKNN", "SpectralResidual"])
-    def test_extension_detects_spike(self, name, spike_series):
-        series, labels = spike_series
-        detector = make_detector(name, window=24)
-        scores = detector.detect(series)
-        assert scores.shape == series.shape
-        assert auc_roc(labels, scores) > 0.6
-
-    def test_spectral_residual_short_series(self):
-        detector = SpectralResidualDetector()
-        assert detector.detect(np.array([1.0, 2.0])).shape == (2,)
-
-    def test_subknn_strides_long_series(self):
-        detector = SubsequenceKNNDetector(window=16, max_windows=50)
-        series = np.random.default_rng(6).normal(size=2000)
-        scores = detector.detect(series)
-        assert scores.shape == series.shape
 
 
 class TestDetectorEnsemble:
@@ -89,19 +46,6 @@ class TestDetectorEnsemble:
         ensemble = DetectorEnsemble(model_set=small_model_set, aggregation="mean", window=16)
         member_aucs = [auc_roc(labels, det.detect(series)) for det in small_model_set.values()]
         assert auc_roc(labels, ensemble.detect(series)) >= min(member_aucs) - 0.05
-
-    def test_per_detector_scores(self, small_model_set, spike_series):
-        series, _ = spike_series
-        ensemble = DetectorEnsemble(model_set=small_model_set, window=16)
-        per = ensemble.per_detector_scores(series)
-        assert set(per) == set(small_model_set)
-        assert all(v.shape == series.shape for v in per.values())
-
-    def test_cost_model(self):
-        assert ensemble_cost_model(12, selected_only=True) == 1.0
-        assert ensemble_cost_model(12, selected_only=False) == 12.0
-        with pytest.raises(ValueError):
-            ensemble_cost_model(0, selected_only=True)
 
     def test_generated_record_integration(self, small_model_set):
         record = generate_series("IOPS", 0, 400, seed=8)

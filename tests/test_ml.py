@@ -11,7 +11,6 @@ from repro.ml import (
     KNeighborsClassifier,
     LinearSVC,
     LogisticRegression,
-    MinMaxScaler,
     OneClassSVM,
     PCA,
     RandomForestClassifier,
@@ -49,15 +48,6 @@ class TestScalers:
     def test_standard_scaler_requires_fit(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))
-
-    def test_minmax_scaler_range(self):
-        x = np.random.default_rng(2).normal(size=(50, 3))
-        out = MinMaxScaler().fit_transform(x)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_minmax_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().transform(np.zeros((2, 2)))
 
     def test_zscore_constant_series(self):
         assert np.allclose(zscore(np.full(10, 3.0)), 0.0)

@@ -1,4 +1,4 @@
-"""Tests for repro.nn.functional (conv1d, pooling, softmax, dropout...)."""
+"""Tests for repro.nn.functional (conv1d, softmax, dropout...)."""
 
 import numpy as np
 import pytest
@@ -84,27 +84,6 @@ class TestConv1d:
         assert F.conv1d(x, w, dilation=2).shape == (1, 1, 6)
 
 
-class TestPooling:
-    def test_max_pool_shape_and_values(self):
-        x = Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]]))
-        out = F.max_pool1d(x, 2)
-        assert out.shape == (1, 1, 2)
-        assert np.allclose(out.numpy(), [[[3.0, 5.0]]])
-
-    def test_max_pool_gradient_routes_to_max(self):
-        x = Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]]), requires_grad=True)
-        F.max_pool1d(x, 2).sum().backward()
-        assert np.allclose(x.grad, [[[0.0, 1.0, 0.0, 1.0]]])
-
-    def test_global_avg_pool(self):
-        x = Tensor(np.ones((2, 3, 4)) * 2.0)
-        assert np.allclose(F.global_avg_pool1d(x).numpy(), 2.0)
-
-    def test_global_max_pool(self):
-        value = np.random.default_rng(1).normal(size=(2, 3, 7))
-        assert np.allclose(F.global_max_pool1d(Tensor(value)).numpy(), value.max(axis=2))
-
-
 class TestSoftmax:
     def test_softmax_rows_sum_to_one(self):
         value = np.random.default_rng(2).normal(size=(5, 4))
@@ -174,10 +153,6 @@ class TestDropoutAndLinear:
         x = Tensor(np.ones((2, 5, 3)))
         w = Tensor(np.ones((4, 3)))
         assert F.linear(x, w).shape == (2, 5, 4)
-
-    def test_one_hot(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        assert np.allclose(out, np.eye(3)[[0, 2, 1]])
 
     def test_cosine_similarity_diagonal_is_one(self):
         value = np.random.default_rng(6).normal(size=(4, 8))

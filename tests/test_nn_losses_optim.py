@@ -1,4 +1,4 @@
-"""Tests for losses, optimizers, schedulers and serialization of repro.nn."""
+"""Tests for losses, optimizers and serialization of repro.nn."""
 
 import numpy as np
 import pytest
@@ -94,37 +94,12 @@ class TestInfoNCE:
         nn.info_nce(a, b).backward()
         assert a.grad is not None and b.grad is not None
 
-    def test_loss_module_wrappers(self):
-        z = np.random.default_rng(4).normal(size=(4, 4))
-        assert nn.InfoNCELoss()(Tensor(z), Tensor(z)).item() > 0
-        assert nn.MSELoss()(Tensor(z), z).item() == pytest.approx(0.0)
-        assert nn.CrossEntropyLoss()(Tensor(np.zeros((2, 3))), np.array([0, 1])).item() > 0
-        assert nn.SoftCrossEntropyLoss()(Tensor(np.zeros((2, 3))), np.full((2, 3), 1 / 3)).item() > 0
-
 
 class TestOptimizers:
     def _quadratic_problem(self):
         target = np.array([3.0, -2.0])
         param = nn.Parameter(np.zeros(2))
         return param, target
-
-    def test_sgd_converges_on_quadratic(self):
-        param, target = self._quadratic_problem()
-        opt = nn.SGD([param], lr=0.1)
-        for _ in range(200):
-            loss = ((param - Tensor(target)) ** 2).sum()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        assert np.allclose(param.data, target, atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        param, target = self._quadratic_problem()
-        opt = nn.SGD([param], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            loss = ((param - Tensor(target)) ** 2).sum()
-            opt.zero_grad(); loss.backward(); opt.step()
-        assert np.allclose(param.data, target, atol=1e-2)
 
     def test_adam_converges(self):
         param, target = self._quadratic_problem()
@@ -134,17 +109,9 @@ class TestOptimizers:
             opt.zero_grad(); loss.backward(); opt.step()
         assert np.allclose(param.data, target, atol=1e-2)
 
-    def test_adamw_decoupled_decay_shrinks_weights(self):
-        param = nn.Parameter(np.full(3, 10.0))
-        opt = nn.AdamW([param], lr=0.01, weight_decay=0.1)
-        for _ in range(10):
-            loss = (param * 0.0).sum()
-            opt.zero_grad(); loss.backward(); opt.step()
-        assert np.all(np.abs(param.data) < 10.0)
-
     def test_weight_decay_pulls_toward_zero(self):
         param = nn.Parameter(np.full(2, 5.0))
-        opt = nn.SGD([param], lr=0.1, weight_decay=0.5)
+        opt = nn.Adam([param], lr=0.1, weight_decay=0.5)
         loss = (param * 0.0).sum()
         opt.zero_grad(); loss.backward(); opt.step()
         assert np.all(param.data < 5.0)
@@ -153,12 +120,12 @@ class TestOptimizers:
         frozen = nn.Parameter(np.zeros(2))
         frozen.requires_grad = False
         with pytest.raises(ValueError):
-            nn.SGD([frozen], lr=0.1)
+            nn.Adam([frozen], lr=0.1)
 
     def test_clip_grad_norm(self):
         param = nn.Parameter(np.zeros(4))
         param.grad = np.full(4, 100.0)
-        opt = nn.SGD([param], lr=0.1)
+        opt = nn.Adam([param], lr=0.1)
         norm = opt.clip_grad_norm(1.0)
         assert norm == pytest.approx(200.0)
         assert np.linalg.norm(param.grad) == pytest.approx(1.0)
@@ -168,36 +135,6 @@ class TestOptimizers:
         opt = nn.Adam([param], lr=0.1)
         opt.step()  # no gradient yet; should not move or crash
         assert np.allclose(param.data, 1.0)
-
-
-class TestSchedulers:
-    def test_step_lr_decays(self):
-        param = nn.Parameter(np.zeros(1))
-        opt = nn.SGD([param], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_annealing_reaches_min(self):
-        param = nn.Parameter(np.zeros(1))
-        opt = nn.SGD([param], lr=1.0)
-        sched = nn.CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-9)
-
-    def test_cosine_monotone_decreasing(self):
-        param = nn.Parameter(np.zeros(1))
-        opt = nn.SGD([param], lr=1.0)
-        sched = nn.CosineAnnealingLR(opt, t_max=5)
-        values = []
-        for _ in range(5):
-            sched.step()
-            values.append(opt.lr)
-        assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
 
 
 class TestSerialization:

@@ -5,7 +5,6 @@ import math
 from repro.serving.cache import CacheStats, LRUCache
 from repro.system.reporting import (
     format_cache_stats,
-    format_markdown_table,
     format_table,
     per_dataset_table,
 )
@@ -33,16 +32,6 @@ class TestFormatTable:
 
     def test_custom_float_format(self):
         assert "0.1" in format_table(["v"], [[0.125]], float_format="{:.1f}")
-
-
-class TestMarkdownTable:
-    def test_structure_and_nan(self):
-        text = format_markdown_table(["m", "v"], [["a", 1.0], ["b", float("nan")]])
-        lines = text.splitlines()
-        assert lines[0] == "| m | v |"
-        assert lines[1] == "|---|---|"
-        assert "| b | n/a |" in lines
-        assert "nan" not in text
 
 
 class TestFormatCacheStats:

@@ -438,11 +438,6 @@ class TestRebalance:
             for sid in service_world["streams"]:
                 assert np.array_equal(service.scores(sid),
                                       reference_run["scores"][sid])
-            service.remove_shard(service.shard_ids[0])
-            assert len(service.shard_ids) == 2
-            for sid in service_world["streams"]:
-                assert np.array_equal(service.scores(sid),
-                                      reference_run["scores"][sid])
 
     def test_streams_keep_flowing_after_rebalance(self, service_world,
                                                   reference_run):
@@ -457,11 +452,6 @@ class TestRebalance:
             updates = service.flush()
             for sid in streams:
                 assert updates[sid] == reference_run["updates"][sid]
-
-    def test_cannot_remove_last_shard(self, service_world):
-        with _make_service(service_world, 1) as service:
-            with pytest.raises(ValueError):
-                service.remove_shard(service.shard_ids[0])
 
 
 class TestSelectionCache:

@@ -8,10 +8,10 @@ import pytest
 
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
-from repro.data.windows import extract_windows, extract_windows_batch, znormalize_windows
+from repro.data.windows import extract_windows, extract_windows_batch
 from repro.detectors import NonFiniteSeriesError, make_detector
 from repro.eval import Oracle, predict_for_series
-from repro.ml.scalers import zscore
+from repro.ml.scalers import zscore, zscore_rows
 from repro.selectors import make_selector
 from repro.data import count_windows
 from repro.serving import (
@@ -24,7 +24,7 @@ from repro.serving import (
     series_fingerprint,
 )
 from repro.serving.workers import _fork_available
-from repro.system import ModelSelectionPipeline, PipelineConfig, compare_models
+from repro.system import ModelSelectionPipeline, PipelineConfig
 
 
 class TestLRUCache:
@@ -147,9 +147,6 @@ class TestWorkerPool:
 
         assert WorkerPool(4).map(slow_inverse, range(5)) == list(range(5))
 
-    def test_starmap_unpacks_arguments(self):
-        assert WorkerPool(0).starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(max_workers=-1)
@@ -209,7 +206,7 @@ class TestBatchedWindowing:
         windows = rng.normal(size=(17, 64))
         windows[3] = 2.5  # constant row
         expected = np.apply_along_axis(zscore, 1, windows)
-        assert np.array_equal(znormalize_windows(windows), expected)
+        assert np.array_equal(zscore_rows(windows, dtype=np.float64), expected)
 
     def test_batch_extraction_matches_per_series(self, rng):
         series_list = [rng.normal(size=n) for n in (400, 37, 5, 256)]
@@ -403,6 +400,34 @@ class TestNonFiniteSelection:
             predict_for_series(serving_world["selector"], self._broken(serving_world, value), 64)
 
 
+class TestScaledSelection:
+    """A finite series scaled to ~1e300 is answered exactly as the series
+    itself: its window stds overflow float64, so each row is divided by its
+    largest magnitude before it is normalised."""
+
+    SCALES = (1e300, 1e306)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_select_batch_ignores_scale(self, serving_world, scale):
+        queries = serving_world["queries"]
+        scaled = [replace(r, name=f"{r.name}-scaled", series=r.series * scale) for r in queries]
+        expected = _fresh_service(serving_world).select_batch(queries)
+        results = _fresh_service(serving_world).select_batch(scaled)
+        assert [(r.selected_index, r.votes) for r in results] == \
+            [(r.selected_index, r.votes) for r in expected]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_predict_for_series_ignores_scale(self, serving_world, scale):
+        for record in serving_world["queries"]:
+            choice, aggregated = predict_for_series(serving_world["selector"], record, 64)
+            scaled = replace(record, series=record.series * scale)
+            scaled_choice, scaled_aggregated = predict_for_series(serving_world["selector"], scaled, 64)
+            assert scaled_choice == choice
+            assert np.array_equal(scaled_aggregated, aggregated)
+
+
 class TestWorkerFanOut:
     def test_oracle_parallel_matches_sequential(self):
         records = [generate_series(name, 0, 300, seed=2) for name in ("ECG", "NAB", "SMD")]
@@ -419,12 +444,3 @@ class TestWorkerFanOut:
         sequential = Oracle(model_set, max_workers=0).performance_matrix(records)
         parallel = Oracle(model_set, max_workers=3).performance_matrix(records)
         assert np.array_equal(sequential, parallel)
-
-    def test_compare_models_parallel_matches_sequential(self):
-        record = generate_series("IOPS", 0, 300, seed=2)
-        model_set = {name: make_detector(name, window=16) for name in ("HBOS", "POLY", "MP")}
-        sequential = compare_models(record, model_set)
-        parallel = compare_models(record, model_set, max_workers=3)
-        assert list(sequential) == list(parallel)
-        for name in sequential:
-            assert np.array_equal(sequential[name].scores, parallel[name].scores)

@@ -329,6 +329,19 @@ class TestStreamEngine:
             answers.append((update.selected_index, tuple(update.votes.values())))
         assert answers[0] == answers[1] == answers[2]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", (1e300, 1e306))
+    def test_scaled_stream_selects_as_unscaled(self, streaming_world, scale):
+        answers = []
+        for factor in (1.0, scale):
+            engine = _fresh_engine(streaming_world)
+            for record in streaming_world["queries"]:
+                engine.push(record.name, record.series * factor)
+            answers.append([(engine.selection(r.name).selected_index,
+                             engine.selection(r.name).aggregated.tolist())
+                            for r in streaming_world["queries"]])
+        assert answers[0] == answers[1]
+
     def test_online_scores_match_batch_detection_bitwise(self, streaming_world):
         model_set = {name: make_detector(name, window=16)
                      for name in streaming_world["detector_names"]}

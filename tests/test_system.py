@@ -14,8 +14,6 @@ from repro.system import (
     ModelSelectionPipeline,
     PipelineConfig,
     SelectorStore,
-    compare_models,
-    format_markdown_table,
     format_table,
     per_dataset_table,
     run_detection,
@@ -29,11 +27,6 @@ class TestReporting:
         assert len(lines) == 4
         assert "1.2346" in table
         assert lines[1].startswith("-")
-
-    def test_format_markdown_table(self):
-        table = format_markdown_table(["x", "y"], [[1, 2.5]])
-        assert table.splitlines()[0] == "| x | y |"
-        assert "2.5000" in table
 
     def test_per_dataset_table_includes_average(self):
         results = {"Standard": {"ECG": 0.5, "SMD": 0.3}, "Ours": {"ECG": 0.6, "SMD": 0.4}}
@@ -66,17 +59,6 @@ class TestAnomalyDetectionRunner:
         assert result.metrics == {}
         assert np.isnan(result.auc_pr)
         assert result.scores.shape == record.series.shape
-
-    def test_compare_models_subset(self):
-        record = generate_series("NAB", 0, 400, seed=2)
-        model_set = {"HBOS": make_detector("HBOS", window=16), "POLY": make_detector("POLY", window=16)}
-        results = compare_models(record, model_set, names=["POLY"])
-        assert list(results) == ["POLY"]
-
-    def test_compare_models_unknown_name_raises(self):
-        record = generate_series("NAB", 0, 300, seed=3)
-        with pytest.raises(KeyError):
-            compare_models(record, {"HBOS": make_detector("HBOS")}, names=["Nope"])
 
 
 class TestSelectorStore:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.text import (
-    AveragedWordVectorEncoder,
     HashingTextEncoder,
     char_ngrams,
     tokenize,
@@ -61,9 +60,6 @@ class TestHashingTextEncoder:
         cos_diff = float(e_base @ e_diff)
         assert cos_sim > cos_diff
 
-    def test_encode_one(self, encoder):
-        assert encoder.encode_one("hello world").shape == (128,)
-
     def test_cache_reuses_embeddings(self, encoder):
         text = "cached metadata description"
         first = encoder.encode([text])
@@ -75,25 +71,3 @@ class TestHashingTextEncoder:
     def test_empty_text_is_finite(self, encoder):
         out = encoder.encode([""])
         assert np.all(np.isfinite(out))
-
-
-class TestAveragedWordVectorEncoder:
-    def test_shape_and_determinism(self):
-        encoder = AveragedWordVectorEncoder(dim=32)
-        out1 = encoder.encode(["dataset ECG anomalies"])
-        out2 = AveragedWordVectorEncoder(dim=32).encode(["dataset ECG anomalies"])
-        assert out1.shape == (1, 32)
-        assert np.allclose(out1, out2)
-
-    def test_empty_text_gives_zero_vector(self):
-        encoder = AveragedWordVectorEncoder(dim=16)
-        assert np.allclose(encoder.encode([""]), 0.0)
-
-    def test_shared_tokens_increase_similarity(self):
-        encoder = AveragedWordVectorEncoder(dim=64)
-        a, b, c = encoder.encode([
-            "temperature humidity sensor drift",
-            "temperature humidity sensor freeze",
-            "electrocardiogram premature ventricular contraction",
-        ])
-        assert float(a @ b) > float(a @ c)
