@@ -35,9 +35,18 @@ class HBOSDetector(AnomalyDetector):
         series = np.asarray(series, dtype=np.float64).ravel()
         window = self.effective_window(series)
         subs = sliding_windows(series, window)
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = subs.std(axis=1)
+            # A finite window at ~1e300 scale overflows its squares: take
+            # the std of the window divided by its largest magnitude instead.
+            overflow = ~np.isfinite(std)
+            if overflow.any():
+                rows = subs[overflow]
+                scale = np.abs(rows).max(axis=1, keepdims=True)
+                std[overflow] = (rows / scale).std(axis=1) * scale[:, 0]
         feats = np.column_stack([
             subs.mean(axis=1),
-            subs.std(axis=1),
+            std,
             subs.min(axis=1),
             subs.max(axis=1),
             subs[:, -1],

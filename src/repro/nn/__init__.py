@@ -6,7 +6,7 @@ layers (:mod:`repro.nn.layers`), losses used by the selector-learning
 framework (:mod:`repro.nn.losses`) and optimizers (:mod:`repro.nn.optim`).
 """
 
-from .tensor import Tensor, no_grad, concatenate, stack, where
+from .tensor import Tensor, no_grad, concatenate
 from .module import Module, ModuleList, Parameter, Sequential
 from .layers import (
     BatchNorm1d,
@@ -34,7 +34,7 @@ from . import functional
 from . import init
 
 __all__ = [
-    "Tensor", "no_grad", "concatenate", "stack", "where",
+    "Tensor", "no_grad", "concatenate",
     "Module", "ModuleList", "Parameter", "Sequential",
     "BatchNorm1d", "Conv1d", "Dropout", "LayerNorm", "Linear", "LSTM",
     "LSTMCell", "MultiHeadSelfAttention", "PositionalEncoding",

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .init import get_rng
-from .tensor import Tensor
+from .tensor import Tensor, _node
 
 
 def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int, dilation: int) -> Tuple[np.ndarray, int]:
@@ -65,26 +65,21 @@ def conv1d(
     if bias is not None:
         out_data = out_data + bias.data[None, :, None]
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents), _prev=parents)
+    # Each VJP takes the output gradient, shape (N, C_out, L_out).
+    def vjp_x(grad: np.ndarray) -> np.ndarray:
+        gcols = np.einsum("ok,nol->nkl", w2d, grad, optimize=True)  # (N, C*K, L_out)
+        gcols = gcols.reshape(n, c_in, kernel_size, l_out).transpose(0, 1, 3, 2)  # (N, C, L_out, K)
+        gx = np.zeros_like(x.data)
+        idx = np.arange(kernel_size)[None, :] * dilation + np.arange(l_out)[:, None] * stride
+        np.add.at(gx, (slice(None), slice(None), idx), gcols)
+        return gx
 
-    def _backward() -> None:
-        grad = out.grad  # (N, C_out, L_out)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2)))
-        if weight.requires_grad:
-            gw = np.einsum("nol,nkl->ok", grad, cols, optimize=True)
-            weight._accumulate(gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = np.einsum("ok,nol->nkl", w2d, grad, optimize=True)  # (N, C*K, L_out)
-            gcols = gcols.reshape(n, c_in, kernel_size, l_out).transpose(0, 1, 3, 2)  # (N, C, L_out, K)
-            gx = np.zeros_like(x.data)
-            idx = np.arange(kernel_size)[None, :] * dilation + np.arange(l_out)[:, None] * stride
-            np.add.at(gx, (slice(None), slice(None), idx), gcols)
-            x._accumulate(gx)
+    def vjp_weight(grad: np.ndarray) -> np.ndarray:
+        return np.einsum("nol,nkl->ok", grad, cols, optimize=True).reshape(weight.shape)
 
-    out._backward = _backward
-    return out
+    if bias is None:
+        return _node(out_data, (x, weight), vjp_x, vjp_weight)
+    return _node(out_data, (x, weight, bias), vjp_x, vjp_weight, lambda g: g.sum(axis=(0, 2)))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

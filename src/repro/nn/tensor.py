@@ -6,9 +6,12 @@ and records the operations applied to it so that :meth:`Tensor.backward`
 can propagate gradients through the computation graph.
 
 The design follows the classic "define-by-run" tape approach: every
-operation returns a new ``Tensor`` whose ``_backward`` closure knows how to
-push its output gradient into the gradients of its inputs.  A topological
-sort over the recorded graph drives the backward pass.
+operation builds its output with :func:`_node`, handing it one
+vector-Jacobian product (VJP) per parent, which maps the output's gradient
+to that parent's gradient.  No VJP refers to the output tensor, so the
+recorded graph is a DAG that reference counting frees as soon as its last
+tensor goes.  :meth:`Tensor.backward` walks it in reverse topological
+order; it is the only code that accumulates gradients.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from ..accel.precision import resolve_dtype
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
+VJP = Callable[[np.ndarray], np.ndarray]
 
 # Grad tracking is a *thread-local* flag: one worker thread entering
 # inference (repro.serving fans detector runs out to threads) must not
@@ -78,24 +82,38 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _node(data: np.ndarray, parents: Tuple["Tensor", ...], *vjps: VJP) -> "Tensor":
+    """The output of an op on ``parents``: ``vjps[i]`` maps its gradient to
+    ``parents[i]``'s.
+
+    The graph is recorded only when gradients are on and some parent
+    requires one; otherwise the output is a constant tensor.
+    """
+    out = Tensor(data)
+    if is_grad_enabled() and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._prev = parents
+        out._vjps = vjps
+    return out
+
+
 class Tensor:
     """A NumPy-backed tensor with reverse-mode autodiff support."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjps", "name")
     __array_priority__ = 200  # make numpy defer to our __radd__ etc.
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _prev: Tuple["Tensor", ...] = (),
         name: Optional[str] = None,
     ) -> None:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
-        self._backward: Callable[[], None] = lambda: None
-        self._prev: Tuple[Tensor, ...] = _prev if is_grad_enabled() else ()
+        self._prev: Tuple[Tensor, ...] = ()
+        self._vjps: Tuple[VJP, ...] = ()
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -117,10 +135,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -139,65 +153,27 @@ class Tensor:
         """Return a tensor sharing data but detached from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # ------------------------------------------------------------------ #
-    # graph construction helpers
-    # ------------------------------------------------------------------ #
     @staticmethod
     def _ensure(other: ArrayLike) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
-
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
-        req = any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=req, _prev=tuple(parents))
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=self.data.dtype)
-        self.grad += grad
 
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
-        out = self._make(self.data + other.data, (self, other))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        out._backward = _backward
-        return out
+        return _node(self.data + other.data, (self, other),
+                     lambda g: _unbroadcast(g, self.shape),
+                     lambda g: _unbroadcast(g, other.shape))
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
-        out = self._make(self.data * other.data, (self, other))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
-
-        out._backward = _backward
-        return out
+        return _node(self.data * other.data, (self, other),
+                     lambda g: _unbroadcast(g * other.data, self.shape),
+                     lambda g: _unbroadcast(g * self.data, other.shape))
 
     def __neg__(self) -> "Tensor":
-        out = self._make(-self.data, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(-out.grad)
-
-        out._backward = _backward
-        return out
+        return _node(-self.data, (self,), lambda g: -g)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._ensure(other))
@@ -221,14 +197,8 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        out = self._make(self.data ** exponent, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-        out._backward = _backward
-        return out
+        return _node(self.data ** exponent, (self,),
+                     lambda g: g * exponent * self.data ** (exponent - 1))
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
@@ -243,83 +213,49 @@ class Tensor:
             data = np.matmul(self.data[:, None, :], other.data)[:, 0, :]
         else:
             data = self.data @ other.data
-        out = self._make(data, (self, other))
 
-        def _backward() -> None:
-            grad = out.grad
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    g = np.outer(grad, other.data) if self.data.ndim == 2 else grad[..., None] * other.data
-                else:
-                    g = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(g.reshape(self.shape) if g.shape != self.shape else g, self.shape))
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    g = np.outer(self.data, grad)
-                else:
-                    g = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(g if g.shape == other.shape else g.reshape(other.shape), other.shape))
+        def vjp_self(grad: np.ndarray) -> np.ndarray:
+            if other.data.ndim == 1:
+                g = np.outer(grad, other.data) if self.data.ndim == 2 else grad[..., None] * other.data
+            else:
+                g = grad @ np.swapaxes(other.data, -1, -2)
+            return _unbroadcast(g.reshape(self.shape) if g.shape != self.shape else g, self.shape)
 
-        out._backward = _backward
-        return out
+        def vjp_other(grad: np.ndarray) -> np.ndarray:
+            if self.data.ndim == 1:
+                g = np.outer(self.data, grad)
+            else:
+                g = np.swapaxes(self.data, -1, -2) @ grad
+            return _unbroadcast(g if g.shape == other.shape else g.reshape(other.shape), other.shape)
+
+        return _node(data, (self, other), vjp_self, vjp_other)
 
     # ------------------------------------------------------------------ #
     # element-wise non-linearities
     # ------------------------------------------------------------------ #
+    # exp, tanh and sigmoid differentiate through their output, so their
+    # VJPs close over the output array (as stored, after the dtype policy).
     def exp(self) -> "Tensor":
-        out = self._make(np.exp(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data)
-
-        out._backward = _backward
-        return out
+        y = _as_array(np.exp(self.data))
+        return _node(y, (self,), lambda g: g * y)
 
     def log(self) -> "Tensor":
-        out = self._make(np.log(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        out._backward = _backward
-        return out
+        return _node(np.log(self.data), (self,), lambda g: g / self.data)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
     def tanh(self) -> "Tensor":
-        out = self._make(np.tanh(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out.data ** 2))
-
-        out._backward = _backward
-        return out
+        y = _as_array(np.tanh(self.data))
+        return _node(y, (self,), lambda g: g * (1.0 - y ** 2))
 
     def sigmoid(self) -> "Tensor":
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(sig, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data * (1.0 - out.data))
-
-        out._backward = _backward
-        return out
+        sig = _as_array(1.0 / (1.0 + np.exp(-self.data)))
+        return _node(sig, (self,), lambda g: g * sig * (1.0 - sig))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out = self._make(self.data * mask, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * mask)
-
-        out._backward = _backward
-        return out
+        return _node(self.data * mask, (self,), lambda g: g * mask)
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
@@ -327,60 +263,32 @@ class Tensor:
         x = self.data
         inner = c * (x + 0.044715 * x ** 3)
         t = np.tanh(inner)
-        out = self._make(0.5 * x * (1.0 + t), (self,))
 
-        def _backward() -> None:
-            if self.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
-                dt = (1.0 - t ** 2) * dinner
-                grad = 0.5 * (1.0 + t) + 0.5 * x * dt
-                self._accumulate(out.grad * grad)
+        def vjp(g: np.ndarray) -> np.ndarray:
+            dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
+            dt = (1.0 - t ** 2) * dinner
+            return g * (0.5 * (1.0 + t) + 0.5 * x * dt)
 
-        out._backward = _backward
-        return out
-
-    def abs(self) -> "Tensor":
-        out = self._make(np.abs(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * np.sign(self.data))
-
-        out._backward = _backward
-        return out
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        clipped = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-        out = self._make(clipped, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * mask)
-
-        out._backward = _backward
-        return out
+        return _node(0.5 * x * (1.0 + t), (self,), vjp)
 
     # ------------------------------------------------------------------ #
     # reductions
     # ------------------------------------------------------------------ #
+    def _expand_reduced(self, grad: np.ndarray, axis) -> np.ndarray:
+        """Re-insert the axes a ``keepdims=False`` reduction removed."""
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        shape = list(grad.shape)
+        for ax in sorted(a % self.ndim for a in axes):
+            shape.insert(ax, 1)
+        return grad.reshape(shape)
+
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def _backward() -> None:
-            if not self.requires_grad:
-                return
-            grad = out.grad
+        def vjp(grad: np.ndarray) -> np.ndarray:
             if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                shape = list(out.grad.shape)
-                for ax in sorted(a % self.ndim for a in axes):
-                    shape.insert(ax, 1)
-                grad = grad.reshape(shape)
-            self._accumulate(np.broadcast_to(grad, self.shape).copy())
+                grad = self._expand_reduced(grad, axis)
+            return np.broadcast_to(grad, self.shape).copy()
 
-        out._backward = _backward
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -397,30 +305,18 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(out_data, (self,))
 
-        def _backward() -> None:
-            if not self.requires_grad:
-                return
-            grad = out.grad
+        def vjp(grad: np.ndarray) -> np.ndarray:
             expanded = out_data
             if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                shape = list(np.asarray(out_data).shape)
-                for ax in sorted(a % self.ndim for a in axes):
-                    shape.insert(ax, 1)
-                grad = grad.reshape(shape)
-                expanded = np.asarray(out_data).reshape(shape)
+                grad = self._expand_reduced(grad, axis)
+                expanded = self._expand_reduced(np.asarray(out_data), axis)
             mask = (self.data == expanded).astype(self.data.dtype)
             # Split gradient evenly among ties to keep the op well defined.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * grad / np.maximum(counts, 1.0))
+            return mask * grad / np.maximum(counts, 1.0)
 
-        out._backward = _backward
-        return out
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -(-self).max(axis=axis, keepdims=keepdims)
+        return _node(out_data, (self,), vjp)
 
     # ------------------------------------------------------------------ #
     # shape manipulation
@@ -428,32 +324,11 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make(self.data.reshape(shape), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.shape))
-
-        out._backward = _backward
-        return out
-
-    def flatten(self, start_dim: int = 1) -> "Tensor":
-        new_shape = self.shape[:start_dim] + (-1,)
-        return self.reshape(*new_shape)
+        return _node(self.data.reshape(shape), (self,), lambda g: g.reshape(self.shape))
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
-        out = self._make(np.transpose(self.data, axes), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                if axes is None:
-                    self._accumulate(np.transpose(out.grad))
-                else:
-                    inverse = np.argsort(axes)
-                    self._accumulate(np.transpose(out.grad, inverse))
-
-        out._backward = _backward
-        return out
+        return _node(np.transpose(self.data, axes), (self,),
+                     lambda g: np.transpose(g, None if axes is None else np.argsort(axes)))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -461,35 +336,35 @@ class Tensor:
         return self.transpose(axes)
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make(self.data[index], (self,))
+        def vjp(g: np.ndarray) -> np.ndarray:
+            grad = np.zeros_like(self.data, dtype=self.data.dtype)
+            np.add.at(grad, index, g)
+            return grad
 
-        def _backward() -> None:
-            if self.requires_grad:
-                grad = np.zeros_like(self.data, dtype=self.data.dtype)
-                np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
-
-        out._backward = _backward
-        return out
+        return _node(self.data[index], (self,), vjp)
 
     def pad1d(self, left: int, right: int) -> "Tensor":
         """Zero-pad the last axis by ``left`` and ``right`` elements."""
         pad_width = [(0, 0)] * (self.ndim - 1) + [(left, right)]
-        out = self._make(np.pad(self.data, pad_width), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                sl = [slice(None)] * (self.ndim - 1) + [slice(left, left + self.shape[-1])]
-                self._accumulate(out.grad[tuple(sl)])
-
-        out._backward = _backward
-        return out
+        return _node(np.pad(self.data, pad_width), (self,),
+                     lambda g: g[..., left:left + self.shape[-1]])
 
     # ------------------------------------------------------------------ #
     # backward pass
     # ------------------------------------------------------------------ #
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data, dtype=self.data.dtype)
+        self.grad += grad
+
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
+
+        In reverse topological order, each interior node's gradient goes
+        through the node's VJPs into the parents that require one, and is
+        then dropped (as PyTorch leaves a non-leaf ``.grad`` empty).  Leaf
+        gradients accumulate, so a second ``backward`` over the same graph
+        adds to them; the graph itself stays until its tensors go.
 
         Parameters
         ----------
@@ -497,9 +372,7 @@ class Tensor:
             Gradient of the final objective with respect to this tensor.
             Defaults to ones (appropriate for scalar losses).
         """
-        if grad is None:
-            grad = np.ones_like(self.data, dtype=self.data.dtype)
-        self.grad = np.asarray(grad, dtype=self.data.dtype)
+        self._accumulate(np.ones_like(self.data) if grad is None else np.asarray(grad))
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -518,60 +391,22 @@ class Tensor:
                     stack.append((parent, False))
 
         for node in reversed(topo):
-            if node.grad is not None:
-                node._backward()
+            if node._prev:
+                out_grad, node.grad = node.grad, None
+                for parent, vjp in zip(node._prev, node._vjps):
+                    if parent.requires_grad:
+                        parent._accumulate(vjp(out_grad))
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=req, _prev=tuple(tensors))
-
-    def _backward() -> None:
-        offset = 0
-        for t in tensors:
-            size = t.shape[axis]
-            sl = [slice(None)] * data.ndim
-            sl[axis] = slice(offset, offset + size)
-            if t.requires_grad:
-                t._accumulate(out.grad[tuple(sl)])
-            offset += size
-
-    out._backward = _backward
-    return out
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=req, _prev=tuple(tensors))
-
-    def _backward() -> None:
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for t, g in zip(tensors, grads):
-            if t.requires_grad:
-                t._accumulate(np.squeeze(g, axis=axis))
-
-    out._backward = _backward
-    return out
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise select with gradient support (condition is constant)."""
-    a = Tensor._ensure(a)
-    b = Tensor._ensure(b)
-    cond = np.asarray(condition, dtype=bool)
-    out = Tensor(np.where(cond, a.data, b.data), requires_grad=a.requires_grad or b.requires_grad, _prev=(a, b))
-
-    def _backward() -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * cond, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * (~cond), b.shape))
-
-    out._backward = _backward
-    return out
+    index = [slice(None)] * data.ndim
+    vjps = []
+    offset = 0
+    for t in tensors:
+        index[axis] = slice(offset, offset + t.shape[axis])
+        vjps.append(lambda g, piece=tuple(index): g[piece])
+        offset += t.shape[axis]
+    return _node(data, tensors, *vjps)

@@ -8,8 +8,8 @@ supervisor's rebalance logic relies on:
 * **uniformity** — with enough virtual nodes per shard, ownership across a
   large stream population is close to uniform (the property tests bound it
   with a chi-square statistic), and
-* **minimal movement** — adding or removing one shard reassigns only the
-  streams adjacent to that shard's virtual nodes (about ``K/N`` of ``K``
+* **minimal movement** — adding one shard reassigns only the streams
+  adjacent to that shard's virtual nodes (about ``K/N`` of ``K``
   streams over ``N`` shards), so a rebalance replays a small slice of the
   workload instead of all of it.
 
@@ -70,14 +70,6 @@ class HashRing:
         for replica in range(self.replicas):
             point = (_position(f"{shard_id}#{replica}"), shard_id)
             bisect.insort(self._points, point)
-        self._positions = [p[0] for p in self._points]
-
-    def remove(self, shard_id: str) -> None:
-        """Remove a shard and all its virtual nodes from the ring."""
-        if shard_id not in self._shards:
-            raise KeyError(f"shard {shard_id!r} is not on the ring")
-        self._shards.remove(shard_id)
-        self._points = [p for p in self._points if p[1] != shard_id]
         self._positions = [p[0] for p in self._points]
 
     def owner(self, stream_id: str) -> str:

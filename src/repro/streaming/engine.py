@@ -162,10 +162,9 @@ class _StreamState:
 def _update_scores(state: _StreamState) -> Optional[str]:
     """Advance one stream's scores; why not, if the series cannot be scored.
 
-    The scorer rejects a non-finite point, and a detector may reject a
-    finite series it cannot score (HBOS at 1e300 scale, whose histogram
-    range overflows).  Either error stays with its stream, so the other
-    streams of the flush score as usual.
+    The scorer rejects a non-finite point, and a detector may raise
+    ``ValueError`` on a finite series it cannot score.  Either error stays
+    with its stream, so the other streams of the flush score as usual.
     """
     try:
         state.scorer.update(state.buffer.series)

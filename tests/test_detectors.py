@@ -1,6 +1,7 @@
 """Tests for the 12-model TSAD detector zoo."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.detectors import (
     sliding_windows,
     window_scores_to_point_scores,
 )
+from repro.data import generate_series
 from repro.eval import auc_roc
 
 EXPECTED_DETECTORS = [
@@ -243,6 +245,18 @@ class TestLOFandHBOS:
     def test_hbos_multidimensional(self):
         x = np.random.default_rng(6).normal(size=(50, 3))
         assert hbos_scores(x).shape == (50,)
+
+    @pytest.mark.parametrize("dataset", ["ECG", "SMD", "IOPS"])
+    @pytest.mark.parametrize("scale", [1e300, 1e306])
+    def test_hbos_scores_a_huge_finite_series_as_the_series_itself(self, dataset, scale):
+        """A window whose squares overflow float64 still gets a finite std,
+        so the scaled series scores exactly as the unscaled one."""
+        series = generate_series(dataset, 1, 700, seed=2).series
+        expected = make_detector("HBOS", window=16).score(series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scores = make_detector("HBOS", window=16).score(series * scale)
+        assert np.array_equal(scores, expected)
 
 
 class TestMatrixProfile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.tensor import Tensor, concatenate, stack, where
+from repro.nn.tensor import Tensor, concatenate
 
 
 def numeric_gradient(fn, value, eps=1e-6):
@@ -166,7 +166,7 @@ class TestMatmulGradients:
 
 
 class TestNonLinearities:
-    @pytest.mark.parametrize("op", ["exp", "log", "tanh", "sigmoid", "relu", "gelu", "abs", "sqrt"])
+    @pytest.mark.parametrize("op", ["exp", "log", "tanh", "sigmoid", "relu", "gelu", "sqrt"])
     def test_unary_matches_numeric(self, op):
         rng = np.random.default_rng(2)
         value = rng.uniform(0.2, 2.0, size=(4,))  # positive so log/sqrt are safe
@@ -179,11 +179,6 @@ class TestNonLinearities:
         t = Tensor([-1.0, 2.0], requires_grad=True)
         t.relu().sum().backward()
         assert np.allclose(t.grad, [0.0, 1.0])
-
-    def test_clip_gradient_mask(self):
-        t = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
-        t.clip(-1.0, 1.0).sum().backward()
-        assert np.allclose(t.grad, [0.0, 1.0, 0.0])
 
 
 class TestReductions:
@@ -219,10 +214,6 @@ class TestReductions:
         t = Tensor([[2.0, 2.0]], requires_grad=True)
         t.max(axis=1).sum().backward()
         assert np.allclose(t.grad.sum(), 1.0)
-
-    def test_min_is_negated_max(self):
-        value = np.random.default_rng(4).normal(size=(3, 4))
-        assert np.allclose(Tensor(value).min(axis=1).numpy(), value.min(axis=1))
 
 
 class TestShapeOps:
@@ -260,10 +251,6 @@ class TestShapeOps:
         out.sum().backward()
         assert np.allclose(t.grad, 1.0)
 
-    def test_flatten(self):
-        t = Tensor(np.zeros((2, 3, 4)))
-        assert t.flatten().shape == (2, 12)
-
 
 class TestGraphUtilities:
     def test_no_grad_disables_tracking(self):
@@ -280,22 +267,6 @@ class TestGraphUtilities:
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (3, 2)
 
-    def test_stack_backward(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        out = stack([a, b], axis=0)
-        assert out.shape == (2, 3)
-        out.sum().backward()
-        assert np.allclose(a.grad, 1.0)
-
-    def test_where_routes_gradients(self):
-        a = Tensor(np.ones(4), requires_grad=True)
-        b = Tensor(np.zeros(4), requires_grad=True)
-        cond = np.array([True, False, True, False])
-        where(cond, a, b).sum().backward()
-        assert np.allclose(a.grad, cond.astype(float))
-        assert np.allclose(b.grad, (~cond).astype(float))
-
     def test_backward_on_nonscalar_requires_matching_grad(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         out = t * 3
@@ -308,3 +279,27 @@ class TestGraphUtilities:
         z = y + y  # two paths through y
         z.backward()
         assert np.allclose(x.grad, [6.0])
+
+    def test_repeated_backward_accumulates_into_leaves(self):
+        a = Tensor([1.0], requires_grad=True)
+        y = (a * 2).sum()
+        y.backward()
+        y.backward()
+        assert np.array_equal(a.grad, [4.0])
+
+    def test_interior_gradients_are_dropped_once_consumed(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        hidden = a * 3
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        assert np.array_equal(a.grad, [18.0, 36.0])
+
+    def test_constant_inputs_record_no_graph(self):
+        out = (Tensor([1.0, 2.0]) * 2).exp().sum()
+        assert not out.requires_grad
+        assert out._prev == () and out._vjps == ()
+        with nn.no_grad():
+            out = (Tensor([1.0], requires_grad=True) * 2).sum()
+        assert not out.requires_grad
+        assert out._prev == () and out._vjps == ()

@@ -15,7 +15,7 @@ from repro.data import (
     extract_windows,
     generate_series,
 )
-from repro.detectors import make_detector
+from repro.detectors import HBOSDetector, make_detector
 from repro.eval import predict_for_series
 from repro.selectors import make_selector
 from repro.serving import window_budget_groups
@@ -122,6 +122,17 @@ def _fresh_engine(world, model_set=None, **overrides) -> StreamEngine:
     overrides.setdefault("window", 64)
     return StreamEngine(world["selector"], world["detector_names"],
                         StreamingConfig(**overrides), model_set=model_set)
+
+
+class _RejectsHugeSeries(HBOSDetector):
+    """HBOS that raises ``ValueError`` on a finite series beyond 1e100."""
+
+    name = "Picky"
+
+    def score(self, series: np.ndarray) -> np.ndarray:
+        if np.abs(series).max() > 1e100:
+            raise ValueError("magnitude beyond 1e100")
+        return super().score(series)
 
 
 class TestStreamingSelector:
@@ -451,10 +462,10 @@ class TestStreamEngine:
         assert len(together.scores("healthy")) == 700
 
     def test_detector_error_stays_with_its_stream(self, streaming_world):
-        """A detector that raises on a finite series (HBOS at 1e300 scale, whose
-        histogram range overflows) fails only its own stream's scoring; the
-        stream sharing its flushes answers and scores exactly as it would alone."""
-        model_set = {name: make_detector("HBOS", window=16)
+        """A detector that raises ``ValueError`` on a finite series fails only
+        its own stream's scoring; the stream sharing its flushes answers and
+        scores exactly as it would alone."""
+        model_set = {name: _RejectsHugeSeries(window=16)
                      for name in streaming_world["detector_names"]}
         healthy = streaming_world["queries"][0].series
         huge = streaming_world["queries"][1].series * 1e300
@@ -466,8 +477,8 @@ class TestStreamEngine:
             updates = together.flush()
             assert updates["healthy"] == alone.push("healthy", healthy[start:start + 100])
             assert updates["healthy"].score_error is None
-            assert re.fullmatch(r"HBOS cannot score the series: .*not finite",
-                                updates["huge"].score_error)
+            assert updates["huge"].score_error == \
+                "Picky cannot score the series: magnitude beyond 1e100"
         assert len(together.scores("huge")) == 0
         assert np.array_equal(together.scores("healthy"), alone.scores("healthy"))
         assert len(together.scores("healthy")) == 700

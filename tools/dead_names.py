@@ -5,9 +5,10 @@ A public top-level ``def`` or ``class`` of ``src/repro`` counts as used when
 its name occurs as an identifier, an attribute or an imported name anywhere
 in ``src/``, ``benchmarks/``, ``perfbench/``, ``examples/`` or ``tools/``
 outside its own definition.  Imports in ``__init__.py`` (re-exports) do not
-count, nor does text in strings and comments; ``tests/`` is not read.  A
-class decorated with a ``register_*(...)`` call counts as used, because a
-registry reaches it by name.
+count, nor do attributes of NumPy (``np.where`` is not a use of a ``where``
+in ``src/repro``), nor does text in strings and comments; ``tests/`` is not
+read.  A class decorated with a ``register_*(...)`` call counts as used,
+because a registry reaches it by name.
 
 Prints ``path::name`` for each unused name and exits 1 if there is any.
 Run as ``python tools/dead_names.py`` (standard library only).
@@ -19,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "benchmarks", "perfbench", "examples", "tools")
+NUMPY = ("np", "numpy")
 
 
 def _registered(node: ast.ClassDef) -> bool:
@@ -40,7 +42,8 @@ def dead_names(root: Path = ROOT) -> list:
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                if getattr(node.value, "id", None) not in NUMPY:
+                    used.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
                 used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     return [f"{rel}::{name}" for rel, name in defined if name not in used]
