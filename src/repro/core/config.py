@@ -72,8 +72,6 @@ class TrainerConfig:
     weight_decay: float = 1e-4
     grad_clip: float = 5.0
     seed: int = 0
-    #: fraction of windows held out for validation curves (0 disables)
-    val_fraction: float = 0.0
     verbose: bool = False
 
     pisl: PISLConfig = field(default_factory=lambda: PISLConfig(enabled=False))
@@ -83,10 +81,6 @@ class TrainerConfig:
     def replace(self, **overrides) -> "TrainerConfig":
         """Return a copy with the given top-level fields replaced."""
         return dataclasses.replace(self, **overrides)
-
-    @property
-    def uses_knowledge(self) -> bool:
-        return self.pisl.enabled or self.mki.enabled
 
 
 def kdselector_config(

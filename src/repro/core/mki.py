@@ -66,13 +66,8 @@ class MKIModule(nn.Module):
     # ------------------------------------------------------------------ #
     # loss
     # ------------------------------------------------------------------ #
-    def loss(
-        self,
-        series_features: nn.Tensor,
-        text_embeddings: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> nn.Tensor:
-        """Per-batch InfoNCE loss between projected series and text features."""
+    def loss(self, series_features: nn.Tensor, text_embeddings: np.ndarray) -> nn.Tensor:
+        """Per-sample InfoNCE loss between projected series and text features."""
         projected_series = self.h_t(series_features)
         projected_text = self.h_k(nn.Tensor(np.asarray(text_embeddings, dtype=np.float64)))
         return nn.info_nce(
@@ -80,7 +75,6 @@ class MKIModule(nn.Module):
             projected_text,
             temperature=self.config.temperature,
             reduction="none",
-            weights=weights,
         )
 
     def trainable_parameters(self) -> List[nn.Parameter]:

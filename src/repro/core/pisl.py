@@ -62,12 +62,11 @@ class PISLLoss:
         logits: nn.Tensor,
         hard_labels: np.ndarray,
         soft_labels: np.ndarray | None,
-        weights: np.ndarray | None = None,
     ) -> nn.Tensor:
         """Per-sample loss tensor (reduction is left to the trainer)."""
-        hard = nn.cross_entropy(logits, hard_labels, reduction="none", weights=weights)
+        hard = nn.cross_entropy(logits, hard_labels, reduction="none")
         if not self.config.enabled or soft_labels is None or self.config.alpha <= 0.0:
             return hard
-        soft = nn.soft_cross_entropy(logits, soft_labels, reduction="none", weights=weights)
+        soft = nn.soft_cross_entropy(logits, soft_labels, reduction="none")
         alpha = self.config.alpha
         return hard * (1.0 - alpha) + soft * alpha

@@ -5,7 +5,8 @@ Both pruners follow the same protocol inside the training loop:
 1. ``setup(sample_features)`` is called once before training (PA fits its
    LSH tables here — sample values are invariant during training).
 2. At each epoch, ``select(epoch)`` returns the indices of the samples to
-   iterate over and a per-sample gradient-rescaling weight.
+   iterate over and a per-sample gradient-rescaling weight; the trainer
+   multiplies each sample's loss by its weight.
 3. After the epoch, ``update(indices, losses)`` records the per-sample
    losses so the running average loss stays current.
 
@@ -15,13 +16,14 @@ those with above-mean loss that are similar both in value (same LSH table)
 and in loss (same equi-depth bin) — per the paper's analysis (Sect. A.1)
 such samples contribute nearly identical gradients, so dropping a random
 fraction of each bucket and rescaling the rest preserves the expected
-objective (Sect. A.2).
+objective (Sect. A.2).  :class:`PAPruner` therefore inherits InfoBatch's
+selection and overrides only what it keeps of the above-mean samples.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +42,6 @@ class SamplePruner(ABC):
         self._rng = np.random.default_rng(seed)
         self._loss_sum = np.zeros(n_samples)
         self._loss_count = np.zeros(n_samples)
-        #: fraction of the dataset used at each epoch (for reports / tests)
-        self.kept_fraction_history: List[float] = []
 
     # ------------------------------------------------------------------ #
     def setup(self, sample_features: Optional[np.ndarray]) -> None:
@@ -69,9 +69,6 @@ class SamplePruner(ABC):
     def has_history(self) -> bool:
         return bool(self._loss_count.sum() > 0)
 
-    def _record_kept(self, n_kept: int) -> None:
-        self.kept_fraction_history.append(n_kept / max(self.n_samples, 1))
-
     def _in_full_data_phase(self, epoch: int) -> bool:
         """InfoBatch trains on the full data for the last few epochs."""
         start_full = int(np.ceil(self.total_epochs * (1.0 - self.config.full_data_last_fraction)))
@@ -83,9 +80,7 @@ class NoPruning(SamplePruner):
 
     def select(self, epoch: int) -> Tuple[np.ndarray, np.ndarray]:
         del epoch
-        indices = np.arange(self.n_samples)
-        self._record_kept(len(indices))
-        return indices, np.ones(self.n_samples)
+        return np.arange(self.n_samples), np.ones(self.n_samples)
 
 
 class InfoBatchPruner(SamplePruner):
@@ -93,28 +88,26 @@ class InfoBatchPruner(SamplePruner):
 
     def select(self, epoch: int) -> Tuple[np.ndarray, np.ndarray]:
         if not self.has_history or self._in_full_data_phase(epoch):
-            indices = np.arange(self.n_samples)
-            self._record_kept(len(indices))
-            return indices, np.ones(self.n_samples)
+            return np.arange(self.n_samples), np.ones(self.n_samples)
 
         avg = self.average_losses
         mean_loss = avg.mean()
         ratio = self.config.ratio
-
         below = np.flatnonzero(avg < mean_loss)
         above = np.flatnonzero(avg >= mean_loss)
 
         keep_mask = self._rng.random(len(below)) >= ratio
         kept_below = below[keep_mask]
+        kept_above, above_weights = self._keep_above_mean(above)
 
-        indices = np.concatenate([kept_below, above])
-        weights = np.concatenate([
-            np.full(len(kept_below), 1.0 / (1.0 - ratio)),
-            np.ones(len(above)),
-        ])
+        indices = np.concatenate([kept_below, kept_above])
+        weights = np.concatenate([np.full(len(kept_below), 1.0 / (1.0 - ratio)), above_weights])
         order = np.argsort(indices)
-        self._record_kept(len(indices))
         return indices[order], weights[order]
+
+    def _keep_above_mean(self, above: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(indices, weights) kept among the hard samples: InfoBatch keeps all."""
+        return above, np.ones(len(above))
 
 
 class PAPruner(InfoBatchPruner):
@@ -134,32 +127,18 @@ class PAPruner(InfoBatchPruner):
     def select(self, epoch: int) -> Tuple[np.ndarray, np.ndarray]:
         if self._signatures is None:
             raise RuntimeError("PAPruner.setup() must be called before select()")
-        if not self.has_history or self._in_full_data_phase(epoch):
-            indices = np.arange(self.n_samples)
-            self._record_kept(len(indices))
-            return indices, np.ones(self.n_samples)
+        return super().select(epoch)
 
-        avg = self.average_losses
-        mean_loss = avg.mean()
-        ratio = self.config.ratio
-
-        below = np.flatnonzero(avg < mean_loss)
-        above = np.flatnonzero(avg >= mean_loss)
-
-        # Well-learned samples: exactly InfoBatch (no bucketing).
-        keep_mask = self._rng.random(len(below)) >= ratio
-        kept_indices = [below[keep_mask]]
-        kept_weights = [np.full(int(keep_mask.sum()), 1.0 / (1.0 - ratio))]
-
-        # Hard samples: prune only inside buckets of mutually similar samples.
-        buckets = bucket_indices(self._signatures, avg, above, self.config.n_bins)
+    def _keep_above_mean(self, above: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Prune hard samples only inside buckets of mutually similar samples."""
+        buckets = bucket_indices(self._signatures, self.average_losses, above, self.config.n_bins)
         bucketed = np.concatenate(buckets) if buckets else np.asarray([], dtype=int)
         unbucketed = np.setdiff1d(above, bucketed, assume_unique=False)
-        kept_indices.append(unbucketed)
-        kept_weights.append(np.ones(len(unbucketed)))
+        kept_indices = [unbucketed]
+        kept_weights = [np.ones(len(unbucketed))]
 
         for bucket in buckets:
-            bucket_keep = self._rng.random(len(bucket)) >= ratio
+            bucket_keep = self._rng.random(len(bucket)) >= self.config.ratio
             if not bucket_keep.any():
                 # Never drop a whole bucket: keep one member to represent it.
                 bucket_keep[self._rng.integers(0, len(bucket))] = True
@@ -167,11 +146,7 @@ class PAPruner(InfoBatchPruner):
             kept_indices.append(survivors)
             kept_weights.append(np.full(len(survivors), len(bucket) / len(survivors)))
 
-        indices = np.concatenate(kept_indices)
-        weights = np.concatenate(kept_weights)
-        order = np.argsort(indices)
-        self._record_kept(len(indices))
-        return indices[order], weights[order]
+        return np.concatenate(kept_indices), np.concatenate(kept_weights)
 
 
 def make_pruner(

@@ -38,8 +38,6 @@ class TrainingReport:
     """Per-epoch curves and totals produced by :meth:`SelectorTrainer.fit`."""
 
     epoch_losses: List[float] = field(default_factory=list)
-    epoch_train_accuracy: List[float] = field(default_factory=list)
-    epoch_val_accuracy: List[float] = field(default_factory=list)
     epoch_times: List[float] = field(default_factory=list)
     epoch_samples_used: List[int] = field(default_factory=list)
     total_time: float = 0.0
@@ -68,7 +66,6 @@ class TrainingReport:
             "final_loss": self.final_loss,
             "total_time_s": self.total_time,
             "pruned_fraction": self.pruned_fraction,
-            "final_val_accuracy": self.epoch_val_accuracy[-1] if self.epoch_val_accuracy else None,
             **self.config_summary,
         }
 
@@ -96,15 +93,15 @@ class SelectorTrainer:
         self.pisl = PISLLoss(self.config.pisl)
 
     # ------------------------------------------------------------------ #
-    def fit(self, dataset: SelectorDataset) -> TrainingReport:
-        """Run the configured training loop and return the training report."""
+    def fit(self, train_set: SelectorDataset) -> TrainingReport:
+        """Run the configured training loop and return the training report.
+
+        Each minibatch the pruner keeps costs one forward, one backward and
+        one optimizer step; nothing else runs per epoch.  The per-sample
+        losses of that forward are what the pruner averages.
+        """
         config = self.config
         rng = np.random.default_rng(config.seed)
-
-        if config.val_fraction > 0:
-            train_set, val_set = dataset.train_val_split(config.val_fraction, seed=config.seed)
-        else:
-            train_set, val_set = dataset, None
 
         window_length = train_set.windows.shape[1]
         self.selector.build(window=window_length, n_classes=train_set.n_classes)
@@ -185,32 +182,13 @@ class SelectorTrainer:
             report.epoch_losses.append(epoch_loss / max(epoch_count, 1))
             report.epoch_samples_used.append(int(epoch_count))
             report.epoch_times.append(time.perf_counter() - epoch_start)
-            report.epoch_train_accuracy.append(self._accuracy(train_set, rng, max_samples=512))
-            if val_set is not None and len(val_set):
-                report.epoch_val_accuracy.append(self._accuracy(val_set, rng, max_samples=512))
 
             if config.verbose:
-                val_msg = f" val_acc={report.epoch_val_accuracy[-1]:.3f}" if report.epoch_val_accuracy else ""
                 print(
                     f"epoch {epoch + 1}/{config.epochs}: loss={report.epoch_losses[-1]:.4f} "
-                    f"samples={epoch_count}/{len(train_set)}{val_msg}"
+                    f"samples={epoch_count}/{len(train_set)}"
                 )
 
         report.total_time = time.perf_counter() - start_total
         self.selector.train_mode(False)
-        self.pruner_ = pruner
         return report
-
-    # ------------------------------------------------------------------ #
-    def _accuracy(self, dataset: SelectorDataset, rng: np.random.Generator, max_samples: int = 512) -> float:
-        """Hard-label accuracy on (a subsample of) a dataset split."""
-        if len(dataset) == 0:
-            return 0.0
-        if len(dataset) > max_samples:
-            idx = rng.choice(len(dataset), size=max_samples, replace=False)
-        else:
-            idx = np.arange(len(dataset))
-        self.selector.train_mode(False)
-        predictions = self.selector.predict_proba(dataset.windows[idx]).argmax(axis=1)
-        self.selector.train_mode(True)
-        return float((predictions == dataset.hard_labels[idx]).mean())

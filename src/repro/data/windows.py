@@ -195,15 +195,6 @@ class SelectorDataset:
             window_size=self.window_size,
         )
 
-    def train_val_split(self, val_fraction: float = 0.3, seed: int = 0) -> tuple["SelectorDataset", "SelectorDataset"]:
-        """Random window-level split (the system UI's Training/Validation split)."""
-        if not 0.0 <= val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(self))
-        n_val = int(len(self) * val_fraction)
-        return self.subset(order[n_val:]), self.subset(order[:n_val])
-
 
 def build_selector_dataset(
     records: Sequence[TimeSeriesRecord],

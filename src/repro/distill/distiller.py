@@ -147,7 +147,6 @@ def distill_student(teacher: Selector, windows: np.ndarray,
         batch_size=config.batch_size,
         lr=config.lr,
         seed=config.seed,
-        val_fraction=0.0,
         pisl=PISLConfig(enabled=True, alpha=config.alpha, t_soft=config.t_soft),
     )
     student.fit(dataset, config=trainer_config)

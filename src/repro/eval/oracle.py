@@ -122,29 +122,3 @@ class Oracle:
             np.savez(cache_path, performance=matrix,
                      detectors=np.array(self.detector_names, dtype="U32"))
         return matrix
-
-    # ------------------------------------------------------------------ #
-    def hard_labels(self, performance_matrix: np.ndarray) -> np.ndarray:
-        """Index of the best detector per series (the paper's hard label y_i)."""
-        return np.asarray(performance_matrix, dtype=np.float64).argmax(axis=1)
-
-    def summary(self, performance_matrix: np.ndarray) -> Dict[str, float]:
-        """Aggregate statistics useful for sanity checks and reports."""
-        matrix = np.asarray(performance_matrix, dtype=np.float64)
-        best = matrix.max(axis=1)
-        return {
-            "mean_best": float(best.mean()),
-            "mean_overall": float(matrix.mean()),
-            "n_series": int(matrix.shape[0]),
-            "n_detectors": int(matrix.shape[1]),
-            "winner_entropy": self._winner_entropy(matrix),
-        }
-
-    @staticmethod
-    def _winner_entropy(matrix: np.ndarray) -> float:
-        """Entropy of the winning-detector distribution (higher = more diverse)."""
-        winners = matrix.argmax(axis=1)
-        counts = np.bincount(winners, minlength=matrix.shape[1]).astype(float)
-        p = counts / counts.sum()
-        nonzero = p[p > 0]
-        return float(-(nonzero * np.log(nonzero)).sum())

@@ -13,8 +13,6 @@ acceleration module can track per-sample losses across epochs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import functional as F
@@ -31,33 +29,16 @@ def _reduce(per_sample: Tensor, reduction: str) -> Tensor:
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    reduction: str = "mean",
-    weights: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Cross entropy between logits (N, C) and integer targets (N,).
-
-    ``weights`` are optional per-sample multipliers, used by the pruning
-    modules for gradient rescaling (multiplying a sample's loss by ``w`` is
-    equivalent to multiplying its gradient contribution by ``w``).
-    """
+def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
+    """Cross entropy between logits (N, C) and integer targets (N,)."""
     targets = np.asarray(targets, dtype=int)
     log_probs = F.log_softmax(logits, axis=-1)
     picked = log_probs[np.arange(len(targets)), targets]
     per_sample = -picked
-    if weights is not None:
-        per_sample = per_sample * Tensor(np.asarray(weights, dtype=np.float64))
     return _reduce(per_sample, reduction)
 
 
-def soft_cross_entropy(
-    logits: Tensor,
-    soft_targets: np.ndarray,
-    reduction: str = "mean",
-    weights: Optional[np.ndarray] = None,
-) -> Tensor:
+def soft_cross_entropy(logits: Tensor, soft_targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Cross entropy against a soft target distribution (PISL loss).
 
     ``soft_targets`` is an (N, C) row-stochastic matrix (the paper's
@@ -66,8 +47,6 @@ def soft_cross_entropy(
     soft = np.asarray(soft_targets, dtype=np.float64)
     log_probs = F.log_softmax(logits, axis=-1)
     per_sample = -(log_probs * Tensor(soft)).sum(axis=-1)
-    if weights is not None:
-        per_sample = per_sample * Tensor(np.asarray(weights, dtype=np.float64))
     return _reduce(per_sample, reduction)
 
 
@@ -78,13 +57,7 @@ def mse_loss(pred: Tensor, target: np.ndarray, reduction: str = "mean") -> Tenso
     return _reduce(per_element, reduction)
 
 
-def info_nce(
-    z_a: Tensor,
-    z_b: Tensor,
-    temperature: float = 0.1,
-    reduction: str = "mean",
-    weights: Optional[np.ndarray] = None,
-) -> Tensor:
+def info_nce(z_a: Tensor, z_b: Tensor, temperature: float = 0.1, reduction: str = "mean") -> Tensor:
     """Symmetric InfoNCE loss between two batches of paired embeddings.
 
     Row ``i`` of ``z_a`` and row ``i`` of ``z_b`` are a positive pair; every
@@ -97,8 +70,8 @@ def info_nce(
     n = z_a.shape[0]
     sim = F.cosine_similarity_matrix(z_a, z_b) * (1.0 / temperature)
     labels = np.arange(n)
-    loss_ab = cross_entropy(sim, labels, reduction="none", weights=weights)
-    loss_ba = cross_entropy(sim.transpose(), labels, reduction="none", weights=weights)
+    loss_ab = cross_entropy(sim, labels, reduction="none")
+    loss_ba = cross_entropy(sim.transpose(), labels, reduction="none")
     per_sample = (loss_ab + loss_ba) * 0.5
     return _reduce(per_sample, reduction)
 

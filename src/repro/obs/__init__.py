@@ -25,7 +25,7 @@ switch them on.  See ``docs/observability.md`` for the metric catalogue
 and the audit schema.
 """
 
-from .audit import NULL_AUDIT, AuditLog, NullAuditLog, content_hash, replay_selection, selection_inputs
+from .audit import NULL_AUDIT, AuditLog, NullAuditLog, replay_selection, selection_inputs
 from .explain import explain_from_audit, explain_stream, format_explain
 from .metrics import (
     DEFAULT_COUNT_BUCKETS,
@@ -45,7 +45,7 @@ from .metrics import (
 from .trace import NULL_TRACER, NullTracer, Span, Tracer, set_default_tracer, span
 
 __all__ = [
-    "AuditLog", "NullAuditLog", "NULL_AUDIT", "content_hash",
+    "AuditLog", "NullAuditLog", "NULL_AUDIT",
     "replay_selection", "selection_inputs",
     "explain_from_audit", "explain_stream", "format_explain",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetric", "NULL_METRIC",

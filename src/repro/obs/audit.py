@@ -27,16 +27,9 @@ import json
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
-
-
-def content_hash(series: np.ndarray, extra: Iterable[object] = ()) -> str:
-    """The serving cache's content fingerprint (dtype + shape + bytes)."""
-    from ..serving.cache import series_fingerprint  # deferred: serving imports obs
-
-    return series_fingerprint(series, extra=extra)
 
 
 class AuditLog:
@@ -183,6 +176,7 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
     """
     from ..data.windows import extract_new_windows  # deferred: heavy import chain
     from ..eval.evaluation import aggregate_window_probas
+    from ..serving.cache import series_fingerprint  # serving imports obs
 
     if event.get("event") != "selection":
         raise ValueError(f"not a selection event: {event.get('event')!r}")
@@ -208,7 +202,7 @@ def replay_selection(event: Dict[str, object], series: np.ndarray,
         raise ValueError(f"series too short: {len(series)} < {inputs['length']}")
     window, stride = int(inputs["window"]), int(inputs["stride"])
     aggregation = str(inputs["aggregation"])
-    observed = content_hash(series, extra=(window, stride, aggregation))
+    observed = series_fingerprint(series, extra=(window, stride, aggregation))
     if observed != inputs["series_hash"]:
         raise ValueError(f"content hash mismatch: {observed} != {inputs['series_hash']}")
 

@@ -4,7 +4,8 @@ Zero-dependency (stdlib only) instrumentation primitives for the runtime
 layers.  Three metric kinds mirror the Prometheus data model:
 
 * :class:`Counter` — a monotone count (``cache hits``, ``flushes``),
-* :class:`Gauge` — a value that goes up and down (``streams live``),
+* :class:`Gauge` — the last value set (``student agreement at the last
+  probe``),
 * :class:`Histogram` — a distribution over fixed buckets; the default
   bucket ladder (:data:`DEFAULT_LATENCY_BUCKETS`) is log-scale from 10 µs
   to 10 s, which is where every latency in this system lives.
@@ -21,7 +22,7 @@ A :class:`MetricsRegistry` aggregates metrics for exposition
 format).  The registry is where the **no-op mode** lives:
 
 * a *disabled* registry hands out shared null metrics from
-  :meth:`counter` / :meth:`gauge` / :meth:`histogram` whose methods do
+  :meth:`counter` / :meth:`histogram` whose methods do
   nothing and whose :meth:`Histogram.time` context manager never reads a
   clock — instrumentation sites pay one attribute call and nothing else,
 * :meth:`register` on a disabled registry leaves the metric fully
@@ -92,7 +93,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (thread-safe)."""
+    """The last value set (thread-safe)."""
 
     kind = "gauge"
 
@@ -107,14 +108,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -244,12 +237,6 @@ class NullMetric:
     def inc(self, amount: float = 1) -> None:
         pass
 
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -292,7 +279,7 @@ class MetricsRegistry:
     """A collection of metrics with get-or-create access and exposition.
 
     ``enabled=False`` turns the registry into a no-op factory: the
-    ``counter``/``gauge``/``histogram`` helpers return :data:`NULL_METRIC`
+    ``counter``/``histogram`` helpers return :data:`NULL_METRIC`
     and :meth:`register` tracks nothing (the metric itself keeps working).
     """
 
@@ -330,9 +317,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
@@ -378,15 +362,6 @@ class MetricsRegistry:
         """Shortcut: the tracked metric's scalar value (counters/gauges)."""
         metric = self.find(name, **labels)
         return None if metric is None else metric.value
-
-    def snapshot(self) -> Dict[str, float]:
-        """``{"name{labels}": value}`` for counters and gauges,
-        ``{"name{labels}": count}`` for histograms (JSON-friendly)."""
-        out: Dict[str, float] = {}
-        for metric in self.metrics():
-            key = metric.name + _render_labels(metric.labels)
-            out[key] = metric.count if metric.kind == "histogram" else metric.value
-        return out
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""

@@ -159,10 +159,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def export(self) -> List[Dict[str, object]]:
-        """Finished spans as JSON-ready dicts."""
-        return [span.as_dict() for span in self.spans]
-
     def close(self) -> None:
         if self._sink_owned and self._sink_file is not None:
             self._sink_file.close()
@@ -182,9 +178,6 @@ class NullTracer:
 
     @property
     def spans(self) -> List[Span]:
-        return []
-
-    def export(self) -> List[Dict[str, object]]:
         return []
 
     def close(self) -> None:

@@ -116,21 +116,18 @@ class NNSelector(Selector):
     # ------------------------------------------------------------------ #
     # Selector interface
     # ------------------------------------------------------------------ #
-    def fit(self, dataset: SelectorDataset, config=None, **overrides) -> "NNSelector":
+    def fit(self, dataset: SelectorDataset, config=None) -> "NNSelector":
         """Train with the standard framework, or with KDSelector modules.
 
         ``config`` is a :class:`repro.core.config.TrainerConfig`; when it is
         omitted a plain configuration (hard labels only, no pruning) built
         from this selector's ``epochs`` / ``batch_size`` / ``lr`` is used.
-        Extra keyword arguments override fields of that configuration.
         """
         from ..core.config import TrainerConfig
         from ..core.trainer import SelectorTrainer
 
         if config is None:
             config = TrainerConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr, seed=self.seed)
-        if overrides:
-            config = config.replace(**overrides)
         trainer = SelectorTrainer(self, config)
         self.last_report_ = trainer.fit(dataset)
         return self

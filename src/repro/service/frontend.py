@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..detectors.base import AnomalyDetector
+from ..detectors.base import AnomalyDetector, check_finite
 from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
@@ -268,11 +268,18 @@ class ShardedService:
     # ingestion
     # ------------------------------------------------------------------ #
     def append(self, stream_id: str, values: np.ndarray) -> None:
-        """Stage points on one stream (shared memory; flushed by :meth:`flush`)."""
+        """Stage points on one stream (shared memory; flushed by :meth:`flush`).
+
+        A chunk holding NaN or an infinity raises
+        :class:`~repro.detectors.base.NonFiniteSeriesError` before any shared
+        memory is created or written.
+        """
         if self._closed:
             raise ValueError("service is closed")
         values = np.asarray(values, dtype=np.float64).ravel()
         buffer = self._buffers.get(stream_id)
+        check_finite(values, "sharded service", start=0 if buffer is None else buffer.length,
+                     series_name=stream_id)
         if buffer is None:
             buffer = SharedSeriesBuffer(
                 stream_id, initial_capacity=max(INITIAL_STREAM_CAPACITY, len(values)))

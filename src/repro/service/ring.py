@@ -90,12 +90,8 @@ class HashRing:
 
     # ------------------------------------------------------------------ #
     def to_state(self) -> Dict[str, object]:
-        """JSON-ready snapshot; :meth:`from_state` rebuilds the same ring."""
+        """JSON-ready snapshot (the service's ``stats()``)."""
         return {"replicas": self.replicas, "shards": self.shard_ids}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "HashRing":
-        return cls(shard_ids=list(state["shards"]), replicas=int(state["replicas"]))
 
     def __repr__(self) -> str:
         return f"HashRing(shards={self.shard_ids}, replicas={self.replicas})"

@@ -14,10 +14,14 @@ together by :meth:`flush`:
    detector re-selection (drift) swaps the stream's scorer.
 
 Scorer updates fan out on a :class:`repro.serving.workers.WorkerPool` when
-``max_workers >= 2`` — per-stream detection work is independent.  A stream
-holding a NaN or an infinity, or one its detector rejects, gets no new
-scores and says why in ``StreamUpdate.score_error``; the other streams of
-the flush score as usual.
+``max_workers >= 2`` — per-stream detection work is independent.  A chunk
+holding a NaN or an infinity is rejected where it enters: :meth:`append`
+and :meth:`append_view` raise
+:class:`~repro.detectors.base.NonFiniteSeriesError`, naming the stream and
+the point's index in it, and leave every stream as it was.  A stream whose
+detector rejects its (finite) series gets no new scores and says why in
+``StreamUpdate.score_error``; the other streams of the flush score as
+usual.
 
 The result of a flush is one :class:`StreamUpdate` per touched stream: the
 running selection (bitwise identical to the batch pipeline on the same
@@ -33,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..detectors.base import AnomalyDetector, NonFiniteSeriesError
+from ..detectors.base import AnomalyDetector, check_finite
 from ..obs.audit import NULL_AUDIT, selection_inputs
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
@@ -101,8 +105,8 @@ class StreamUpdate:
     drift_triggered: bool = False
     #: new windows of this flush the cascade escalated to the teacher
     escalated_windows: int = 0
-    #: why the stream's scores did not advance: it holds a non-finite point,
-    #: or its detector rejected the series
+    #: why the stream's scores did not advance: its detector rejected the
+    #: series
     score_error: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -162,14 +166,12 @@ class _StreamState:
 def _update_scores(state: _StreamState) -> Optional[str]:
     """Advance one stream's scores; why not, if the series cannot be scored.
 
-    The scorer rejects a non-finite point, and a detector may raise
-    ``ValueError`` on a finite series it cannot score.  Either error stays
-    with its stream, so the other streams of the flush score as usual.
+    A detector may raise ``ValueError`` on a finite series it cannot score.
+    The error stays with its stream, so the other streams of the flush
+    score as usual.
     """
     try:
         state.scorer.update(state.buffer.series)
-    except NonFiniteSeriesError as error:
-        return str(error)
     except ValueError as error:
         return f"{state.scorer.detector.name} cannot score the series: {error}"
     return None
@@ -291,9 +293,18 @@ class StreamEngine:
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #
+    def _length(self, stream_id: str) -> int:
+        state = self._streams.get(stream_id)
+        return 0 if state is None else state.buffer.length
+
     def append(self, stream_id: str, values: np.ndarray) -> None:
-        """Stage points on one stream (processed by the next :meth:`flush`)."""
+        """Stage points on one stream (processed by the next :meth:`flush`).
+
+        A chunk holding NaN or an infinity raises
+        :class:`~repro.detectors.base.NonFiniteSeriesError` and is not staged.
+        """
         values = np.asarray(values, dtype=np.float64).ravel()
+        check_finite(values, "stream engine", start=self._length(stream_id), series_name=stream_id)
         state = self._ensure_stream(stream_id)
         state.buffer.extend(values)
         state.pending = True
@@ -307,10 +318,14 @@ class StreamEngine:
         extend what the engine has already seen (append-only).  Nothing is
         copied: the stream's buffer adopts the view and the next
         :meth:`flush` windows only the new points, bitwise identical to
-        having received them through :meth:`append`.
+        having received them through :meth:`append`.  New points are
+        checked as :meth:`append` checks them; a rejected view is not
+        adopted.
         """
+        previous = self._length(stream_id)
+        check_finite(np.asarray(series)[previous:], "stream engine", start=previous,
+                     series_name=stream_id)
         state = self._ensure_stream(stream_id)
-        previous = state.buffer.length
         state.buffer.attach(series)
         state.pending = True
         self._points.inc(state.buffer.length - previous)

@@ -61,11 +61,6 @@ class OnlineScorer:
 
     # ------------------------------------------------------------------ #
     @property
-    def scored_length(self) -> int:
-        """Length of the series prefix the maintained scores cover."""
-        return self._scored_length
-
-    @property
     def raw_scores(self) -> np.ndarray:
         """Raw per-point scores of the scored prefix (empty before any run)."""
         if self._raw is None:
@@ -75,7 +70,7 @@ class OnlineScorer:
     @property
     def scores(self) -> np.ndarray:
         """Normalised scores of the scored prefix — equal to
-        ``detector.detect(series[:scored_length])``."""
+        ``detector.detect(series[:len(scores)])``."""
         return normalize_scores(self.raw_scores) if self._scored_length else np.zeros(0)
 
     # ------------------------------------------------------------------ #

@@ -919,10 +919,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     continue
                 try:
                     stream_id, values = parse_tick_line(line)
-                except ValueError as error:
+                    engine.append(stream_id, values)
+                except ValueError as error:  # a malformed or non-finite tick
                     print(json.dumps({"error": str(error)}), flush=True)
                     continue
-                emit(engine.push(stream_id, values))
+                emit(engine.flush()[stream_id])
         print(_format_stream_stats(engine.stats), file=sys.stderr)
         return 0
     finally:

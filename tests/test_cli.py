@@ -233,6 +233,25 @@ class TestTrainEvaluateDetect:
         assert answers[2]["stream"] == "other"
         assert "error" in answers[3]
 
+    def test_stream_answers_a_non_finite_tick_with_an_error_line(self, trained_store, capsys,
+                                                                 monkeypatch):
+        import io
+
+        lines = "\n".join(["1.5", "nan", '{"stream": "other", "values": [1, -Infinity]}',
+                           "2.5"]) + "\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main([
+            "stream",
+            "--store", str(trained_store), "--name", "mlp", "--window", "64",
+        ]) == 0
+        answers = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                   if line.strip()]
+        assert len(answers) == 4
+        assert re.fullmatch(r"stream engine .*'stdin': value nan at index 1", answers[1]["error"])
+        assert re.fullmatch(r"stream engine .*'other': value -inf at index 1", answers[2]["error"])
+        assert set(answers[1]) == set(answers[2]) == {"error"}
+        assert answers[3]["stream"] == "stdin" and answers[3]["length"] == 2
+
     def test_stream_emit_changes_filters_steady_updates(self, cli_workspace, trained_store,
                                                         capsys):
         series_file = sorted(cli_workspace["data_dir"].glob("*.csv"))[0]

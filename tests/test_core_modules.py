@@ -30,13 +30,11 @@ class TestConfigs:
         assert not config.pisl.enabled
         assert not config.mki.enabled
         assert config.pruning.method == "none"
-        assert not config.uses_knowledge
 
     def test_kdselector_config_enables_everything(self):
         config = kdselector_config()
         assert config.pisl.enabled and config.mki.enabled
         assert config.pruning.method == "pa"
-        assert config.uses_knowledge
 
     def test_replace_returns_modified_copy(self):
         config = TrainerConfig(epochs=3)
@@ -322,13 +320,35 @@ class TestPruners:
         assert avg[99] == pytest.approx(2.0)
 
     def test_kept_fraction_history_tracks_epochs(self):
+        """Everything is kept before any loss is seen; the next epoch prunes."""
         pruner = self._make("infobatch")
-        pruner.select(epoch=0)
+        first, _ = pruner.select(epoch=0)
         pruner.update(np.arange(100), np.random.default_rng(1).random(100))
-        pruner.select(epoch=1)
-        assert len(pruner.kept_fraction_history) == 2
-        assert pruner.kept_fraction_history[0] == pytest.approx(1.0)
-        assert pruner.kept_fraction_history[1] < 1.0
+        second, _ = pruner.select(epoch=1)
+        assert np.array_equal(first, np.arange(100))
+        assert len(second) < 100
+
+    @pytest.mark.parametrize("seed,ratio,epoch", [(0, 0.8, 1), (5, 0.5, 3), (11, 0.3, 2)])
+    def test_pa_without_collisions_selects_like_infobatch(self, seed, ratio, epoch):
+        """With no two samples sharing a signature PA has no bucket to prune,
+        so it keeps exactly InfoBatch's samples with InfoBatch's weights."""
+        n, bits = 48, 16
+        features = np.random.default_rng(seed).normal(size=(n, 32))
+        signatures = SimHashLSH(n_bits=bits, seed=seed).fit_signatures(features)
+        assert len(np.unique(signatures)) == n
+        losses = np.random.default_rng(seed + 1).uniform(0, 2, size=n)
+
+        infobatch = InfoBatchPruner(n, PruningConfig(method="infobatch", ratio=ratio), 10, seed=seed)
+        pa = PAPruner(n, PruningConfig(method="pa", ratio=ratio, lsh_bits=bits, n_bins=2), 10, seed=seed)
+        pa.setup(features)
+        for pruner in (infobatch, pa):
+            pruner.update(np.arange(n), losses)
+
+        ib_indices, ib_weights = infobatch.select(epoch)
+        pa_indices, pa_weights = pa.select(epoch)
+        assert len(ib_indices) < n
+        assert np.array_equal(pa_indices, ib_indices)
+        assert np.array_equal(pa_weights, ib_weights)
 
     def test_unknown_method_factory_raises(self):
         config = PruningConfig(method="pa")

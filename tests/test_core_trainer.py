@@ -42,13 +42,6 @@ class TestTrainerBasics:
         assert report.n_samples == len(small_selector_dataset)
         assert report.epoch_samples_used == [len(small_selector_dataset)] * 2
 
-    def test_val_split_tracks_accuracy(self, small_selector_dataset):
-        selector = _mlp(small_selector_dataset)
-        config = TrainerConfig(epochs=2, batch_size=16, val_fraction=0.25)
-        report = SelectorTrainer(selector, config).fit(small_selector_dataset)
-        assert len(report.epoch_val_accuracy) == 2
-        assert all(0.0 <= acc <= 1.0 for acc in report.epoch_val_accuracy)
-
     def test_report_summary_keys(self, small_selector_dataset):
         selector = _mlp(small_selector_dataset)
         report = SelectorTrainer(selector, TrainerConfig(epochs=1)).fit(small_selector_dataset)
@@ -63,6 +56,30 @@ class TestTrainerBasics:
         pa = a.predict_proba(small_selector_dataset.windows[:5])
         pb = b.predict_proba(small_selector_dataset.windows[:5])
         assert np.allclose(pa, pb)
+
+    def test_fit_only_trains(self, small_selector_dataset, monkeypatch):
+        """One selector forward per trained minibatch and no inference pass:
+        pruning shortens everything a fit does."""
+        selector = _mlp(small_selector_dataset)
+        forward = selector.forward
+        calls = []
+
+        def counting_forward(windows):
+            calls.append(len(windows))
+            return forward(windows)
+
+        def no_inference(windows):
+            raise AssertionError("a fit must not run predict_proba")
+
+        monkeypatch.setattr(selector, "forward", counting_forward)
+        monkeypatch.setattr(selector, "predict_proba", no_inference)
+        config = kdselector_config(epochs=4, batch_size=16, projection_dim=8, lsh_bits=6)
+        report = SelectorTrainer(selector, config).fit(small_selector_dataset)
+
+        assert report.epoch_samples_used[1] < len(small_selector_dataset)
+        batches = [-(-used // 16) for used in report.epoch_samples_used]
+        assert len(calls) == sum(batches)
+        assert sum(calls) == report.total_samples_processed
 
     def test_verbose_prints_progress(self, small_selector_dataset, capsys):
         selector = _mlp(small_selector_dataset)
@@ -148,6 +165,6 @@ class TestPruningIntegration:
     def test_trainer_exposes_pruner_state(self, small_selector_dataset):
         selector = _mlp(small_selector_dataset)
         config = TrainerConfig(epochs=2, pruning=PruningConfig(method="infobatch", ratio=0.5))
-        trainer = SelectorTrainer(selector, config)
-        trainer.fit(small_selector_dataset)
-        assert len(trainer.pruner_.kept_fraction_history) == 2
+        report = SelectorTrainer(selector, config).fit(small_selector_dataset)
+        assert len(report.epoch_samples_used) == 2
+        assert report.epoch_samples_used[0] == len(small_selector_dataset)

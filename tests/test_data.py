@@ -233,13 +233,11 @@ class TestWindowsAndBenchmark:
     def test_selector_dataset_subset_and_split(self, selector_dataset):
         subset = selector_dataset.subset([0, 1, 2])
         assert len(subset) == 3
-        train, val = selector_dataset.train_val_split(0.25, seed=1)
-        assert len(train) + len(val) == len(selector_dataset)
-        assert len(val) == int(0.25 * len(selector_dataset))
-
-    def test_selector_dataset_invalid_split_raises(self, selector_dataset):
-        with pytest.raises(ValueError):
-            selector_dataset.train_val_split(1.5)
+        # complementary subsets split the dataset window for window
+        rest = selector_dataset.subset(np.arange(3, len(selector_dataset)))
+        assert len(subset) + len(rest) == len(selector_dataset)
+        assert np.array_equal(np.vstack([subset.windows, rest.windows]), selector_dataset.windows)
+        assert subset.metadata_texts + rest.metadata_texts == selector_dataset.metadata_texts
 
     def test_max_windows_per_series(self, tiny_benchmark, synthetic_performance_matrix, detector_name_list):
         ds = build_selector_dataset(

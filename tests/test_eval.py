@@ -158,19 +158,6 @@ class TestOracle:
         with pytest.raises(ValueError):
             Oracle(small_model_set, metric="nope")
 
-    def test_hard_labels_are_argmax(self, small_model_set):
-        oracle = Oracle(small_model_set)
-        matrix = np.array([[0.1, 0.9, 0.3], [0.6, 0.2, 0.1]])
-        assert np.array_equal(oracle.hard_labels(matrix), [1, 0])
-
-    def test_summary_fields(self, small_model_set):
-        oracle = Oracle(small_model_set)
-        matrix = np.array([[0.1, 0.9, 0.3], [0.6, 0.2, 0.1]])
-        summary = oracle.summary(matrix)
-        assert summary["n_series"] == 2 and summary["n_detectors"] == 3
-        assert summary["mean_best"] == pytest.approx(0.75)
-        assert summary["winner_entropy"] > 0
-
 
 class _ConstantSelector:
     """Test double that always selects a fixed model index."""

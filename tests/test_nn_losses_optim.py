@@ -32,11 +32,6 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             nn.cross_entropy(Tensor(np.zeros((1, 2))), np.array([0]), reduction="bogus")
 
-    def test_sample_weights_scale_loss(self):
-        logits = Tensor(np.zeros((2, 2)))
-        weighted = nn.cross_entropy(logits, np.array([0, 1]), reduction="sum", weights=np.array([2.0, 0.0]))
-        assert weighted.item() == pytest.approx(2 * np.log(2))
-
     def test_gradient_is_softmax_minus_onehot(self):
         logits = Tensor(np.array([[1.0, 2.0, 0.5]]), requires_grad=True)
         nn.cross_entropy(logits, np.array([1])).backward()
@@ -62,12 +57,6 @@ class TestSoftCrossEntropy:
         loss_match = nn.soft_cross_entropy(matching_logits, target).item()
         loss_other = nn.soft_cross_entropy(Tensor(np.array([[0.0, 5.0, 0.0]])), target).item()
         assert loss_match < loss_other
-
-    def test_per_sample_weights(self):
-        logits = Tensor(np.zeros((2, 3)))
-        target = np.full((2, 3), 1.0 / 3)
-        loss = nn.soft_cross_entropy(logits, target, reduction="sum", weights=np.array([0.0, 1.0]))
-        assert loss.item() == pytest.approx(np.log(3))
 
 
 class TestInfoNCE:

@@ -24,7 +24,6 @@ from repro.obs import (
     NULL_TRACER,
     NullAuditLog,
     Tracer,
-    content_hash,
     explain_from_audit,
     explain_stream,
     format_explain,
@@ -50,11 +49,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_keeps_the_last_value_set(self):
         gauge = Gauge("g", "help")
         gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
+        gauge.set(7)
         assert gauge.value == 7
 
     def test_histogram_buckets_are_cumulative(self):
@@ -91,7 +89,7 @@ class TestMetrics:
         registry = MetricsRegistry(enabled=True)
         registry.counter("y_total")
         with pytest.raises(TypeError):
-            registry.gauge("y_total")
+            registry.histogram("y_total")
 
     def test_disabled_registry_hands_out_null_metrics(self):
         registry = MetricsRegistry(enabled=False)
@@ -251,12 +249,12 @@ class TestAuditLog:
 
     def test_content_hash_sensitive_to_data_and_knobs(self, rng):
         series = rng.normal(size=256)
-        base = content_hash(series, extra=(64, 64, "vote"))
-        assert base == content_hash(series.copy(), extra=(64, 64, "vote"))
-        assert base != content_hash(series, extra=(64, 32, "vote"))
+        base = series_fingerprint(series, extra=(64, 64, "vote"))
+        assert base == series_fingerprint(series.copy(), extra=(64, 64, "vote"))
+        assert base != series_fingerprint(series, extra=(64, 32, "vote"))
         perturbed = series.copy()
         perturbed[7] += 1e-12
-        assert base != content_hash(perturbed, extra=(64, 64, "vote"))
+        assert base != series_fingerprint(perturbed, extra=(64, 64, "vote"))
 
 
 # --------------------------------------------------------------------------- #

@@ -179,9 +179,8 @@ class TestPruningProperties:
         assert len(indices) == len(np.unique(indices))
         assert indices.min() >= 0 and indices.max() < n
         assert (weights >= 1.0 - 1e-12).all()
-        assert len(indices) <= n
-        # After the select the kept fraction history is recorded in (0, 1].
-        assert 0 < pruner.kept_fraction_history[-1] <= 1.0
+        # The kept fraction lies in (0, 1].
+        assert 0 < len(indices) <= n
 
     @FAST
     @given(

@@ -151,13 +151,6 @@ class TestNNSelectors:
         assert hasattr(selector, "last_report_")
         assert len(selector.last_report_.epoch_losses) == 1
 
-    def test_fit_with_kwarg_overrides(self, small_selector_dataset):
-        selector = make_selector("MLP", window=small_selector_dataset.windows.shape[1],
-                                 n_classes=small_selector_dataset.n_classes, hidden=16, feature_dim=8,
-                                 epochs=5)
-        selector.fit(small_selector_dataset, epochs=1)
-        assert len(selector.last_report_.epoch_losses) == 1
-
     def test_training_reduces_loss(self, small_selector_dataset):
         selector = make_selector("MLP", window=small_selector_dataset.windows.shape[1],
                                  n_classes=small_selector_dataset.n_classes, hidden=64, feature_dim=32)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
+from repro.detectors.base import NonFiniteSeriesError
 from repro.selectors import make_selector
 from repro.service import (
     FaultInjector,
@@ -124,7 +125,8 @@ class TestHashRing:
 
     def test_state_round_trip_preserves_ownership(self):
         ring = HashRing(["a", "b", "c"], replicas=32)
-        clone = HashRing.from_state(ring.to_state())
+        state = ring.to_state()
+        clone = HashRing(state["shards"], replicas=state["replicas"])
         assert clone.to_state() == ring.to_state()
         assert all(clone.owner(sid) == ring.owner(sid) for sid in TEN_K_STREAMS[:200])
 
@@ -573,6 +575,37 @@ class TestServiceLifecycle:
         service.close()
         with pytest.raises(ValueError):
             service.append("s", np.zeros(8))
+
+    def test_non_finite_chunk_never_reaches_shared_memory(self, service_world, monkeypatch):
+        """The front end rejects a non-finite chunk before it creates or
+        writes the stream's segment; later finite chunks answer as an
+        in-process engine fed only the finite chunks."""
+        writes = []
+        shared_append = SharedSeriesBuffer.append
+
+        def recording_append(buffer, values):
+            writes.append(len(values))
+            return shared_append(buffer, values)
+
+        monkeypatch.setattr(SharedSeriesBuffer, "append", recording_append)
+        engine = StreamEngine(service_world["selector"], service_world["detector_names"],
+                              StreamingConfig(window=64, stride=32))
+        series = service_world["streams"]["s0"]
+        bad = series[100:200].copy()
+        bad[5] = np.inf
+        with _make_service(service_world, 1) as service:
+            with pytest.raises(NonFiniteSeriesError, match=r"'fresh': value nan at index 0$"):
+                service.append("fresh", np.full(8, np.nan))
+            with pytest.raises(KeyError):
+                service.series("fresh")
+            assert service.push("s", series[:100]) == engine.push("s", series[:100]).as_dict()
+            with pytest.raises(NonFiniteSeriesError,
+                               match=r"^sharded service .*'s': value inf at index 105$"):
+                service.append("s", bad)
+            assert writes == [100]
+            assert np.array_equal(service.series("s"), series[:100])
+            assert service.push("s", series[200:]) == engine.push("s", series[200:]).as_dict()
+            assert np.array_equal(service.scores("s"), engine.scores("s"))
 
     def test_unknown_stream_raises(self, service_world):
         with _make_service(service_world, 1) as service:

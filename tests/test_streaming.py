@@ -16,6 +16,7 @@ from repro.data import (
     generate_series,
 )
 from repro.detectors import HBOSDetector, make_detector
+from repro.detectors.base import NonFiniteSeriesError
 from repro.eval import predict_for_series
 from repro.selectors import make_selector
 from repro.serving import window_budget_groups
@@ -252,9 +253,9 @@ class TestOnlineScorer:
         # first possible score + one per 100 accumulated points; the scored
         # prefix lags until the next cadence boundary
         assert scorer.full_rescores == 4
-        assert scorer.scored_length == 310
+        assert len(scorer.raw_scores) == 310
         assert scorer.update(series, force=True)
-        assert scorer.scored_length == 400
+        assert len(scorer.raw_scores) == 400
 
     def test_local_detector_stays_current_despite_cadence(self, rng):
         """rescore_every bounds *full* re-runs; the exact tail path is cheap
@@ -264,7 +265,7 @@ class TestOnlineScorer:
         scorer = OnlineScorer(detector, rescore_every=10_000, verify=True)
         for n in range(50, 601, 50):
             scorer.update(series[:n])
-        assert scorer.scored_length == 600
+        assert len(scorer.raw_scores) == 600
         assert np.array_equal(scorer.raw_scores, detector.score(series))
 
     def test_switch_detector_forces_full_rescore(self, rng):
@@ -294,7 +295,7 @@ class TestOnlineScorer:
         series[250] = bad
         with pytest.raises(ValueError, match=rf"^{name} .* at index 250$"):
             scorer.update(series)
-        assert scorer.scored_length == 200
+        assert len(scorer.raw_scores) == 200
         assert np.array_equal(scorer.raw_scores, before)
         assert scorer.update(series[:240], force=True)
 
@@ -435,31 +436,72 @@ class TestStreamEngine:
             assert last[sid] == update
 
     def test_non_finite_stream_does_not_hold_up_the_others(self, streaming_world):
-        """A stream whose scorer rejects a NaN says so on every later flush and
-        gets no new scores; the stream sharing its flushes answers and scores
-        exactly as it would alone."""
+        """A chunk holding a non-finite point is rejected where it enters and
+        leaves its stream exactly as it was; later finite chunks on both
+        streams answer and score as lone engines fed only the finite chunks."""
         model_set = {name: make_detector(name, window=16)
                      for name in streaming_world["detector_names"]}
         healthy = streaming_world["queries"][0].series
-        broken = streaming_world["queries"][1].series.copy()
-        broken[450] = np.nan
-        together = _fresh_engine(streaming_world, model_set=model_set)
-        alone = _fresh_engine(streaming_world, model_set=model_set)
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = streaming_world["queries"][1].series.copy()
+            broken[450] = bad
+            self._reject_then_continue(streaming_world, model_set, healthy, broken)
+
+    @staticmethod
+    def _reject_then_continue(world, model_set, healthy, broken):
+        together = _fresh_engine(world, model_set=model_set)
+        alone = {name: _fresh_engine(world, model_set=model_set)
+                 for name in ("healthy", "broken")}
         for start in range(0, 700, 100):
-            together.append("healthy", healthy[start:start + 100])
-            together.append("broken", broken[start:start + 100])
-            updates = together.flush()
-            assert updates["healthy"] == alone.push("healthy", healthy[start:start + 100])
-            assert updates["healthy"].score_error is None
-            if start < 400:
-                assert updates["broken"].score_error is None
-                scored = together.scores("broken")
+            chunk = slice(start, start + 100)
+            together.append("healthy", healthy[chunk])
+            if start == 400:
+                arrays = (together.series("broken").copy(), together.scores("broken").copy(),
+                          together.selection("broken").aggregated.copy())
+                choice = together.selection("broken").selected_index
+                assert len(arrays[1]) == 400
+                with pytest.raises(NonFiniteSeriesError,
+                                   match=r"^stream engine .*'broken': value .* at index 450$"):
+                    together.append("broken", broken[chunk])
+                assert together.selection("broken").selected_index == choice
+                for was, now in zip(arrays, (together.series("broken"), together.scores("broken"),
+                                             together.selection("broken").aggregated)):
+                    assert np.array_equal(was, now)
+                updates = together.flush()
+                assert "broken" not in updates
             else:
-                assert re.fullmatch(r".* at index 450", updates["broken"].score_error)
-                assert np.array_equal(together.scores("broken"), scored)
-        assert len(scored) == 400
-        assert np.array_equal(together.scores("healthy"), alone.scores("healthy"))
-        assert len(together.scores("healthy")) == 700
+                together.append("broken", broken[chunk])
+                updates = together.flush()
+                assert updates["broken"] == alone["broken"].push("broken", broken[chunk])
+                assert updates["broken"].score_error is None
+            assert updates["healthy"] == alone["healthy"].push("healthy", healthy[chunk])
+            assert updates["healthy"].score_error is None
+        for name in ("healthy", "broken"):
+            assert np.array_equal(together.series(name), alone[name].series(name))
+            assert np.array_equal(together.scores(name), alone[name].scores(name))
+        assert len(together.series("broken")) == 600
+
+    def test_non_finite_first_chunk_creates_no_stream(self, streaming_world):
+        engine = _fresh_engine(streaming_world)
+        with pytest.raises(NonFiniteSeriesError, match=r"'fresh': value inf at index 3$"):
+            engine.append("fresh", [0.0, 1.0, 2.0, np.inf])
+        assert "fresh" not in engine
+        assert engine.stats.points == 0
+        assert engine.flush() == {}
+
+    def test_append_view_checks_only_the_new_points(self, streaming_world):
+        series = streaming_world["queries"][0].series[:300].copy()
+        engine = _fresh_engine(streaming_world)
+        engine.append_view("s", series[:200])
+        engine.flush()
+        grown = series.copy()
+        grown[250] = np.nan
+        with pytest.raises(NonFiniteSeriesError, match=r"'s': value nan at index 250$"):
+            engine.append_view("s", grown)
+        assert len(engine.series("s")) == 200
+        assert engine.flush() == {}
+        engine.append_view("s", series)
+        assert engine.flush()["s"].length == 300
 
     def test_detector_error_stays_with_its_stream(self, streaming_world):
         """A detector that raises ``ValueError`` on a finite series fails only
