@@ -38,7 +38,6 @@ class TrainingReport:
     """Per-epoch curves and totals produced by :meth:`SelectorTrainer.fit`."""
 
     epoch_losses: List[float] = field(default_factory=list)
-    epoch_times: List[float] = field(default_factory=list)
     epoch_samples_used: List[int] = field(default_factory=list)
     total_time: float = 0.0
     n_samples: int = 0
@@ -140,7 +139,6 @@ class SelectorTrainer:
 
         start_total = time.perf_counter()
         for epoch in range(config.epochs):
-            epoch_start = time.perf_counter()
             indices, weights = pruner.select(epoch)
             order = rng.permutation(len(indices))
             indices, weights = indices[order], weights[order]
@@ -181,7 +179,6 @@ class SelectorTrainer:
 
             report.epoch_losses.append(epoch_loss / max(epoch_count, 1))
             report.epoch_samples_used.append(int(epoch_count))
-            report.epoch_times.append(time.perf_counter() - epoch_start)
 
             if config.verbose:
                 print(

@@ -91,6 +91,8 @@ def _read_npz(path: Path) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         if "series" not in archive:
             raise ValueError(f"{path}: NPZ file must contain a 'series' array")
         series = np.asarray(archive["series"], dtype=np.float64).ravel()
+        if len(series) == 0:
+            raise ValueError(f"{path}: NPZ 'series' array is empty")
         labels = None
         if "labels" in archive:
             labels = np.asarray(archive["labels"], dtype=int).ravel()

@@ -10,7 +10,6 @@ from .base import (
     DEFAULT_MODEL_NAMES,
     AnomalyDetector,
     NonFiniteSeriesError,
-    detector_names,
     make_default_model_set,
     make_detector,
     normalize_scores,
@@ -25,16 +24,14 @@ from .hbos import HBOSDetector, hbos_scores
 from .matrix_profile import MatrixProfileDetector, matrix_profile
 from .norma import NormaDetector
 from .pca import PCADetector
-from .autoencoder import AutoEncoderDetector
-from .lstm_ad import LSTMADDetector
+from .neural import AutoEncoderDetector, CNNDetector, LSTMADDetector
 from .poly import PolyDetector
-from .cnn_ad import CNNDetector
 from .ocsvm import OCSVMDetector
 
 __all__ = [
     "DEFAULT_MODEL_NAMES",
     "DetectorEnsemble",
-    "AnomalyDetector", "NonFiniteSeriesError", "detector_names", "make_default_model_set", "make_detector",
+    "AnomalyDetector", "NonFiniteSeriesError", "make_default_model_set", "make_detector",
     "normalize_scores", "register_detector", "sliding_windows", "window_scores_to_point_scores",
     "IForestDetector", "IForest1Detector", "IsolationForest",
     "LOFDetector", "local_outlier_factor",

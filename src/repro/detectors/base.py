@@ -167,11 +167,6 @@ def register_detector(name: str):
     return wrap
 
 
-def detector_names() -> list[str]:
-    """Names of all registered detectors, in registration order."""
-    return list(_DETECTOR_REGISTRY)
-
-
 def make_detector(name: str, **kwargs) -> AnomalyDetector:
     """Instantiate a registered detector by name."""
     if name not in _DETECTOR_REGISTRY:
@@ -195,11 +190,9 @@ def make_default_model_set(window: int = 32, fast: bool = True) -> Dict[str, Ano
     keeping the candidate set identical to the paper's.
     """
     from . import (  # local import to avoid a registration cycle
-        autoencoder, cnn_ad, hbos, iforest, lof, lstm_ad,
-        matrix_profile, norma, ocsvm, pca, poly,
+        hbos, iforest, lof, matrix_profile, neural, norma, ocsvm, pca, poly,
     )
-    del autoencoder, cnn_ad, hbos, iforest, lof, lstm_ad
-    del matrix_profile, norma, ocsvm, pca, poly
+    del hbos, iforest, lof, matrix_profile, neural, norma, ocsvm, pca, poly
 
     epochs = 5 if fast else 30
     overrides = {

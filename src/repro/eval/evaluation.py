@@ -61,6 +61,18 @@ def aggregate_window_probas(proba: np.ndarray, aggregation: str = "vote") -> tup
     return int(aggregated.argmax()), aggregated
 
 
+def check_selectable(record: TimeSeriesRecord) -> None:
+    """Raise ``ValueError``, naming the series, when no selector can answer it.
+
+    An empty series has no point to window (windowing would pad it into one
+    all-zero window and vote on that); a series holding NaN or an infinity
+    raises :class:`~repro.detectors.base.NonFiniteSeriesError`.
+    """
+    if len(record.series) == 0:
+        raise ValueError(f"selection cannot use empty series {record.name!r}")
+    check_finite(record.series, "selection", series_name=record.name)
+
+
 def predict_for_series(
     selector: Selector,
     record: TimeSeriesRecord,
@@ -69,10 +81,10 @@ def predict_for_series(
 ) -> tuple[int, np.ndarray]:
     """Predict a TSAD model for one series (window, classify, aggregate).
 
-    A series holding NaN or an infinity raises
-    :class:`~repro.detectors.base.NonFiniteSeriesError`.
+    An empty or non-finite series raises ``ValueError``
+    (:func:`check_selectable`).
     """
-    check_finite(record.series, "selection", series_name=record.name)
+    check_selectable(record)
     windows = extract_windows(record.series, window, stride=window)
     return aggregate_window_probas(selector.predict_proba(windows), aggregation)
 

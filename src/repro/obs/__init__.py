@@ -39,7 +39,6 @@ from .metrics import (
     default_registry,
     disable,
     enable,
-    enabled,
     set_default_registry,
 )
 from .trace import NULL_TRACER, NullTracer, Span, Tracer, set_default_tracer, span
@@ -50,7 +49,7 @@ __all__ = [
     "explain_from_audit", "explain_stream", "format_explain",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetric", "NULL_METRIC",
     "DEFAULT_COUNT_BUCKETS", "DEFAULT_LATENCY_BUCKETS",
-    "default_registry", "set_default_registry", "enable", "disable", "enabled",
+    "default_registry", "set_default_registry", "enable", "disable",
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
     "set_default_tracer", "span",
 ]

@@ -422,8 +422,3 @@ def disable() -> MetricsRegistry:
     """Switch the default registry off; returns it."""
     _default_registry.disable()
     return _default_registry
-
-
-def enabled() -> bool:
-    """Is the default registry collecting?"""
-    return _default_registry.enabled

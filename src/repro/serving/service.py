@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..data.records import TimeSeriesRecord
 from ..data.windows import extract_windows_batch
-from ..detectors.base import check_finite
-from ..eval.evaluation import aggregate_window_probas
+from ..eval.evaluation import aggregate_window_probas, check_selectable
 from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
@@ -148,12 +147,12 @@ class SelectionService:
     def select_batch(self, records: Sequence[TimeSeriesRecord]) -> List[SelectionResult]:
         """Answer a batch of series, vectorised across the cache misses.
 
-        A series holding NaN or an infinity raises
-        :class:`~repro.detectors.base.NonFiniteSeriesError` before anything
+        An empty or non-finite series raises ``ValueError``
+        (:func:`~repro.eval.evaluation.check_selectable`) before anything
         is fingerprinted or cached.
         """
         for record in records:
-            check_finite(record.series, "selection", series_name=record.name)
+            check_selectable(record)
         results: List[Optional[SelectionResult]] = [None] * len(records)
         self._h_batch_series.observe(len(records))
         self._tier_selections.inc(len(records))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data import TSBUADBenchmark, build_selector_dataset, generate_series
-from repro.detectors import detector_names
+from repro.detectors import DEFAULT_MODEL_NAMES
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +39,7 @@ def sample_record():
 
 @pytest.fixture(scope="session")
 def detector_name_list():
-    return detector_names()
+    return list(DEFAULT_MODEL_NAMES)
 
 
 @pytest.fixture(scope="session")

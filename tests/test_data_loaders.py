@@ -93,6 +93,12 @@ class TestCSVRoundTrip:
         with pytest.raises(ValueError):
             load_series_file(path)
 
+    def test_empty_npz_raises(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        np.savez(path, series=np.zeros(0))
+        with pytest.raises(ValueError, match="'series' array is empty$"):
+            load_series_file(path)
+
     def test_npz_without_series_key_raises(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, values=np.arange(5.0))

@@ -7,6 +7,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _dead_names(root, files):
+    """``dead_names`` over a tree of ``src/repro`` files given as {name: source}."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from dead_names import dead_names
+    finally:
+        sys.path.pop(0)
+    pkg = root / "src" / "repro"
+    pkg.mkdir(parents=True)
+    for name, source in files.items():
+        (pkg / name).write_text(source)
+    return dead_names(root)
+
+
 def test_no_public_name_is_reached_only_by_tests():
     result = subprocess.run([sys.executable, str(ROOT / "tools" / "dead_names.py")],
                             capture_output=True, text=True, cwd=ROOT)
@@ -15,13 +29,20 @@ def test_no_public_name_is_reached_only_by_tests():
 
 
 def test_numpy_attributes_are_not_uses(tmp_path):
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        from dead_names import dead_names
-    finally:
-        sys.path.pop(0)
-    pkg = tmp_path / "src" / "repro"
-    pkg.mkdir(parents=True)
-    (pkg / "ops.py").write_text("def where(c, a, b):\n    return a\n\n\ndef stack(xs):\n    return xs\n")
-    (pkg / "use.py").write_text("import numpy as np\n\nnp.where(1, 2, 3)\nxs = [1]\nxs.stack\n")
-    assert dead_names(tmp_path) == ["src/repro/ops.py::where"]
+    files = {"ops.py": "def where(c, a, b):\n    return a\n\n\ndef stack(xs):\n    return xs\n",
+             "use.py": "import numpy as np\n\nnp.where(1, 2, 3)\nxs = [1]\nxs.stack\n"}
+    assert _dead_names(tmp_path, files) == ["src/repro/ops.py::where", "src/repro/ops.py::stack"]
+
+
+def test_a_parameter_of_the_same_name_is_not_a_use(tmp_path):
+    files = {"ops.py": "def scale(x):\n    return x\n\n\ndef shift(x):\n    return x\n",
+             "use.py": "from .ops import shift\n\n\ndef _run(scale, x):\n"
+                       "    return [scale * v for v in shift(x)]\n"}
+    assert _dead_names(tmp_path, files) == ["src/repro/ops.py::scale"]
+
+
+def test_an_attribute_of_a_non_module_is_not_a_use(tmp_path):
+    files = {"ops.py": "def enabled():\n    return True\n\n\ndef disabled():\n    return False\n",
+             "use.py": "from . import ops\n\n\ndef _run(obj):\n"
+                       "    return obj.enabled and ops.disabled()\n"}
+    assert _dead_names(tmp_path, files) == ["src/repro/ops.py::enabled"]

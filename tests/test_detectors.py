@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.detectors import (
+    DEFAULT_MODEL_NAMES,
     AnomalyDetector,
     IsolationForest,
-    detector_names,
     hbos_scores,
     local_outlier_factor,
     make_default_model_set,
@@ -20,7 +20,9 @@ from repro.detectors import (
     sliding_windows,
     window_scores_to_point_scores,
 )
+from repro.accel import use_precision
 from repro.data import generate_series
+from repro.detectors import neural
 from repro.eval import auc_roc
 
 EXPECTED_DETECTORS = [
@@ -131,10 +133,8 @@ class TestWindowHelpers:
 
 class TestRegistry:
     def test_all_twelve_detectors_registered(self):
-        # Extension detectors may add more names; the paper's 12 must be there
-        # and in their reporting order.
-        names = [n for n in detector_names() if n in EXPECTED_DETECTORS]
-        assert names == EXPECTED_DETECTORS
+        for name in EXPECTED_DETECTORS:
+            assert make_detector(name).name == name
 
     def test_make_detector_unknown_raises(self):
         with pytest.raises(KeyError):
@@ -152,8 +152,8 @@ class TestRegistry:
                 return np.zeros(len(series))
 
         try:
-            assert "TestOnlyDetector" in detector_names()
             det = make_detector("TestOnlyDetector")
+            assert det.name == "TestOnlyDetector"
             assert det.detect(np.arange(10.0)).shape == (10,)
         finally:
             from repro.detectors.base import _DETECTOR_REGISTRY
@@ -187,6 +187,14 @@ class TestDetectorContracts:
         series[200] = bad
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} .* at index 137$"):
             make_detector(name, window=24).detect(series)
+
+    @pytest.mark.parametrize("name", DEFAULT_MODEL_NAMES)
+    def test_four_point_series_detected(self, name, spike_series):
+        """Every detector scores the 4 points a stream scorer starts from."""
+        series, _ = spike_series
+        scores = make_detector(name, window=24).detect(series[:4])
+        assert scores.shape == (4,)
+        assert np.all(np.isfinite(scores))
 
     def test_detect_empty_series(self):
         detector = make_detector("HBOS", window=8)
@@ -286,6 +294,19 @@ class TestNeuralDetectors:
         assert scores.shape == series.shape
         # Even briefly trained models should do better than random guessing.
         assert auc_roc(labels, scores) > 0.5
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["AE", "LSTM-AD", "CNN"])
+    def test_scoring_chunk_never_changes_a_score(self, name, precision, monkeypatch):
+        """The no-grad scoring forward is row-invariant, so its chunk size
+        cannot move a bit of any score."""
+        series = generate_series("ECG", 0, 1000, seed=1).series
+        detector = make_detector(name, window=24, epochs=1)
+        with use_precision(precision):
+            expected = detector.score(series)
+            for chunk in (1, 7):
+                monkeypatch.setattr(neural, "_SCORE_CHUNK", chunk)
+                assert np.array_equal(detector.score(series), expected), chunk
 
     def test_ae_deterministic_given_seed(self, spike_series):
         series, _ = spike_series

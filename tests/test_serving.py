@@ -400,6 +400,29 @@ class TestNonFiniteSelection:
             predict_for_series(serving_world["selector"], self._broken(serving_world, value), 64)
 
 
+class TestEmptySelection:
+    """An empty series has no point to window: both selection entry points
+    raise a ``ValueError`` naming it, and nothing about it reaches the cache."""
+
+    @staticmethod
+    def _empty(world):
+        return replace(world["queries"][0], name="empty", series=np.zeros(0), labels=np.zeros(0),
+                       anomalies=[])
+
+    def test_select_batch_rejects_before_caching(self, serving_world):
+        service = _fresh_service(serving_world)
+        healthy = serving_world["queries"][1]
+        with pytest.raises(ValueError, match=r"^selection cannot use empty series 'empty'$"):
+            service.select_batch([healthy, self._empty(serving_world)])
+        stats = service.stats
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        assert not service.select(healthy).from_cache
+
+    def test_predict_for_series_rejects(self, serving_world):
+        with pytest.raises(ValueError, match=r"^selection cannot use empty series 'empty'$"):
+            predict_for_series(serving_world["selector"], self._empty(serving_world), 64)
+
+
 class TestScaledSelection:
     """A finite series scaled to ~1e300 is answered exactly as the series
     itself: its window stds overflow float64, so each row is divided by its

@@ -525,6 +525,18 @@ class TestStreamEngine:
         assert np.array_equal(together.scores("healthy"), alone.scores("healthy"))
         assert len(together.scores("healthy")) == 700
 
+    def test_four_point_first_tick_is_scored_by_a_forecaster(self, streaming_world):
+        """A stream's first tick of 4 points gets scores from the detector it
+        picks, CNN included, and no ``score_error``."""
+        cnn = make_detector("CNN", window=16)
+        engine = _fresh_engine(streaming_world,
+                               model_set={name: cnn for name in streaming_world["detector_names"]})
+        series = streaming_world["queries"][0].series[:4]
+        update = engine.push("s", series)
+        assert update.selected_model is not None
+        assert update.score_error is None
+        assert np.array_equal(engine.scores("s"), cnn.detect(series))
+
     def test_engine_without_pending_flushes_to_nothing(self, streaming_world):
         engine = _fresh_engine(streaming_world)
         assert engine.flush() == {}

@@ -2,19 +2,26 @@
 """List the public names in ``src/repro`` that no shipped code uses.
 
 A public top-level ``def`` or ``class`` of ``src/repro`` counts as used when
-its name occurs as an identifier, an attribute or an imported name anywhere
-in ``src/``, ``benchmarks/``, ``perfbench/``, ``examples/`` or ``tools/``
-outside its own definition.  Imports in ``__init__.py`` (re-exports) do not
-count, nor do attributes of NumPy (``np.where`` is not a use of a ``where``
-in ``src/repro``), nor does text in strings and comments; ``tests/`` is not
-read.  A class decorated with a ``register_*(...)`` call counts as used,
-because a registry reaches it by name.
+its name is imported, read as a module-level name, or read as an attribute
+of an imported module, anywhere in ``src/``, ``benchmarks/``, ``perfbench/``,
+``examples/`` or ``tools/``.  A bare name counts only where it refers to a
+module-level binding (the module scope, or a name ``symtable`` reports as
+global), so a parameter or local variable of the same name does not hide a
+dead def.  An attribute counts only when its base is rooted in a name the
+file imports (``ops.enabled`` with ``from . import ops``), so ``obj.enabled``
+on some object does not either; attributes of NumPy never count
+(``np.where`` is not a use of a ``where`` in ``src/repro``).  Imports in
+``__init__.py`` (re-exports) do not count, nor does text in strings and
+comments; ``tests/`` is not read.  A class decorated with a
+``register_*(...)`` call counts as used, because a registry reaches it by
+name.
 
 Prints ``path::name`` for each unused name and exits 1 if there is any.
 Run as ``python tools/dead_names.py`` (standard library only).
 """
 
 import ast
+import symtable
 import sys
 from pathlib import Path
 
@@ -28,24 +35,42 @@ def _registered(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+def _global_reads(table: symtable.SymbolTable) -> set:
+    """Names read anywhere in ``table``'s scopes that refer to module-level bindings."""
+    module = table.get_type() == "module"
+    names = {s.get_name() for s in table.get_symbols()
+             if s.is_referenced() and (module or s.is_global())}
+    for child in table.get_children():
+        names |= _global_reads(child)
+    return names
+
+
+def _root(node: ast.expr) -> str:
+    """The name an attribute chain starts from (``a`` in ``a.b.c``), or ``""``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else ""
+
+
 def dead_names(root: Path = ROOT) -> list:
     defined, used = [], set()
     for path in sorted(p for top in SCANNED for p in (root / top).rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text(), filename=rel)
+        source = path.read_text()
+        tree = ast.parse(source, filename=rel)
         if rel.startswith("src/repro/"):
             defined += [(rel, n.name) for n in tree.body
                         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                         and not n.name.startswith("_")
                         and not (isinstance(n, ast.ClassDef) and _registered(n))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                if getattr(node.value, "id", None) not in NUMPY:
-                    used.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
-                used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        used |= _global_reads(symtable.symtable(source, rel, "exec"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in imports for alias in node.names} - set(NUMPY)
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and _root(node) in imported)
+        if path.name != "__init__.py":
+            used.update(alias.name.rsplit(".", 1)[-1] for node in imports for alias in node.names)
     return [f"{rel}::{name}" for rel, name in defined if name not in used]
 
 
