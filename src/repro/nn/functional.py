@@ -1,9 +1,9 @@
 """Functional operations built on :class:`repro.nn.tensor.Tensor`.
 
 These mirror the subset of ``torch.nn.functional`` that the selector
-architectures (ConvNet / ResNet / InceptionTime / Transformer) and the
-KDSelector losses need: 1-D convolution, softmax/log-softmax, dropout,
-the affine map and cosine similarity.
+architectures (ConvNet / ResNet / InceptionTime / Transformer / LSTM) and
+the KDSelector losses need: 1-D convolution, the LSTM sequence op,
+softmax/log-softmax, dropout, the affine map and cosine similarity.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..accel.precision import resolve_dtype
 from .init import get_rng
-from .tensor import Tensor, _node
+from .tensor import Tensor, _as_array, _matmul, _node, is_grad_enabled
 
 
 def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int, dilation: int) -> Tuple[np.ndarray, int]:
@@ -68,10 +69,14 @@ def conv1d(
     # Each VJP takes the output gradient, shape (N, C_out, L_out).
     def vjp_x(grad: np.ndarray) -> np.ndarray:
         gcols = np.einsum("ok,nol->nkl", w2d, grad, optimize=True)  # (N, C*K, L_out)
-        gcols = gcols.reshape(n, c_in, kernel_size, l_out).transpose(0, 1, 3, 2)  # (N, C, L_out, K)
+        gcols = gcols.reshape(n, c_in, kernel_size, l_out)
+        # col2im: one strided slice-add per tap.  Descending taps add each
+        # input position's terms in ascending output position, the order
+        # an ``np.add.at`` over the (L_out, K) index grid adds them.
         gx = np.zeros_like(x.data)
-        idx = np.arange(kernel_size)[None, :] * dilation + np.arange(l_out)[:, None] * stride
-        np.add.at(gx, (slice(None), slice(None), idx), gcols)
+        stop = (l_out - 1) * stride + 1
+        for k in reversed(range(kernel_size)):
+            gx[:, :, k * dilation:k * dilation + stop:stride] += gcols[:, :, k, :]
         return gx
 
     def vjp_weight(grad: np.ndarray) -> np.ndarray:
@@ -80,6 +85,91 @@ def conv1d(
     if bias is None:
         return _node(out_data, (x, weight), vjp_x, vjp_weight)
     return _node(out_data, (x, weight, bias), vjp_x, vjp_weight, lambda g: g.sum(axis=(0, 2)))
+
+
+def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
+    """A single-layer LSTM over (N, T, D) inputs: the (N, T, H) hidden states.
+
+    One graph node for the whole sequence.  Its forward repeats
+    :class:`~repro.nn.layers.LSTMCell`'s NumPy expressions step by step,
+    on the same array layouts: the products a ``Tensor.matmul`` runs (one
+    per row with gradients off), and the policy dtype after each op.  Its
+    VJPs share one hand-written BPTT, run once per ``backward``, which
+    repeats the unrolled cells' VJP expressions and adds each parameter's
+    per-step terms in the order ``Tensor.backward`` reaches them: ``w_ih``
+    and ``bias`` from the last step to the first, ``w_hh`` from the first
+    to the last.  So outputs and gradients are byte-equal to the unrolled
+    cells' in either precision.  Activations are kept only when a graph
+    is recorded.
+    """
+    n, steps, _ = x.shape
+    hs = w_hh.shape[1]
+    dtype = resolve_dtype(None)
+    record = is_grad_enabled() and any(p.requires_grad for p in (x, w_ih, w_hh, bias))
+
+    def cast(a: np.ndarray) -> np.ndarray:
+        return _as_array(a, dtype)
+
+    # Each step's input and the weights' transposes, as the unrolled
+    # cells' graph holds them: views, or copies cast to the policy dtype.
+    inputs = [cast(x.data[:, step, :]) for step in range(steps)]
+    wih_t, whh_t = cast(w_ih.data.T), cast(w_hh.data.T)
+    h = np.zeros((n, hs), dtype)
+    c = np.zeros((n, hs), dtype)
+    hidden, saved = [], []
+    for x_t in inputs:
+        gates = cast(cast(cast(_matmul(x_t, wih_t)) + cast(_matmul(h, whh_t))) + bias.data)
+        i = cast(1.0 / (1.0 + np.exp(-gates[:, 0 * hs:1 * hs])))
+        f = cast(1.0 / (1.0 + np.exp(-gates[:, 1 * hs:2 * hs])))
+        g = cast(np.tanh(gates[:, 2 * hs:3 * hs]))
+        o = cast(1.0 / (1.0 + np.exp(-gates[:, 3 * hs:4 * hs])))
+        c_prev, c = c, cast(cast(f * c) + cast(i * g))
+        tc = cast(np.tanh(c))
+        h = cast(o * tc)
+        hidden.append(h)
+        if record:
+            saved.append((c_prev, i, f, g, o, tc))
+    out = cast(np.stack(hidden, axis=1))
+
+    def bptt(grad: np.ndarray) -> tuple:
+        d_x = np.zeros_like(x.data) if x.requires_grad else None
+        d_ih, d_hh, d_b = (np.zeros_like(p.data) if p.requires_grad else None
+                           for p in (w_ih, w_hh, bias))
+        d_gates = [None] * steps
+        dh_next = dc_next = None
+        for step in reversed(range(steps)):
+            c_prev, i, f, g, o, tc = saved[step]
+            dh = grad[:, step, :] if dh_next is None else grad[:, step, :] + dh_next
+            dc = dh * o * (1.0 - tc ** 2)
+            if dc_next is not None:
+                dc = dc + dc_next
+            dg = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                 dc * i * (1.0 - g ** 2), dh * tc * o * (1.0 - o)], axis=1)
+            d_gates[step] = dg
+            if d_b is not None:
+                d_b += dg.sum(axis=0)
+            if d_ih is not None:
+                d_ih += (np.swapaxes(inputs[step], -1, -2) @ dg).T
+            if d_x is not None:
+                d_x[:, step, :] = cast(dg @ wih_t.T)
+            if step:
+                dh_next, dc_next = dg @ whh_t.T, dc * f
+        if d_hh is not None:
+            for step in range(1, steps):
+                d_hh += (np.swapaxes(hidden[step - 1], -1, -2) @ d_gates[step]).T
+        return d_x, d_ih, d_hh, d_b
+
+    cache: dict = {}
+
+    def grads(grad: np.ndarray) -> tuple:
+        # Every VJP of one backward gets the same gradient array; a new
+        # backward brings a new one, so the BPTT runs again.
+        if cache.get("grad") is not grad:
+            cache.update(grad=grad, grads=bptt(grad))
+        return cache["grads"]
+
+    return _node(out, (x, w_ih, w_hh, bias),
+                 *(lambda g, k=k: grads(g)[k] for k in range(4)))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

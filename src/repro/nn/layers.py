@@ -13,7 +13,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
 
 class Linear(Module):
@@ -205,7 +205,12 @@ class TransformerEncoderLayer(Module):
 
 
 class LSTMCell(Module):
-    """A single LSTM cell; gradients flow through the autodiff graph."""
+    """A single LSTM cell; gradients flow through the autodiff graph.
+
+    :class:`LSTM` runs its sequence as one :func:`~repro.nn.functional.lstm`
+    node; this cell, unrolled step by step, is the reference that node
+    must match bit for bit.
+    """
 
     def __init__(self, input_size: int, hidden_size: int) -> None:
         super().__init__()
@@ -229,7 +234,12 @@ class LSTMCell(Module):
 
 
 class LSTM(Module):
-    """Unidirectional single-layer LSTM over (N, T, D) sequences."""
+    """Unidirectional single-layer LSTM over (N, T, D) sequences.
+
+    The parameters live in ``cell`` (state-dict keys ``cell.weight_ih``,
+    ``cell.weight_hh``, ``cell.bias``); the sequence runs as one fused
+    :func:`~repro.nn.functional.lstm` node.
+    """
 
     def __init__(self, input_size: int, hidden_size: int) -> None:
         super().__init__()
@@ -237,14 +247,7 @@ class LSTM(Module):
         self.cell = LSTMCell(input_size, hidden_size)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, t, _ = x.shape
-        h = Tensor(np.zeros((n, self.hidden_size)))
-        c = Tensor(np.zeros((n, self.hidden_size)))
-        outputs = []
-        for step in range(t):
-            h, c = self.cell(x[:, step, :], (h, c))
-            outputs.append(h.reshape(n, 1, self.hidden_size))
-        return concatenate(outputs, axis=1)
+        return F.lstm(x, self.cell.weight_ih, self.cell.weight_hh, self.cell.bias)
 
 
 class PositionalEncoding(Module):

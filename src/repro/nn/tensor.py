@@ -82,6 +82,19 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as :meth:`Tensor.matmul` computes it.
+
+    Inference runs one single-row product per row of a 2-D ``a``: a plain
+    GEMM picks its blocking (hence its summation order) from the row
+    count, so a row's bits would depend on how many rows share the call.
+    Training keeps the one GEMM per batch.
+    """
+    if a.ndim == 2 and b.ndim == 2 and not is_grad_enabled():
+        return np.matmul(a[:, None, :], b)[:, 0, :]
+    return a @ b
+
+
 def _node(data: np.ndarray, parents: Tuple["Tensor", ...], *vjps: VJP) -> "Tensor":
     """The output of an op on ``parents``: ``vjps[i]`` maps its gradient to
     ``parents[i]``'s.
@@ -205,14 +218,7 @@ class Tensor:
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other)
-        if self.data.ndim == 2 and other.data.ndim == 2 and not is_grad_enabled():
-            # Inference runs one single-row product per row: a plain GEMM
-            # picks its blocking (hence its summation order) from the row
-            # count, so a row's bits would depend on how many rows share
-            # the call.  Training keeps the one GEMM per batch.
-            data = np.matmul(self.data[:, None, :], other.data)[:, 0, :]
-        else:
-            data = self.data @ other.data
+        data = _matmul(self.data, other.data)
 
         def vjp_self(grad: np.ndarray) -> np.ndarray:
             if other.data.ndim == 1:

@@ -11,9 +11,10 @@ inside NumPy, which releases the GIL for the heavy array operations —
 distance kernels, GEMMs, the matrix-profile kernel.
 
 **Processes** (``mode="process"``, opt-in) are right when the payload is
-GIL-bound Python — the autograd tape of the neural detectors (AE /
-LSTM-AD / CNN) in an oracle labelling pass is mostly Python-level
-bookkeeping, so threads serialise on the GIL there.  The pool forks, so
+GIL-bound Python — the neural detectors (AE / LSTM-AD / CNN) in an
+oracle labelling pass train on small minibatches, where each NumPy op is
+cheap next to the Python that issues it (graph nodes, the fused LSTM's
+per-step loop), so threads serialise on the GIL there.  The pool forks, so
 children inherit the parent's memory: the function, the item list and any
 series arrays they close over are shared copy-on-write — nothing is
 pickled on the way *in*, only results on the way out.  Platforms without

@@ -619,8 +619,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_series_or_exit(path):
+    """``load_series_file``, with an unreadable or malformed file as a clean exit."""
+    try:
+        return load_series_file(path)
+    except (OSError, ValueError) as error:
+        raise SystemExit(str(error) or type(error).__name__)
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
-    record = load_series_file(args.series_file)
+    record = _load_series_or_exit(args.series_file)
     selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
     choice, votes = predict_for_series(selector, record, args.window)
     print(f"selected model for {record.name}: {DEFAULT_MODEL_NAMES[choice]}")
@@ -631,7 +639,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     _apply_runtime_args(args)
-    record = load_series_file(args.series_file)
+    record = _load_series_or_exit(args.series_file)
     selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
     model_set = make_default_model_set(window=args.detector_window, fast=True)
     chosen = list(model_set)[predict_for_series(selector, record, args.window)[0]]
@@ -906,10 +914,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     try:
         if args.series_files:
-            try:
-                records = [load_series_file(path) for path in args.series_files]
-            except (OSError, ValueError) as error:
-                raise SystemExit(str(error) or type(error).__name__)
+            records = [_load_series_or_exit(path) for path in args.series_files]
             for updates in replay_records(engine, records, chunk=args.chunk):
                 for update in updates.values():
                     emit(update)
@@ -961,10 +966,7 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
                 pass
             return 0
 
-        try:
-            records = [load_series_file(path) for path in args.series_files]
-        except (OSError, ValueError) as error:
-            raise SystemExit(str(error) or type(error).__name__)
+        records = [_load_series_or_exit(path) for path in args.series_files]
         for updates in replay_records(service, records, chunk=args.chunk):
             for update in updates.values():
                 print(json.dumps(update), flush=True)

@@ -198,6 +198,22 @@ class TestTrainEvaluateDetect:
             main(["select", str(broken), "--store", str(trained_store), "--name", "mlp",
                   "--window", "64"])
 
+    @pytest.mark.parametrize("command", ["select", "detect"])
+    @pytest.mark.parametrize("case", ["malformed-csv", "empty-npz", "missing"])
+    def test_unreadable_series_file_exits_with_its_reason(self, trained_store, tmp_path,
+                                                          command, case):
+        if case == "malformed-csv":
+            path, reason = tmp_path / "bad.csv", r"bad\.csv: non-numeric value 'abc' at row 1$"
+            path.write_text("value\nabc\n")
+        elif case == "empty-npz":
+            path, reason = tmp_path / "empty.npz", r"'series' array is empty$"
+            np.savez(path, series=np.zeros(0))
+        else:
+            path, reason = tmp_path / "no_such.csv", r"no_such\.csv$"
+        with pytest.raises(SystemExit, match=reason):
+            main([command, str(path), "--store", str(trained_store), "--name", "mlp",
+                  "--window", "64"])
+
     def test_stream_replays_files_as_ticks(self, cli_workspace, trained_store, capsys):
         files = sorted(cli_workspace["data_dir"].glob("*.csv"))[:2]
         assert main([

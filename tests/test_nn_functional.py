@@ -1,9 +1,12 @@
 """Tests for repro.nn.functional (conv1d, softmax, dropout...)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.accel.precision import use_precision
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
@@ -82,6 +85,32 @@ class TestConv1d:
         x = Tensor(np.zeros((1, 1, 10)))
         w = Tensor(np.zeros((1, 1, 3)))
         assert F.conv1d(x, w, dilation=2).shape == (1, 1, 6)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 8])
+    def test_input_gradient_matches_add_at_col2im(self, precision, stride):
+        """col2im by per-tap slice-adds is byte-equal to one ``np.add.at``
+        over the (L_out, K) index grid (stride 8 with kernel 8 is the
+        Transformer stem's default patch)."""
+        with use_precision(precision):
+            for dilation, padding, kernel in itertools.product([1, 2, 3], [0, 1, 2], range(1, 10)):
+                rng = np.random.default_rng([stride, dilation, padding, kernel])
+                length = (kernel - 1) * dilation + 3 * stride + 2
+                x = Tensor(rng.normal(size=(3, 2, length)), requires_grad=True)
+                w = Tensor(rng.normal(size=(4, 2, kernel)))
+                out = F.conv1d(x, w, stride=stride, padding=padding, dilation=dilation)
+                grad = rng.normal(size=out.shape).astype(out.dtype)
+                out.backward(grad)
+
+                l_out = out.shape[2]
+                gcols = np.einsum("ok,nol->nkl", w.data.reshape(4, 2 * kernel), grad, optimize=True)
+                gcols = gcols.reshape(3, 2, kernel, l_out).transpose(0, 1, 3, 2)
+                padded = np.zeros((3, 2, length + 2 * padding), dtype=x.dtype)
+                idx = np.arange(kernel)[None, :] * dilation + np.arange(l_out)[:, None] * stride
+                np.add.at(padded, (slice(None), slice(None), idx), gcols)
+                expected = np.zeros_like(x.data) + padded[..., padding:padding + length]
+                assert x.grad.dtype == np.dtype(precision)
+                assert x.grad.tobytes() == expected.tobytes(), (dilation, padding, kernel)
 
 
 class TestSoftmax:

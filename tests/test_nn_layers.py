@@ -1,10 +1,13 @@
 """Tests for repro.nn.layers and the module system."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.tensor import Tensor
+from repro.accel.precision import use_precision
+from repro.nn.tensor import Tensor, concatenate
 
 
 class TestLinearAndConvModules:
@@ -166,3 +169,122 @@ class TestStateDict:
         assert model.weight.grad is not None
         model.zero_grad()
         assert model.weight.grad is None
+
+
+def _unrolled(lstm, x):
+    """The reference: ``lstm``'s cell unrolled through the graph, one node per op and step."""
+    n, steps, _ = x.shape
+    h = Tensor(np.zeros((n, lstm.hidden_size)))
+    c = Tensor(np.zeros((n, lstm.hidden_size)))
+    outputs = []
+    for step in range(steps):
+        h, c = lstm.cell(x[:, step, :], (h, c))
+        outputs.append(h.reshape(n, 1, lstm.hidden_size))
+    return concatenate(outputs, axis=1)
+
+
+def _bytes(arrays):
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _run(forward, lstm, x_value, weights, x_grad=False):
+    """Bytes of ``forward``'s output and of the gradients of ``(output * weights).sum()``:
+    the parameters' (``None`` for a frozen one), then ``x``'s if it requires one."""
+    lstm.zero_grad()
+    x = Tensor(x_value, requires_grad=x_grad)
+    out = forward(x)
+    (out * Tensor(weights)).sum().backward()
+    grads = [p.grad for p in lstm.parameters()] + ([x.grad] if x_grad else [])
+    return _bytes([out.data]), _bytes(grads)
+
+
+def _lstm_case(n, steps, d, h, seed=0):
+    nn.init.set_seed(seed)
+    lstm = nn.LSTM(d, h)
+    rng = np.random.default_rng([n, steps, d, h, seed])
+    return lstm, rng.normal(size=(n, steps, d)), rng.normal(size=(n, steps, h))
+
+
+class TestFusedLSTM:
+    """``nn.LSTM`` runs one fused ``functional.lstm`` node per sequence; it must
+    be byte-equal to ``LSTMCell`` unrolled through the graph, over a bounded
+    grid of shapes and both precisions."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("steps", [1, 2, 5, 16, 40])
+    def test_matches_unrolled_cells(self, precision, n, steps):
+        with use_precision(precision):
+            for d, h in itertools.product([1, 3], [4, 16]):
+                lstm, x_value, weights = _lstm_case(n, steps, d, h)
+                fused = _run(lstm, lstm, x_value, weights)
+                reference = _run(lambda x: _unrolled(lstm, x), lstm, x_value, weights)
+                assert fused[0][0][0] == np.dtype(precision).str
+                assert fused == reference, (d, h)
+                with nn.no_grad():
+                    assert _bytes([lstm(Tensor(x_value)).data]) == \
+                        _bytes([_unrolled(lstm, Tensor(x_value)).data]), (d, h)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_last_state_loss_matches_unrolled(self, precision):
+        # LSTM-AD and the LSTM selector read only the last step's state.
+        with use_precision(precision):
+            lstm, x_value, weights = _lstm_case(64, 16, 1, 16)
+            last = weights[:, -1, :]
+
+            def run(forward):
+                lstm.zero_grad()
+                (forward(Tensor(x_value))[:, -1, :] * Tensor(last)).sum().backward()
+                return _bytes([p.grad for p in lstm.parameters()])
+
+            assert run(lstm) == run(lambda x: _unrolled(lstm, x))
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_input_gradient_matches_unrolled(self, precision):
+        with use_precision(precision):
+            for n, steps, d, h in [(1, 1, 1, 4), (7, 5, 3, 4), (64, 16, 3, 16)]:
+                lstm, x_value, weights = _lstm_case(n, steps, d, h)
+                fused = _run(lstm, lstm, x_value, weights, x_grad=True)
+                assert fused[1][-1] is not None
+                assert fused == _run(lambda x: _unrolled(lstm, x), lstm, x_value, weights, x_grad=True)
+
+    @pytest.mark.parametrize("frozen", [("weight_hh",), ("weight_ih", "bias"),
+                                        ("weight_ih", "weight_hh", "bias")])
+    def test_frozen_parameters(self, frozen):
+        lstm, x_value, weights = _lstm_case(7, 5, 3, 4)
+        for name in frozen:
+            getattr(lstm.cell, name).requires_grad = False
+        x_grad = len(frozen) == 3  # with every parameter frozen, only x needs a gradient
+        fused = _run(lstm, lstm, x_value, weights, x_grad=x_grad)
+        names = ["weight_ih", "weight_hh", "bias"]
+        assert [g is None for g in fused[1][:3]] == [name in frozen for name in names]
+        assert fused == _run(lambda x: _unrolled(lstm, x), lstm, x_value, weights, x_grad=x_grad)
+
+    def test_second_backward_recomputes_the_bptt(self):
+        lstm, x_value, weights = _lstm_case(7, 5, 3, 4)
+        other = np.random.default_rng(1).normal(size=weights.shape)
+        expected = {}
+        for name, value in (("weights", weights), ("other", other)):
+            _run(lambda x: _unrolled(lstm, x), lstm, x_value, value)
+            expected[name] = [p.grad for p in lstm.parameters()]
+        lstm.zero_grad()
+        out = lstm(Tensor(x_value))
+        (out * Tensor(weights)).sum().backward()
+        lstm.zero_grad()
+        (out * Tensor(other)).sum().backward()  # the same graph, a new output gradient
+        assert _bytes([p.grad for p in lstm.parameters()]) == _bytes(expected["other"])
+        (out * Tensor(weights)).sum().backward()  # without zero_grad, it adds to the leaves
+        for p, a, b in zip(lstm.parameters(), expected["weights"], expected["other"]):
+            assert np.allclose(p.grad, a + b)
+
+    def test_one_node_per_sequence(self):
+        lstm = nn.LSTM(3, 4)
+        x = Tensor(np.ones((2, 6, 3)))
+        out = lstm(x)
+        assert out._prev == (x, lstm.cell.weight_ih, lstm.cell.weight_hh, lstm.cell.bias)
+        with nn.no_grad():
+            assert lstm(x)._prev == ()
+
+    def test_state_dict_keys_are_the_cell_parameters(self):
+        # stored LSTM selectors load by these keys
+        assert sorted(nn.LSTM(1, 8).state_dict()) == ["cell.bias", "cell.weight_hh", "cell.weight_ih"]

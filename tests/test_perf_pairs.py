@@ -94,6 +94,28 @@ def test_spread_wider_than_the_bound_is_unresolved(perf_pairs):
     assert not perf_pairs.summarise(narrow, SPEC)["metrics"]["setup_s"]["unresolved"]
 
 
+def _record(op_ms, reference_ms, setup_walls):
+    """The parts of a perfbench run record the wall-clock summary reads."""
+    return {"workload": "offline", "setup_wall_s": setup_walls, "setup_corrected_s": setup_walls,
+            "wall_clock": {"op_p50_ms": op_ms, "op_tail_ms": 2 * op_ms, "points_per_s": 1.0,
+                           "train_windows_per_s": 1.0, "reference_p50_ms": reference_ms}}
+
+
+def test_wall_clock_figures_are_kept_per_side(perf_pairs):
+    record_pairs = [(_record(100.0, 1.0, [0.5, 0.7, 0.6]), _record(60.0, 1.1, [0.6])),
+                    (_record(120.0, 1.2, [0.4]), _record(70.0, 1.3, [0.5, 0.9])),
+                    (_record(110.0, 1.1, [0.3, 0.2]), _record(65.0, 1.0, [0.8]))]
+    summary = perf_pairs.summarise_wall_clock(record_pairs)
+    assert set(summary) == {"op_p50_ms", "reference_p50_ms", "setup_wall_s"}
+    assert summary["op_p50_ms"]["parent"] == {"q1": 105.0, "median": 110.0, "q3": 115.0,
+                                              "runs": [100.0, 120.0, 110.0]}
+    assert summary["op_p50_ms"]["change"]["runs"] == [60.0, 70.0, 65.0]
+    assert summary["reference_p50_ms"]["change"]["runs"] == [1.1, 1.3, 1.0]
+    # one run's set-up figure is the median of its set-up repeats
+    assert summary["setup_wall_s"]["parent"]["runs"] == [0.6, 0.4, 0.25]
+    assert summary["setup_wall_s"]["change"]["runs"] == [0.6, 0.7, 0.8]
+
+
 def test_append_record_keeps_earlier_records(perf_pairs, tmp_path):
     ledger = tmp_path / "BENCH_perfbench.json"
     perf_pairs.append_record(ledger, {"label": "first"})
@@ -113,3 +135,8 @@ def test_committed_ledger_records_are_complete():
             for metric in summary["metrics"].values():
                 assert {"q1", "median", "q3"} <= set(metric["parent"]) & set(metric["change"])
                 assert 0 <= metric["change_wins"] <= summary["pairs"]
+            # records written before the wall-clock figures were kept lack them
+            for figure in summary.get("wall_clock", {}).values():
+                for side in ("parent", "change"):
+                    assert {"q1", "median", "q3"} <= set(figure[side])
+                    assert len(figure[side]["runs"]) == summary["pairs"]

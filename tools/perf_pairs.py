@@ -22,6 +22,10 @@ runs, median and quartiles, the number of pairs the change wins, the
 metric's bound and whether the change's median stays within it, plus
 each side's ``failed`` counts and, where the workload reports them, its
 distinct answers (``offline``: ``matrix_hash``, ``selection_auc_pr``).
+Beside the ``ref``-unit metrics, each workload keeps both sides' wall-clock
+figures per run (``wall_clock``: the operations' median ms, the reference
+workload's median ms and the median set-up wall seconds), so a reader can
+tell a program change from a move of the reference.
 A run that exits non-zero stops the tool before anything is written.
 """
 
@@ -31,6 +35,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -99,6 +104,33 @@ def summarise(pairs: Sequence[Tuple[dict, dict]], spec: dict) -> dict:
             "clear_gain": (10 * wins >= 9 * len(pairs)
                            and sign * (change - parent) > stats["parent"]["q3"] - stats["parent"]["q1"]),
         }
+    return summary
+
+
+def wall_clock(record: dict) -> Dict[str, float]:
+    """One run's wall-clock figures, from the record ``perfbench/run.py`` prints.
+
+    A ``ref`` metric divides by the reference workload's time, which moves
+    with the worker's memory layout as well as with the program; these
+    figures show which of the two moved.
+    """
+    return {"op_p50_ms": record["wall_clock"]["op_p50_ms"],
+            "reference_p50_ms": record["wall_clock"]["reference_p50_ms"],
+            "setup_wall_s": statistics.median(record["setup_wall_s"])}
+
+
+def summarise_wall_clock(record_pairs: Sequence[Tuple[dict, dict]]) -> dict:
+    """Each side's runs and quartiles of every :func:`wall_clock` figure.
+
+    ``record_pairs`` holds (parent, change) run records; no bound or win is
+    judged on these figures.
+    """
+    summary: Dict[str, dict] = {}
+    for side, column in zip(SIDES, zip(*record_pairs)):
+        figures = [wall_clock(record) for record in column]
+        for name in figures[0]:
+            runs = [f[name] for f in figures]
+            summary.setdefault(name, {})[side] = {**quartiles(runs), "runs": runs}
     return summary
 
 
@@ -175,13 +207,14 @@ def main(argv=None) -> int:
             info["src_tree"] = git("rev-parse", f"{info['tree']}:src")
         results, environment = {}, {}
         for workload in workloads:
-            pairs, answers = [], {side: set() for side in SIDES}
+            pairs, record_pairs, answers = [], [], {side: set() for side in SIDES}
             for pair in range(args.pairs):
-                outcome = {}
+                outcome, records = {}, {}
                 for side in run_order(pair):
                     start = time.perf_counter()
                     outcome[side], record = run_once(workdir / side, spec["command"],
                                                      workload, args.seed, seconds)
+                    records[side] = record
                     environment = environment or {key: record.get(key)
                                                   for key in ("nproc", "python", "numpy")}
                     if "matrix_hash" in record:
@@ -192,7 +225,9 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair + 1}/{args.pairs} {side}: {values} "
                           f"({time.perf_counter() - start:.0f} s)", file=sys.stderr, flush=True)
                 pairs.append((outcome["parent"], outcome["change"]))
+                record_pairs.append((records["parent"], records["change"]))
             results[workload] = summarise(pairs, spec)
+            results[workload]["wall_clock"] = summarise_wall_clock(record_pairs)
             if any(answers.values()):
                 results[workload]["answers"] = {side: sorted(a) for side, a in answers.items()}
     finally:
@@ -207,6 +242,9 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {metric['parent']['median']:.4g} "
                   f"change {metric['change']['median']:.4g} "
                   f"(change wins {metric['change_wins']}/{summary['pairs']})")
+        for name, sides in summary["wall_clock"].items():
+            print(f"{workload} wall_clock {name}: parent {sides['parent']['median']:.4g} "
+                  f"change {sides['change']['median']:.4g}")
     return 0
 
 
