@@ -7,7 +7,8 @@ paper) on a small synthetic benchmark:
    detector performs best on each), build the windowed training set, and
    train a ResNet selector with the full KDSelector configuration
    (PISL + MKI + PA).
-2. **Model selection** — predict the best TSAD model for an unseen series.
+2. **Model selection** — predict the best TSAD model for an unseen series,
+   directly and through the batched, cached serving front end.
 3. **Anomaly detection** — run the selected model and report its metrics.
 
 Run with:  python examples/quickstart.py
@@ -63,6 +64,13 @@ def main() -> None:
     print(f"\n[2/3] selected TSAD model for {record.name}: {selection['selected_model']}")
     top_votes = sorted(selection["votes"].items(), key=lambda kv: -kv[1])[:3]
     print("      top votes:", ", ".join(f"{name}={share:.2f}" for name, share in top_votes))
+
+    # The serving front end answers the same series batched and cached:
+    # the second request for it is a cache hit with the same selection.
+    service = pipeline.as_service()
+    first, repeat = service.select(record), service.select(record)
+    assert first.selected_model == repeat.selected_model == selection["selected_model"]
+    print(f"      served: {first.selected_model} (repeat from cache: {repeat.from_cache})")
 
     # ------------------------------------------------------------------ #
     # 3. Anomaly detection with the selected model.

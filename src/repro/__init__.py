@@ -31,7 +31,7 @@ Sub-packages
     anomaly-detection runner.
 ``repro.serving``
     Batched, cached selection serving: content-addressed LRU result cache,
-    batched window extraction + forward passes, worker fan-out.
+    batched window extraction + forward passes, forked oracle fan-out.
 ``repro.accel``
     Shared fast-kernel layer: diagonal/FFT matrix-profile kernels, tiled
     memory-budgeted distance kernels, the precision policy and runtime

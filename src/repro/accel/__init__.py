@@ -14,8 +14,8 @@ numerics through this package:
   by default (preserving every bitwise-equality guarantee), float32 fast
   path via ``REPRO_PRECISION``, :class:`use_precision` or per-call
   ``dtype=``.
-* :mod:`repro.accel.config`    — memory budgets and worker-pool defaults
-  (``REPRO_MEMORY_BUDGET_MB``, ``REPRO_MAX_WORKERS``, ``REPRO_WORKER_MODE``).
+* :mod:`repro.accel.config`    — memory budgets and the worker-pool default
+  (``REPRO_MEMORY_BUDGET_MB``, ``REPRO_MAX_WORKERS``).
 * :mod:`repro.accel.reference` — the pre-accel kernels, kept bit-for-bit
   as equivalence oracles for tests and benchmarks.
 
@@ -26,7 +26,6 @@ numerics through this package:
 from .config import (
     DEFAULT_MEMORY_BUDGET_MB,
     default_max_workers,
-    default_worker_mode,
     memory_budget_bytes,
 )
 from .distances import padded_matmul_t, tile_kneighbors
@@ -47,7 +46,7 @@ from .profile import (
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_MB", "memory_budget_bytes",
-    "default_max_workers", "default_worker_mode",
+    "default_max_workers",
     "padded_matmul_t", "tile_kneighbors",
     "PRECISIONS", "current_precision", "default_precision",
     "resolve_dtype", "set_default_precision", "use_precision",

@@ -24,10 +24,6 @@ class AnomalySpan:
     length: int
     kind: str
 
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
 
 def _scale(series: np.ndarray) -> float:
     spread = float(series.std())

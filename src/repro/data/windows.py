@@ -69,7 +69,6 @@ def extract_new_windows(
     window: int,
     n_emitted: int,
     stride: Optional[int] = None,
-    normalize: bool = True,
 ) -> np.ndarray:
     """Windows ``n_emitted, n_emitted + 1, ...`` of a growing series.
 
@@ -90,33 +89,27 @@ def extract_new_windows(
         return np.empty((0, window), dtype=np.float64)
     starts = stride * np.arange(n_emitted, total)
     windows = series[starts[:, None] + np.arange(window)[None, :]]
-    if normalize:
-        windows = zscore_rows(windows, dtype=np.float64)
-    return windows
+    return zscore_rows(windows, dtype=np.float64)
 
 
-def extract_windows(series: np.ndarray, window: int, stride: Optional[int] = None,
-                    normalize: bool = True) -> np.ndarray:
+def extract_windows(series: np.ndarray, window: int, stride: Optional[int] = None) -> np.ndarray:
     """Cut a series into (possibly overlapping) fixed-length windows.
 
     Series shorter than ``window`` are padded by repeating their last value
-    so that every series contributes at least one window.
+    so that every series contributes at least one window.  Each window is
+    z-normalised on its own (:func:`repro.ml.scalers.zscore_rows`).
     """
     series = _pad_series(np.asarray(series, dtype=np.float64).ravel(), window)
     stride = stride or window
     n = count_windows(len(series), window, stride)
     idx = np.arange(window)[None, :] + stride * np.arange(n)[:, None]
-    windows = series[idx]
-    if normalize:
-        windows = zscore_rows(windows, dtype=np.float64)
-    return windows
+    return zscore_rows(series[idx], dtype=np.float64)
 
 
 def extract_windows_batch(
     series_list: Sequence[np.ndarray],
     window: int,
     stride: Optional[int] = None,
-    normalize: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Window a whole batch of series into one stacked (N, L) matrix.
 
@@ -144,9 +137,7 @@ def extract_windows_batch(
     for i, series in enumerate(padded):
         idx = base + stride * np.arange(counts[i])[:, None]
         stacked[offsets[i]:offsets[i + 1]] = series[idx]
-    if normalize:
-        stacked = zscore_rows(stacked, dtype=np.float64)
-    return stacked, offsets
+    return zscore_rows(stacked, dtype=np.float64), offsets
 
 
 @dataclass
@@ -179,21 +170,6 @@ class SelectorDataset:
     @property
     def n_classes(self) -> int:
         return len(self.detector_names)
-
-    def subset(self, indices: Sequence[int]) -> "SelectorDataset":
-        """Return a new dataset restricted to the given window indices."""
-        indices = np.asarray(indices, dtype=int)
-        return SelectorDataset(
-            windows=self.windows[indices],
-            hard_labels=self.hard_labels[indices],
-            performances=self.performances[indices],
-            metadata_texts=[self.metadata_texts[i] for i in indices],
-            series_ids=self.series_ids[indices],
-            series_names=self.series_names,
-            series_datasets=self.series_datasets,
-            detector_names=self.detector_names,
-            window_size=self.window_size,
-        )
 
 
 def build_selector_dataset(

@@ -66,7 +66,6 @@ class Oracle:
         cache_dir: Optional[str | Path] = None,
         verbose: bool = False,
         max_workers: int = 0,
-        worker_mode: str = "thread",
     ) -> None:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; available: {sorted(METRICS)}")
@@ -75,12 +74,9 @@ class Oracle:
         self.metric_fn = METRICS[metric]
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.verbose = verbose
-        #: ``>= 2`` fans series scoring out to a worker pool (labelling is
+        #: ``>= 2`` fans series scoring out to forked workers (labelling is
         #: embarrassingly parallel across series); 0/1 scores sequentially.
-        #: ``worker_mode="process"`` forks workers — the right choice when
-        #: the model set contains the GIL-bound neural detectors.
         self.max_workers = max_workers
-        self.worker_mode = worker_mode
 
     @property
     def detector_names(self) -> List[str]:
@@ -114,8 +110,7 @@ class Oracle:
                 print(f"oracle: scoring series {i + 1}/{len(records)} ({record.name})")
             return self.score_series(record)
 
-        rows = WorkerPool(self.max_workers, mode=self.worker_mode).map(
-            score_one, enumerate(records))
+        rows = WorkerPool(self.max_workers).map(score_one, enumerate(records))
         matrix = np.array(rows) if rows else np.zeros((0, len(self.model_set)))
 
         if cache_path is not None:

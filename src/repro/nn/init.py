@@ -8,10 +8,11 @@ import numpy as np
 
 from ..accel.precision import resolve_dtype
 
-# The initialisation RNG is thread-local: worker threads (repro.serving's
-# fan-out builds NN detectors concurrently) each get their own stream, so a
-# set_seed() in one thread cannot corrupt the draws of another.  Every
-# thread starts from seed 0, matching the old module-global default.
+# The initialisation RNG is thread-local: threads that run NN code (shard
+# connection threads, the TCP front end's executor, callers' own threads)
+# each get their own stream, so a set_seed() in one thread cannot corrupt
+# the draws of another.  Every thread starts from seed 0, matching the old
+# module-global default.
 _rng_store = threading.local()
 
 

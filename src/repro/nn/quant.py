@@ -112,10 +112,6 @@ class QuantizedLinear(Module):
         self.update_buffer("bias", np.zeros(self.out_features, dtype=np.float64)
                            if bias is None else np.asarray(bias, dtype=np.float64).copy())
 
-    def dequantized_weight(self) -> np.ndarray:
-        """The float64 weight the int8 payload represents (the compare gate)."""
-        return self.weight_q.astype(np.float64) * self.weight_scale[:, None]
-
     # ------------------------------------------------------------------ #
     def _weight_f32(self) -> np.ndarray:
         """float32 view of ``weight_q``, cached until the buffer is swapped."""
@@ -211,10 +207,6 @@ class QuantizedConv1d(Module):
         self.update_buffer("act_scale", np.asarray([float(act_scale)], dtype=np.float64))
         self.update_buffer("bias", np.zeros(self.out_channels, dtype=np.float64)
                            if bias is None else np.asarray(bias, dtype=np.float64).copy())
-
-    def dequantized_weight(self) -> np.ndarray:
-        """The float64 weight the int8 payload represents (the compare gate)."""
-        return self.weight_q.astype(np.float64) * self.weight_scale[:, None, None]
 
     # ------------------------------------------------------------------ #
     def _weight_cache(self, key: str, build) -> np.ndarray:

@@ -26,9 +26,10 @@ from ..accel.precision import resolve_dtype
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 VJP = Callable[[np.ndarray], np.ndarray]
 
-# Grad tracking is a *thread-local* flag: one worker thread entering
-# inference (repro.serving fans detector runs out to threads) must not
-# silently disable autograd for another thread that is mid-training.
+# Grad tracking is a *thread-local* flag: one thread entering inference
+# (shard connection threads, the TCP front end's executor and callers' own
+# threads run NN code) must not silently disable autograd for another
+# thread that is mid-training.
 _grad_state = threading.local()
 
 

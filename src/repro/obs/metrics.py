@@ -178,12 +178,6 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    @property
-    def bucket_counts(self) -> List[int]:
-        """Per-bucket (non-cumulative) counts; last entry is the overflow."""
-        with self._lock:
-            return list(self._counts)
-
     def samples(self) -> List[Tuple[str, Dict[str, str], float]]:
         with self._lock:
             counts, total, total_sum = list(self._counts), self._count, self._sum
@@ -230,7 +224,6 @@ class NullMetric:
     value = 0
     count = 0
     sum = 0.0
-    bucket_counts: List[int] = []
 
     __slots__ = ()
 

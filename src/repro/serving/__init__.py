@@ -2,14 +2,14 @@
 
 Turns a trained selector into a throughput-oriented service: batches of
 series are windowed and classified in one vectorised pass, repeated queries
-are answered from a content-addressed LRU cache, and fan-out work (oracle
-labelling, detector comparison, stream scoring) can run on a worker pool.
+are answered from a content-addressed LRU cache, and oracle labelling can
+fan out to forked workers.
 
 * :mod:`repro.serving.cache`    — series fingerprinting + LRU result cache,
 * :mod:`repro.serving.transform_cache` — content-addressed memo of
   feature/ROCKET transform outputs shared across serve/stream/sharded,
 * :mod:`repro.serving.batching` — batch assembly utilities,
-* :mod:`repro.serving.workers`  — sequential/thread-pool worker abstraction,
+* :mod:`repro.serving.workers`  — sequential/forked-process worker pool,
 * :mod:`repro.serving.service`  — :class:`SelectionService`, the front end.
 
 See ``docs/architecture.md`` for the batching/caching semantics.

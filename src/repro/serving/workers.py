@@ -1,24 +1,21 @@
-"""Worker abstraction for fan-out work (oracle labelling, detector fan-out).
+"""Worker abstraction for fan-out work (oracle labelling).
 
 A :class:`WorkerPool` maps a function over a list of items either
-sequentially (``max_workers=0``, the default — no threads, deterministic
-execution order, trivially debuggable), on a thread pool, or on a pool of
-forked processes.  Results always come back in input order regardless of
-completion order, so callers can treat the modes interchangeably.
+sequentially (``max_workers`` 0 or 1, the default 0 — deterministic
+execution order, trivially debuggable) or on a pool of forked processes
+(``max_workers >= 2``).  Results always come back in input order
+regardless of completion order, so callers can treat the two paths
+interchangeably.
 
-**Threads** (``mode="thread"``) are right when the payload spends its time
-inside NumPy, which releases the GIL for the heavy array operations —
-distance kernels, GEMMs, the matrix-profile kernel.
-
-**Processes** (``mode="process"``, opt-in) are right when the payload is
-GIL-bound Python — the neural detectors (AE / LSTM-AD / CNN) in an
-oracle labelling pass train on small minibatches, where each NumPy op is
-cheap next to the Python that issues it (graph nodes, the fused LSTM's
-per-step loop), so threads serialise on the GIL there.  The pool forks, so
-children inherit the parent's memory: the function, the item list and any
-series arrays they close over are shared copy-on-write — nothing is
-pickled on the way *in*, only results on the way out.  Platforms without
-``fork`` (Windows / some macOS configurations) fall back to threads.
+Forked workers suit oracle labelling, whose payload is largely GIL-bound
+Python: the neural detectors (AE / LSTM-AD / CNN) train on small
+minibatches, where each NumPy op is cheap next to the Python that issues
+it, so threads serialise on the GIL (and lost to sequential execution on a
+2-vCPU box, see ``docs/performance.md``).  The pool forks, so children
+inherit the parent's memory: the function, the item list and any series
+arrays they close over are shared copy-on-write — nothing is pickled on the
+way *in*, only results on the way out.  Platforms without ``fork``
+(Windows / some macOS configurations) run sequentially.
 """
 
 from __future__ import annotations
@@ -27,10 +24,7 @@ import multiprocessing
 import pickle
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
-
-from ..accel.config import WORKER_MODES
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -56,8 +50,8 @@ class WorkerError(RuntimeError):
 
 #: payload of an in-flight fork-pool map; children inherit it through fork,
 #: so only the integer item index crosses the pipe on the way in.  The lock
-#: serialises concurrent process-mode maps from different threads — without
-#: it, one thread's fork could pick up another thread's payload.
+#: serialises concurrent maps from different threads — without it, one
+#: thread's fork could pick up another thread's payload.
 _fork_payload: Optional[Tuple[Callable, Sequence]] = None
 _fork_lock = threading.Lock()
 
@@ -82,31 +76,24 @@ def _fork_available() -> bool:
 
 
 class WorkerPool:
-    """Map work over items: sequentially, on threads, or on forked processes."""
+    """Map work over items: sequentially, or on forked processes."""
 
-    def __init__(self, max_workers: int = 0, mode: str = "thread") -> None:
+    def __init__(self, max_workers: int = 0) -> None:
         if max_workers < 0:
             raise ValueError("max_workers must be >= 0 (0 means sequential)")
-        if mode not in WORKER_MODES:
-            raise ValueError(f"unknown worker mode {mode!r}; expected one of {WORKER_MODES}")
         self.max_workers = max_workers
-        self.mode = mode
 
     @property
     def is_parallel(self) -> bool:
-        """Whether this pool actually fans out (needs >= 2 workers)."""
-        return self.max_workers >= 2
+        """Whether this pool actually fans out (needs >= 2 workers and fork)."""
+        return self.max_workers >= 2 and _fork_available()
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Apply ``fn`` to every item, returning results in input order."""
         items = list(items)
         if not self.is_parallel or len(items) <= 1:
             return [fn(item) for item in items]
-        workers = min(self.max_workers, len(items))
-        if self.mode == "process" and _fork_available():
-            return self._map_forked(fn, items, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        return self._map_forked(fn, items, min(self.max_workers, len(items)))
 
     @staticmethod
     def _map_forked(fn: Callable[[T], R], items: List[T], workers: int) -> List[R]:
@@ -142,8 +129,5 @@ class WorkerPool:
         return results
 
     def __repr__(self) -> str:
-        if self.is_parallel:
-            mode = f"{self.mode}s={self.max_workers}"
-        else:
-            mode = "sequential"
+        mode = f"processes={self.max_workers}" if self.is_parallel else "sequential"
         return f"WorkerPool({mode})"

@@ -64,13 +64,11 @@ class StreamBuffer:
     zero copies on the handoff.
     """
 
-    def __init__(self, window: int, stride: Optional[int] = None,
-                 normalize: bool = True) -> None:
+    def __init__(self, window: int, stride: Optional[int] = None) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.stride = stride or window
-        self.normalize = normalize
         self._points = GrowingArray(max(1024, 2 * window))
         self._external: Optional[np.ndarray] = None
         self._n_emitted = 0
@@ -132,10 +130,8 @@ class StreamBuffer:
         current series, and each window is emitted exactly once over the
         stream's lifetime.
         """
-        windows = extract_new_windows(
-            self.series, self.window, self._n_emitted,
-            stride=self.stride, normalize=self.normalize,
-        )
+        windows = extract_new_windows(self.series, self.window, self._n_emitted,
+                                      stride=self.stride)
         self._n_emitted += len(windows)
         return windows
 

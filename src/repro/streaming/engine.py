@@ -13,10 +13,9 @@ together by :meth:`flush`:
 3. per-stream running votes, drift monitors and online scorers are updated;
    detector re-selection (drift) swaps the stream's scorer.
 
-Scorer updates fan out on a :class:`repro.serving.workers.WorkerPool` when
-``max_workers >= 2`` — per-stream detection work is independent.  A chunk
-holding a NaN or an infinity is rejected where it enters: :meth:`append`
-and :meth:`append_view` raise
+Scorer updates run inline, one stream after another in stream order.  A
+chunk holding a NaN or an infinity is rejected where it enters:
+:meth:`append` and :meth:`append_view` raise
 :class:`~repro.detectors.base.NonFiniteSeriesError`, naming the stream and
 the point's index in it, and leave every stream as it was.  A stream whose
 detector rejects its (finite) series gets no new scores and says why in
@@ -44,7 +43,6 @@ from ..obs.trace import span
 from ..selectors.base import Selector
 from ..serving.batching import window_budget_groups
 from ..serving.cache import RunningFingerprint
-from ..serving.workers import WorkerPool
 from .buffer import StreamBuffer
 from .drift import DriftConfig, DriftMonitor
 from .scorer import OnlineScorer
@@ -63,10 +61,6 @@ class StreamingConfig:
     aggregation: str = "vote"
     #: cross-stream forward-batch budget, in selector windows
     max_batch_windows: int = 8192
-    #: thread count for per-stream scoring fan-out; 0 runs sequentially.
-    #: Always threads: scorer updates mutate per-stream state in place,
-    #: which a forked process could not hand back.
-    max_workers: int = 0
     #: drift monitoring configuration; ``None`` disables re-selection
     drift: Optional[DriftConfig] = None
     #: windows the running vote keeps after a drift-triggered re-selection
@@ -220,7 +214,6 @@ class StreamEngine:
                                 self.config, cascade)
         #: the forward output of a stream with no new windows in a flush
         self._no_windows = PlanOutput(np.empty((0, len(self.detector_names))))
-        self.workers = WorkerPool(self.config.max_workers)
         self._streams: Dict[str, _StreamState] = {}
         registry = default_registry()
         # always-real counters (the stats surface); registered for exposition
@@ -454,13 +447,13 @@ class StreamEngine:
             if self.audit.enabled:
                 self._audit_update(stream_id, state, updates[stream_id], previous_index)
 
-        # 4. per-stream scoring fan-out (independent work, thread-friendly)
+        # 4. per-stream scoring, in stream order
         if to_score:
             with span("engine.score", streams=len(to_score)):
-                errors = self.workers.map(_update_scores, to_score.values())
-            for stream_id, error in zip(to_score, errors):
-                if error is not None:
-                    updates[stream_id] = replace(updates[stream_id], score_error=error)
+                for stream_id, state in to_score.items():
+                    error = _update_scores(state)
+                    if error is not None:
+                        updates[stream_id] = replace(updates[stream_id], score_error=error)
 
         return updates
 

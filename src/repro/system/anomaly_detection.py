@@ -26,10 +26,6 @@ class DetectionResult:
     scores: np.ndarray
     metrics: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def auc_pr(self) -> float:
-        return self.metrics.get("auc_pr", float("nan"))
-
 
 def run_detection(record: TimeSeriesRecord, detector: AnomalyDetector,
                   detector_name: Optional[str] = None) -> DetectionResult:

@@ -46,7 +46,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..accel.config import WORKER_MODES
 from ..core.config import MKIConfig, PISLConfig, PruningConfig, TrainerConfig
 from ..data import generate_series
 from ..data.loaders import load_series_directory, load_series_file, save_series_file
@@ -62,27 +61,19 @@ from .reporting import format_table
 from .selector_store import CorruptSelectorError, SelectorStore
 
 
-def _add_runtime_args(parser: argparse.ArgumentParser, workers: bool = True,
-                      worker_mode: bool = True) -> None:
-    """Shared runtime flags: precision and worker fan-out.
+def _add_runtime_args(parser: argparse.ArgumentParser, workers: bool = False) -> None:
+    """Shared runtime flags: precision and (``label``'s) worker fan-out.
 
     Defaults come from the environment (``REPRO_PRECISION``,
-    ``REPRO_MAX_WORKERS``, ``REPRO_WORKER_MODE``); the flags override it.
-    ``worker_mode=False`` is for commands whose fan-out is thread-only
-    (the stream engine's scorer updates mutate per-stream state in place).
+    ``REPRO_MAX_WORKERS``); the flags override it.
     """
     group = parser.add_argument_group("runtime")
     group.add_argument("--precision", choices=["float32", "float64"], default=None,
                        help="kernel precision (default: $REPRO_PRECISION or float64)")
     if workers:
         group.add_argument("--workers", type=int, default=None,
-                           help="fan-out worker count, 0 = sequential "
+                           help="forked worker count, 0 = sequential "
                                 "(default: $REPRO_MAX_WORKERS or 0)")
-        if worker_mode:
-            group.add_argument("--worker-mode", choices=WORKER_MODES,
-                               default=None,
-                               help="worker pool backing "
-                                    "(default: $REPRO_WORKER_MODE or thread)")
 
 
 def _apply_runtime_args(args: argparse.Namespace) -> None:
@@ -94,8 +85,6 @@ def _apply_runtime_args(args: argparse.Namespace) -> None:
         set_default_precision(args.precision)
     if hasattr(args, "workers"):
         args.workers = accel_config.default_max_workers(args.workers)
-    if hasattr(args, "worker_mode"):
-        args.worker_mode = accel_config.default_worker_mode(args.worker_mode)
 
 
 #: suffix appended to a teacher's store name per serving tier
@@ -182,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     label.add_argument("--detector-window", type=int, default=24)
     label.add_argument("--metric", default="auc_pr", choices=["auc_pr", "auc_roc", "best_f1"])
     label.add_argument("--cache-dir", type=Path, default=None)
-    _add_runtime_args(label)
+    _add_runtime_args(label, workers=True)
 
     train = sub.add_parser("train", help="train a selector on labelled historical data")
     train.add_argument("data_dir", type=Path)
@@ -278,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--detector-window", type=int, default=24)
     detect.add_argument("--scores-output", type=Path, default=None,
                         help="optional CSV to write the point-wise anomaly scores to")
-    _add_runtime_args(detect, workers=False)
+    _add_runtime_args(detect)
 
     batch = sub.add_parser("batch-select",
                            help="batched, cached model selection over a directory of series")
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve the directory this many times (>1 shows warm-cache speed)")
     _add_tier_arg(batch)
     _add_cascade_args(batch)
-    _add_runtime_args(batch, workers=False)
+    _add_runtime_args(batch)
 
     serve = sub.add_parser("serve",
                            help="read series file paths from stdin, answer each as a JSON line")
@@ -305,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-capacity", type=int, default=4096)
     _add_tier_arg(serve)
     _add_cascade_args(serve)
-    _add_runtime_args(serve, workers=False)
+    _add_runtime_args(serve)
 
     stream = sub.add_parser("stream",
                             help="replay series files (or stdin ticks) through the "
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "the student when it falls below this threshold "
                              "(needs --selector-tier student or --cascade)")
     _add_cascade_args(stream)
-    _add_runtime_args(stream, worker_mode=False)
+    _add_runtime_args(stream)
 
     sharded = sub.add_parser("serve-sharded",
                              help="run the streaming engine across supervised "
@@ -457,7 +446,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     records = load_series_directory(args.data_dir)
     model_set = make_default_model_set(window=args.detector_window, fast=True)
     oracle = Oracle(model_set, metric=args.metric, cache_dir=args.cache_dir, verbose=True,
-                    max_workers=args.workers, worker_mode=args.worker_mode)
+                    max_workers=args.workers)
     matrix = oracle.performance_matrix(records)
     args.output.parent.mkdir(parents=True, exist_ok=True)
     np.savez(args.output, performance=matrix, names=np.array([r.name for r in records], dtype="U64"))
@@ -902,8 +891,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     model_set = (make_default_model_set(window=args.detector_window, fast=True)
                  if args.score else None)
     engine = _make_engine_factory(args, model_set=model_set,
-                                  max_batch_windows=args.max_batch_windows,
-                                  max_workers=args.workers)()
+                                  max_batch_windows=args.max_batch_windows)()
     if audit is not None:
         engine.audit = audit
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from ..core.config import TrainerConfig
 from ..data.records import TimeSeriesRecord
-from ..data.windows import SelectorDataset, build_selector_dataset, extract_windows
+from ..data.windows import SelectorDataset, build_selector_dataset
 from ..detectors.base import AnomalyDetector, make_default_model_set
-from ..eval.evaluation import SelectionEvaluation, evaluate_selection, predict_for_series
+from ..eval.evaluation import predict_for_series
 from ..eval.oracle import Oracle
 from ..selectors.base import Selector, make_selector, selector_names
 from ..selectors.nn_selector import NNSelector
@@ -36,7 +36,7 @@ class PipelineConfig:
     max_windows_per_series: Optional[int] = None
     cache_dir: Optional[Union[str, Path]] = None
     seed: int = 0
-    #: thread count for oracle labelling fan-out (0 = sequential)
+    #: forked-worker count of oracle labelling (0 = sequential)
     max_workers: int = 0
 
 
@@ -137,26 +137,6 @@ class ModelSelectionPipeline:
         detector = self.model_set[selection["selected_model"]]
         return run_detection(record, detector, detector_name=selection["selected_model"])
 
-    def evaluate(
-        self,
-        records: Sequence[TimeSeriesRecord],
-        performance_matrix: Optional[np.ndarray] = None,
-        aggregation: str = "vote",
-    ) -> SelectionEvaluation:
-        """Evaluate the trained selector over labelled test series."""
-        if self.selector is None:
-            raise RuntimeError("no trained selector; call train_selector() first")
-        if performance_matrix is None:
-            performance_matrix = self.oracle.performance_matrix(records)
-        return evaluate_selection(
-            self.selector,
-            records,
-            performance_matrix,
-            self.detector_names,
-            window=self.config.window,
-            aggregation=aggregation,
-        )
-
     # ------------------------------------------------------------------ #
     # serving hand-off
     # ------------------------------------------------------------------ #
@@ -203,7 +183,6 @@ class ModelSelectionPipeline:
         # the prediction-time windowing of select_model/predict_for_series
         # (the pipeline's stride only shapes the *training* dataset).
         config_overrides.setdefault("window", self.config.window)
-        config_overrides.setdefault("max_workers", self.config.max_workers)
         if score and model_set is None:
             model_set = self.model_set
         return StreamEngine(
@@ -212,8 +191,3 @@ class ModelSelectionPipeline:
             StreamingConfig(**config_overrides),
             model_set=model_set,
         )
-
-    # ------------------------------------------------------------------ #
-    def windows_for(self, record: TimeSeriesRecord) -> np.ndarray:
-        """The selector-input windows of one series (for inspection / UI)."""
-        return extract_windows(record.series, self.config.window, stride=self.config.window)

@@ -177,12 +177,6 @@ class SelectorStore:
                 infos.append(self.info(entry.name))
         return sorted(infos, key=lambda info: info.created_at, reverse=True)
 
-    def delete(self, name: str) -> None:
-        entry = self._entry_dir(name)
-        if not entry.exists():
-            raise KeyError(f"no stored selector named {name!r}")
-        shutil.rmtree(entry)
-
     def __contains__(self, name: str) -> bool:
         try:
             self.info(name)

@@ -9,6 +9,7 @@ paths end to end.
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,12 @@ def selector_dataset(tiny_benchmark, synthetic_performance_matrix, detector_name
 def small_selector_dataset(selector_dataset):
     """A subset of the selector dataset for the slowest training tests."""
     keep = np.arange(0, len(selector_dataset), 2)[:64]
-    return selector_dataset.subset(keep)
+    return replace(selector_dataset,
+                   windows=selector_dataset.windows[keep],
+                   hard_labels=selector_dataset.hard_labels[keep],
+                   performances=selector_dataset.performances[keep],
+                   metadata_texts=[selector_dataset.metadata_texts[i] for i in keep],
+                   series_ids=selector_dataset.series_ids[keep])
 
 
 @pytest.fixture(scope="session")

@@ -110,13 +110,8 @@ class TestRuntimeConfig:
 
     def test_worker_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-        monkeypatch.setenv("REPRO_WORKER_MODE", "process")
         assert accel_config.default_max_workers() == 3
         assert accel_config.default_max_workers(1) == 1
-        assert accel_config.default_worker_mode() == "process"
-        assert accel_config.default_worker_mode("thread") == "thread"
-        with pytest.raises(ValueError):
-            accel_config.default_worker_mode("fiber")
 
 
 # --------------------------------------------------------------------------- #
@@ -418,40 +413,36 @@ class TestZscoreRows:
 
 
 # --------------------------------------------------------------------------- #
-# worker pool process mode
+# forked worker pool
 # --------------------------------------------------------------------------- #
 def _square(x):
     return x * x
 
 
 class TestProcessWorkerPool:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, mode="fiber")
-
     def test_process_map_matches_sequential(self):
         items = list(range(20))
         expected = [_square(i) for i in items]
-        assert WorkerPool(4, mode="process").map(_square, items) == expected
+        assert WorkerPool(4).map(_square, items) == expected
 
     def test_process_map_preserves_order_with_arrays(self):
         rng = np.random.default_rng(23)
         series = [rng.normal(size=50) for _ in range(6)]
-        pool = WorkerPool(3, mode="process")
+        pool = WorkerPool(3)
         results = pool.map(lambda s: float(s.sum()), series)
         assert results == [float(s.sum()) for s in series]
 
     def test_closures_cross_fork_without_pickling(self):
         big = np.arange(10_000, dtype=np.float64)
-        pool = WorkerPool(2, mode="process")
+        pool = WorkerPool(2)
         # a lambda closing over a local array is not picklable by
         # multiprocessing's default; fork inheritance makes it work
         results = pool.map(lambda i: float(big[i]), [1, 5, 9])
         assert results == [1.0, 5.0, 9.0]
 
     def test_sequential_below_two_workers(self):
-        assert WorkerPool(0, mode="process").map(_square, [3]) == [9]
-        assert WorkerPool(1, mode="process").map(_square, [3, 4]) == [9, 16]
+        assert WorkerPool(0).map(_square, [3]) == [9]
+        assert WorkerPool(1).map(_square, [3, 4]) == [9, 16]
 
     def test_oracle_process_mode_matches_sequential(self):
         from repro.data.generators import generate_series
@@ -461,10 +452,9 @@ class TestProcessWorkerPool:
         model_set = {name: make_detector(name, window=16)
                      for name in ("HBOS", "MP", "LOF")}
         seq = Oracle(model_set).performance_matrix(records)
-        par = Oracle(model_set, max_workers=2,
-                     worker_mode="process").performance_matrix(records)
+        par = Oracle(model_set, max_workers=2).performance_matrix(records)
         assert np.array_equal(seq, par)
 
     def test_repr_mentions_mode(self):
-        assert "process" in repr(WorkerPool(4, mode="process"))
+        assert "process" in repr(WorkerPool(4))
         assert "sequential" in repr(WorkerPool(0))

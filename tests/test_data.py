@@ -105,7 +105,7 @@ class TestAnomalyInjectors:
         assert series.shape == labels.shape
         assert len(spans) == 3
         for span in spans:
-            assert labels[span.start:span.end].all()
+            assert labels[span.start:span.start + span.length].all()
         assert labels.sum() == sum(s.length for s in spans)
 
     def test_inject_anomalies_unknown_kind_raises(self, base):
@@ -126,7 +126,7 @@ class TestAnomalyInjectors:
         )
         spans = sorted(spans, key=lambda s: s.start)
         for a, b in zip(spans, spans[1:]):
-            assert a.end <= b.start
+            assert a.start + a.length <= b.start
 
 
 class TestRecords:
@@ -210,10 +210,6 @@ class TestWindowsAndBenchmark:
         windows = extract_windows(np.arange(5, dtype=float), window=16)
         assert windows.shape == (1, 16)
 
-    def test_extract_windows_without_normalisation(self):
-        windows = extract_windows(np.arange(40, dtype=float), window=10, normalize=False)
-        assert windows.max() == 39
-
     def test_build_selector_dataset_alignment(self, tiny_benchmark, synthetic_performance_matrix,
                                               detector_name_list):
         ds = build_selector_dataset(
@@ -230,14 +226,18 @@ class TestWindowsAndBenchmark:
         with pytest.raises(ValueError):
             build_selector_dataset(tiny_benchmark.train_records, np.zeros((2, 3)), detector_name_list)
 
-    def test_selector_dataset_subset_and_split(self, selector_dataset):
-        subset = selector_dataset.subset([0, 1, 2])
-        assert len(subset) == 3
-        # complementary subsets split the dataset window for window
-        rest = selector_dataset.subset(np.arange(3, len(selector_dataset)))
-        assert len(subset) + len(rest) == len(selector_dataset)
-        assert np.array_equal(np.vstack([subset.windows, rest.windows]), selector_dataset.windows)
-        assert subset.metadata_texts + rest.metadata_texts == selector_dataset.metadata_texts
+    def test_selector_dataset_subset_and_split(self, selector_dataset, tiny_benchmark,
+                                               synthetic_performance_matrix, detector_name_list):
+        # datasets built on complementary subsets of the series split the
+        # full dataset window for window
+        records, matrix = tiny_benchmark.train_records, synthetic_performance_matrix
+        head, rest = (build_selector_dataset(part, rows, detector_name_list, window=64, stride=64)
+                      for part, rows in ((records[:3], matrix[:3]), (records[3:], matrix[3:])))
+        assert len(head) + len(rest) == len(selector_dataset)
+        for name in ("windows", "hard_labels", "performances"):
+            assert np.array_equal(np.concatenate([getattr(head, name), getattr(rest, name)]),
+                                  getattr(selector_dataset, name))
+        assert head.metadata_texts + rest.metadata_texts == selector_dataset.metadata_texts
 
     def test_max_windows_per_series(self, tiny_benchmark, synthetic_performance_matrix, detector_name_list):
         ds = build_selector_dataset(

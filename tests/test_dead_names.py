@@ -46,3 +46,20 @@ def test_an_attribute_of_a_non_module_is_not_a_use(tmp_path):
              "use.py": "from . import ops\n\n\ndef _run(obj):\n"
                        "    return obj.enabled and ops.disabled()\n"}
     assert _dead_names(tmp_path, files) == ["src/repro/ops.py::enabled"]
+
+
+BOX = ("class Box:\n    def open(self):\n        return 1\n\n"
+       "    @property\n    def close(self):\n        return 0\n")
+
+
+def test_a_method_only_tests_call_is_flagged(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_box.py").write_text("from repro.box import Box\n\nBox().close\n")
+    files = {"box.py": BOX, "use.py": "from .box import Box\n\nBox().open()\n"}
+    assert _dead_names(tmp_path, files) == ["src/repro/box.py::Box.close"]
+
+
+def test_a_method_read_as_an_attribute_of_any_object_is_a_use(tmp_path):
+    files = {"box.py": BOX, "use.py": "from .box import Box\n\n\ndef _run(obj):\n"
+                                      "    obj.open = None\n    return Box, obj.open, obj.close\n"}
+    assert _dead_names(tmp_path, files) == []

@@ -107,7 +107,8 @@ class TestQuantKernels:
         # both operands carry at most half-a-level error; the product error
         # is bounded by the sum of the per-operand contributions
         w_err = (quantized.weight_scale / 2)[None, :] * np.abs(x).sum(axis=1)[:, None]
-        x_err = act_scale / 2 * np.abs(quantized.dequantized_weight()).sum(axis=1)[None, :]
+        dequantized = quantized.weight_q.astype(np.float64) * quantized.weight_scale[:, None]
+        x_err = act_scale / 2 * np.abs(dequantized).sum(axis=1)[None, :]
         assert np.all(np.abs(got - expected) <= w_err + x_err + 1e-9)
 
     def test_forward_rejects_non_2d(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import TrainerConfig, kdselector_config
-from repro.data import TSBUADBenchmark, build_selector_dataset
+from repro.data import TSBUADBenchmark, build_selector_dataset, extract_windows
 from repro.detectors import make_detector
 from repro.eval import Oracle, evaluate_selection, oracle_upper_bound
 from repro.selectors import make_selector
@@ -135,7 +135,7 @@ class TestSystemRoundTrip:
         restored = store.load("pipeline_selector")
 
         record = small_world["test_records"][0]
-        windows = pipeline.windows_for(record)
+        windows = extract_windows(record.series, pipeline.config.window)
         assert np.allclose(restored.predict_proba(windows), selector.predict_proba(windows))
 
         # The reloaded selector drives model selection + detection end to end.

@@ -217,7 +217,7 @@ class TestAnomalyInjectionProperties:
         assert len(spans) <= n_anomalies
         outside = np.ones(length, dtype=bool)
         for span in spans:
-            outside[span.start:span.end] = False
+            outside[span.start:span.start + span.length] = False
         # Points outside the injected spans are untouched.
         assert np.allclose(series[outside], base[outside])
 

@@ -1,5 +1,6 @@
 """Tests for the batched, cached selection-serving layer (repro.serving)."""
 
+import os
 import threading
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, generate_series
 from repro.data.windows import extract_windows, extract_windows_batch
-from repro.detectors import NonFiniteSeriesError, make_detector
+from repro.detectors import DEFAULT_MODEL_NAMES, NonFiniteSeriesError, make_detector
 from repro.eval import Oracle, predict_for_series
 from repro.ml.scalers import zscore, zscore_rows
 from repro.selectors import make_selector
@@ -22,8 +23,10 @@ from repro.serving import (
     WorkerPool,
     microbatches,
     series_fingerprint,
+    workers,
 )
 from repro.serving.workers import _fork_available
+from repro.streaming import StreamEngine, StreamingConfig
 from repro.system import ModelSelectionPipeline, PipelineConfig
 
 
@@ -152,6 +155,18 @@ class TestWorkerPool:
             WorkerPool(max_workers=-1)
 
     @pytest.mark.skipif(not _fork_available(), reason="needs fork start method")
+    def test_parallel_map_runs_in_forked_processes(self):
+        pids = WorkerPool(2).map(lambda _: os.getpid(), range(4))
+        assert len(pids) == 4 and os.getpid() not in pids
+
+    def test_without_fork_runs_sequentially_in_the_calling_process(self, monkeypatch):
+        monkeypatch.setattr(workers, "_fork_available", lambda: False)
+        pool = WorkerPool(2)
+        assert not pool.is_parallel
+        assert pool.map(lambda x: (x, os.getpid()), range(5)) == \
+            [(x, os.getpid()) for x in range(5)]
+
+    @pytest.mark.skipif(not _fork_available(), reason="needs fork start method")
     def test_forked_worker_exception_propagates_with_worker_traceback(self):
         import traceback
 
@@ -160,7 +175,7 @@ class TestWorkerPool:
                 raise ValueError(f"bad item {x}")
             return x
 
-        pool = WorkerPool(max_workers=2, mode="process")
+        pool = WorkerPool(max_workers=2)
         with pytest.raises(ValueError, match="bad item 2") as excinfo:
             pool.map(explode_on_two, range(4))
         # the original exception type crosses the process boundary, chained
@@ -182,7 +197,7 @@ class TestWorkerPool:
         def explode(x):
             raise Unpicklable("nope")
 
-        pool = WorkerPool(max_workers=2, mode="process")
+        pool = WorkerPool(max_workers=2)
         with pytest.raises(WorkerError) as excinfo:
             pool.map(explode, range(2))
         assert excinfo.value.exc_type == "Unpicklable"
@@ -195,7 +210,7 @@ class TestWorkerPool:
                 raise ValueError("boom")
             return x * 10
 
-        pool = WorkerPool(max_workers=2, mode="process")
+        pool = WorkerPool(max_workers=2)
         with pytest.raises(ValueError):
             pool.map(explode_on_two, range(4))
         assert pool.map(explode_on_two, [0, 1]) == [0, 10]
@@ -423,6 +438,39 @@ class TestEmptySelection:
             predict_for_series(serving_world["selector"], self._empty(serving_world), 64)
 
 
+class TestShortSeriesSelection:
+    """A series shorter than the window is answered from one window padded
+    with its last value.  The service, ``predict_for_series`` and the stream
+    engine give the same answer bit for bit; only the engine marks it
+    ``provisional``."""
+
+    WINDOW = 32
+    NAMES = list(DEFAULT_MODEL_NAMES)
+
+    @pytest.fixture(scope="class")
+    def convnet(self):
+        selector = make_selector("ConvNet", window=self.WINDOW, n_classes=len(self.NAMES), seed=0)
+        selector.build()
+        return selector
+
+    @pytest.mark.parametrize("length", [1, 10, WINDOW - 1])
+    def test_every_entry_point_gives_the_padded_window_answer(self, convnet, length):
+        base = generate_series("ECG", 0, 400, seed=4)
+        record = replace(base, name="short", series=base.series[:length].copy(),
+                         labels=base.labels[:length].copy(), anomalies=[])
+        choice, aggregated = predict_for_series(convnet, record, self.WINDOW)
+        served = SelectionService(convnet, self.NAMES,
+                                  ServingConfig(window=self.WINDOW)).select(record)
+        streamed = StreamEngine(convnet, self.NAMES,
+                                StreamingConfig(window=self.WINDOW)).push("short", record.series)
+        assert served.n_windows == streamed.n_windows == 1
+        assert served.selected_index == streamed.selected_index == choice
+        for votes in (served.votes, streamed.votes):
+            assert list(votes) == self.NAMES
+            assert np.array_equal(np.array(list(votes.values())), aggregated)
+        assert streamed.provisional and streamed.n_new_windows == 0
+
+
 class TestScaledSelection:
     """A finite series scaled to ~1e300 is answered exactly as the series
     itself: its window stds overflow float64, so each row is divided by its
@@ -460,8 +508,9 @@ class TestWorkerFanOut:
         assert np.array_equal(sequential, parallel)
 
     def test_oracle_parallel_is_deterministic_with_nn_detectors(self):
-        """Regression: NN detectors build models inside score(); the init RNG
-        and grad flag are thread-local, so fan-out must stay bitwise equal."""
+        """Regression: NN detectors build models inside score(), reseeding the
+        init RNG and toggling the grad flag; each forked worker changes only
+        its own copy of that state, so fan-out must stay bitwise equal."""
         records = [generate_series(name, 0, 300, seed=2) for name in ("ECG", "NAB", "SMD")]
         model_set = {"AE": make_detector("AE", window=16), "CNN": make_detector("CNN", window=16)}
         sequential = Oracle(model_set, max_workers=0).performance_matrix(records)

@@ -16,8 +16,15 @@ comments; ``tests/`` is not read.  A class decorated with a
 ``register_*(...)`` call counts as used, because a registry reaches it by
 name.
 
-Prints ``path::name`` for each unused name and exits 1 if there is any.
-Run as ``python tools/dead_names.py`` (standard library only).
+A public method or property of a top-level class counts as used when any
+of those files reads an attribute of that name, on any base (``obj.name``
+or ``self.name``; an assignment to ``obj.name`` is not a read).  Which
+class the base holds is not inferred, so a read of a shared name keeps
+every method of that name.
+
+Prints ``path::name`` (``path::Class.name`` for a method) for each unused
+name and exits 1 if there is any.  Run as ``python tools/dead_names.py``
+(standard library only).
 """
 
 import ast
@@ -53,7 +60,7 @@ def _root(node: ast.expr) -> str:
 
 
 def dead_names(root: Path = ROOT) -> list:
-    defined, used = [], set()
+    defined, methods, used, read = [], [], set(), set()
     for path in sorted(p for top in SCANNED for p in (root / top).rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         source = path.read_text()
@@ -63,16 +70,21 @@ def dead_names(root: Path = ROOT) -> list:
                         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                         and not n.name.startswith("_")
                         and not (isinstance(n, ast.ClassDef) and _registered(n))]
+            methods += [(rel, f"{cls.name}.{n.name}", n.name)
+                        for cls in tree.body if isinstance(cls, ast.ClassDef) for n in cls.body
+                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not n.name.startswith("_")]
         used |= _global_reads(symtable.symtable(source, rel, "exec"))
         imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
         imported = {alias.asname or alias.name.split(".")[0]
                     for node in imports for alias in node.names} - set(NUMPY)
-        used.update(node.attr for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and _root(node) in imported)
+        attributes = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        used.update(n.attr for n in attributes if _root(n) in imported)
+        read.update(n.attr for n in attributes if isinstance(n.ctx, ast.Load))
         if path.name != "__init__.py":
             used.update(alias.name.rsplit(".", 1)[-1] for node in imports for alias in node.names)
-    return [f"{rel}::{name}" for rel, name in defined if name not in used]
-
+    return ([f"{rel}::{name}" for rel, name in defined if name not in used]
+            + [f"{rel}::{qualname}" for rel, qualname, name in methods if name not in read])
 
 if __name__ == "__main__":
     unused = dead_names()
