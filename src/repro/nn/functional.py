@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..accel.precision import resolve_dtype
 from .init import get_rng
@@ -27,12 +28,20 @@ def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int, dilation: int) -> T
             f"conv1d output length would be {l_out} (input length {length}, kernel {kernel_size}, "
             f"dilation {dilation})"
         )
-    # idx: (K, L_out) so the gather directly yields (N, C, K, L_out) — the
-    # reshape below is then a free view instead of a strided copy, which is
-    # what makes large serving batches affordable.
-    idx = np.arange(kernel_size)[:, None] * dilation + np.arange(l_out)[None, :] * stride
-    cols = x[:, :, idx].reshape(n, c * kernel_size, l_out)
-    return cols, l_out
+    # The taps as a read-only strided view (N, C, L_out, K), copied once.
+    # A GEMM's bits depend on its operands' memory order, so the copy keeps
+    # the one the forward GEMM has always read: C-contiguous (N, C * K,
+    # L_out), or, where C or K is 1, the (K, L_out, N, C) order of an index
+    # gather.  (``as_strided`` costs a third of ``sliding_window_view``'s
+    # set-up, which small batches notice.)
+    sn, sc, sl = x.strides
+    taps = as_strided(x, (n, c, l_out, kernel_size), (sn, sc, sl * stride, sl * dilation),
+                      writeable=False)
+    if c == 1 or kernel_size == 1:
+        cols = np.ascontiguousarray(taps.transpose(3, 2, 0, 1)).transpose(2, 3, 0, 1)
+    else:
+        cols = np.ascontiguousarray(taps.transpose(0, 1, 3, 2))
+    return cols.reshape(n, c * kernel_size, l_out), l_out
 
 
 def conv1d(
@@ -66,10 +75,18 @@ def conv1d(
     if bias is not None:
         out_data = out_data + bias.data[None, :, None]
 
-    # Each VJP takes the output gradient, shape (N, C_out, L_out).
+    # Each VJP takes the output gradient, shape (N, C_out, L_out).  Their
+    # GEMMs are the ones ``np.einsum(..., optimize=True)`` runs for
+    # ``"ok,nol->nkl"`` and ``"nol,nkl->ok"``, without its per-call path
+    # search.  With two operands einsum swaps them: it multiplies the
+    # gradient rows by ``w2d`` for the input and the columns by the
+    # gradient rows for the weight, and that operand order keeps its bits.
+    def grad_rows(grad: np.ndarray) -> np.ndarray:
+        return grad.transpose(0, 2, 1).reshape(-1, c_out)  # (N * L_out, C_out)
+
     def vjp_x(grad: np.ndarray) -> np.ndarray:
-        gcols = np.einsum("ok,nol->nkl", w2d, grad, optimize=True)  # (N, C*K, L_out)
-        gcols = gcols.reshape(n, c_in, kernel_size, l_out)
+        gcols = (grad_rows(grad) @ w2d).reshape(n, l_out, c_in, kernel_size)
+        gcols = gcols.transpose(0, 2, 3, 1)  # (N, C_in, K, L_out)
         # col2im: one strided slice-add per tap.  Descending taps add each
         # input position's terms in ascending output position, the order
         # an ``np.add.at`` over the (L_out, K) index grid adds them.
@@ -80,7 +97,8 @@ def conv1d(
         return gx
 
     def vjp_weight(grad: np.ndarray) -> np.ndarray:
-        return np.einsum("nol,nkl->ok", grad, cols, optimize=True).reshape(weight.shape)
+        col_rows = cols.transpose(1, 0, 2).reshape(c_in * kernel_size, -1)  # (C_in * K, N * L_out)
+        return (col_rows @ grad_rows(grad)).T.reshape(weight.shape)
 
     if bias is None:
         return _node(out_data, (x, weight), vjp_x, vjp_weight)

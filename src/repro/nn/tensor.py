@@ -352,17 +352,22 @@ class Tensor:
 
     def pad1d(self, left: int, right: int) -> "Tensor":
         """Zero-pad the last axis by ``left`` and ``right`` elements."""
-        pad_width = [(0, 0)] * (self.ndim - 1) + [(left, right)]
-        return _node(np.pad(self.data, pad_width), (self,),
-                     lambda g: g[..., left:left + self.shape[-1]])
+        length = self.shape[-1]
+        data = np.zeros(self.shape[:-1] + (left + length + right,), dtype=self.dtype)
+        data[..., left:left + length] = self.data
+        return _node(data, (self,), lambda g: g[..., left:left + length])
 
     # ------------------------------------------------------------------ #
     # backward pass
     # ------------------------------------------------------------------ #
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=self.data.dtype)
-        self.grad += grad
+            # A fresh array in the node's dtype, never one a VJP returned
+            # (some return views of their input); adding to 0.0 stores a
+            # -0.0 as +0.0, as summing into zeros did.
+            self.grad = np.add(0.0, grad, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode autodiff from this tensor.

@@ -116,12 +116,15 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, object]]:
 def attach_shared_array(name: str, length: int) -> Tuple[shared_memory.SharedMemory, np.ndarray]:
     """Attach a shared segment and view its first ``length`` float64 values.
 
-    The returned :class:`SharedMemory` must be kept alive as long as the
-    view is used.  Tracker registration is suppressed during the attach:
-    forked shards share the parent's resource-tracker process, so a reader
-    must neither register a segment it merely maps (the tracker would
-    unlink it on reader exit) nor unregister it afterwards (that would
-    erase the *owner's* registration in the shared tracker).  Python 3.13's
+    A name no segment has (say, one the owner unlinked when its buffer
+    grew) raises :class:`FileNotFoundError`; a ``length`` beyond the
+    segment closes it again and raises :class:`ValueError`.  The returned
+    :class:`SharedMemory` must be kept alive as long as the view is used.
+    Tracker registration is suppressed during the attach: forked shards
+    share the parent's resource-tracker process, so a reader must neither
+    register a segment it merely maps (the tracker would unlink it on
+    reader exit) nor unregister it afterwards (that would erase the
+    *owner's* registration in the shared tracker).  Python 3.13's
     ``track=False`` does the same; this works on 3.11.
     """
     original_register = resource_tracker.register
@@ -130,9 +133,26 @@ def attach_shared_array(name: str, length: int) -> Tuple[shared_memory.SharedMem
         shm = shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = original_register
+    try:
+        return shm, _float64_view(shm, length)
+    except ValueError:
+        shm.close()
+        raise
+
+
+def _float64_view(shm: shared_memory.SharedMemory, length: int) -> np.ndarray:
+    """Read-only view of a segment's first ``length`` float64 values.
+
+    Raises :class:`ValueError` naming the segment, the length and the
+    capacity when ``length`` does not fit the segment.
+    """
+    capacity = shm.size // 8
+    if not 0 <= length <= capacity:
+        raise ValueError(f"shared segment {shm.name!r} holds {capacity} float64 values; "
+                         f"length {length} does not fit")
     view = np.ndarray((length,), dtype=np.float64, buffer=shm.buf)
     view.flags.writeable = False
-    return shm, view
+    return view
 
 
 class SharedSeriesBuffer:
@@ -171,9 +191,7 @@ class SharedSeriesBuffer:
     @property
     def series(self) -> np.ndarray:
         """Read-only view of the points stored so far (no copy)."""
-        view = np.ndarray((self._length,), dtype=np.float64, buffer=self._shm.buf)
-        view.flags.writeable = False
-        return view
+        return _float64_view(self._shm, self._length)
 
     # ------------------------------------------------------------------ #
     def append(self, values: np.ndarray) -> Tuple[int, int]:
@@ -229,10 +247,7 @@ class SharedSegmentCache:
         """Zero-copy float64 view of one stream's first ``length`` points."""
         cached = self._attached.get(stream_id)
         if cached is not None and cached[0] == name:
-            shm = cached[1]
-            view = np.ndarray((length,), dtype=np.float64, buffer=shm.buf)
-            view.flags.writeable = False
-            return view
+            return _float64_view(cached[1], length)
         shm, view = attach_shared_array(name, length)
         if cached is not None:
             cached[1].close()

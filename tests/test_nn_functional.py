@@ -24,6 +24,42 @@ def numeric_gradient(fn, value, eps=1e-6):
     return grad
 
 
+def _index_gather(x, kernel, stride, dilation):
+    """The fancy-index im2col that ``_im2col_1d`` replaced.
+
+    The gather lays its result out in (K, L_out, N, C) memory order; the
+    reshape copies it C-contiguous, except where C or K is 1, where it is a
+    view of that order.
+    """
+    n, c, length = x.shape
+    l_out = (length - (kernel - 1) * dilation - 1) // stride + 1
+    idx = np.arange(kernel)[:, None] * dilation + np.arange(l_out)[None, :] * stride
+    return x[:, :, idx].reshape(n, c * kernel, l_out)
+
+
+def _add_at_col2im(gcols, x_shape, padding, kernel, stride, dilation):
+    """The input gradient from (N, C * K, L_out) column gradients: one
+    ``np.add.at`` over the (L_out, K) index grid, added into zeros."""
+    n, c, length = x_shape
+    l_out = gcols.shape[2]
+    gcols = gcols.reshape(n, c, kernel, l_out).transpose(0, 1, 3, 2)
+    padded = np.zeros((n, c, length + 2 * padding), dtype=gcols.dtype)
+    idx = np.arange(kernel)[None, :] * dilation + np.arange(l_out)[:, None] * stride
+    np.add.at(padded, (slice(None), slice(None), idx), gcols)
+    return np.zeros(x_shape, dtype=gcols.dtype) + padded[..., padding:padding + length]
+
+
+def _geometries(stride):
+    """col2im's grid (dilation 1-3, padding 0-2, kernel 1-9) with one and two
+    input channels and one and three output positions:
+    ``(dilation, padding, kernel, c_in, length)``."""
+    for dilation, padding, kernel, c_in, l_out in itertools.product(
+            [1, 2, 3], [0, 1, 2], range(1, 10), [1, 2], [1, 3]):
+        length = (kernel - 1) * dilation + 1 + (l_out - 1) * stride - 2 * padding
+        if length >= 1:
+            yield dilation, padding, kernel, c_in, length
+
+
 class TestConv1d:
     def test_output_shape_no_padding(self):
         x = Tensor(np.zeros((2, 3, 10)))
@@ -102,15 +138,60 @@ class TestConv1d:
                 grad = rng.normal(size=out.shape).astype(out.dtype)
                 out.backward(grad)
 
-                l_out = out.shape[2]
                 gcols = np.einsum("ok,nol->nkl", w.data.reshape(4, 2 * kernel), grad, optimize=True)
-                gcols = gcols.reshape(3, 2, kernel, l_out).transpose(0, 1, 3, 2)
-                padded = np.zeros((3, 2, length + 2 * padding), dtype=x.dtype)
-                idx = np.arange(kernel)[None, :] * dilation + np.arange(l_out)[:, None] * stride
-                np.add.at(padded, (slice(None), slice(None), idx), gcols)
-                expected = np.zeros_like(x.data) + padded[..., padding:padding + length]
+                expected = _add_at_col2im(gcols, x.shape, padding, kernel, stride, dilation)
                 assert x.grad.dtype == np.dtype(precision)
                 assert x.grad.tobytes() == expected.tobytes(), (dilation, padding, kernel)
+
+
+class TestConv1dKernelReferences:
+    """``conv1d``'s kernels are byte-equal to the expressions they replaced:
+    the fancy-index gather, ``np.pad`` and ``np.einsum(..., optimize=True)``."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 8])
+    def test_im2col_equals_the_index_gather_in_value_and_layout(self, precision, stride):
+        """One strided copy with the gather's layout, so the forward GEMM
+        reads the same memory order: C-contiguous where C and K exceed 1.
+        An input whose channels are innermost gives the same columns."""
+        dtype = np.dtype(precision)
+        for dilation, padding, kernel, c_in, length in _geometries(stride):
+            rng = np.random.default_rng([stride, dilation, padding, kernel, c_in])
+            x = rng.normal(size=(3, c_in, length + 2 * padding)).astype(dtype)
+            for data in (x, np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)):
+                cols, l_out = F._im2col_1d(data, kernel, stride, dilation)
+                expected = _index_gather(data, kernel, stride, dilation)
+                assert cols.shape == expected.shape and l_out == expected.shape[2]
+                assert cols.strides == expected.strides, (dilation, padding, kernel, c_in)
+                assert cols.tobytes() == expected.tobytes()
+                assert cols.flags.c_contiguous or c_in == 1 or kernel == 1
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 8])
+    def test_forward_and_vjps_equal_the_gather_gemm_and_einsum(self, precision, stride):
+        with use_precision(precision):
+            for (dilation, padding, kernel, c_in, length), c_out in itertools.product(
+                    _geometries(stride), [1, 4]):
+                rng = np.random.default_rng([stride, dilation, padding, kernel, c_in, c_out])
+                x = Tensor(rng.normal(size=(3, c_in, length)), requires_grad=True)
+                w = Tensor(rng.normal(size=(c_out, c_in, kernel)), requires_grad=True)
+                b = Tensor(rng.normal(size=c_out), requires_grad=True)
+                out = F.conv1d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+                grad = rng.normal(size=out.shape).astype(out.dtype)
+                out.backward(grad)
+
+                geometry = (dilation, padding, kernel, c_in, c_out)
+                cols = _index_gather(np.pad(x.data, [(0, 0), (0, 0), (padding, padding)]),
+                                     kernel, stride, dilation)
+                w2d = w.data.reshape(c_out, c_in * kernel)
+                expected = np.matmul(w2d, cols) + b.data[None, :, None]
+                assert out.data.tobytes() == expected.tobytes(), geometry
+                expected = np.einsum("nol,nkl->ok", grad, cols, optimize=True)
+                expected = np.zeros_like(w.data) + expected.reshape(w.shape)
+                assert w.grad.tobytes() == expected.tobytes(), geometry
+                gcols = np.einsum("ok,nol->nkl", w2d, grad, optimize=True)
+                expected = _add_at_col2im(gcols, x.shape, padding, kernel, stride, dilation)
+                assert x.grad.tobytes() == expected.tobytes(), geometry
 
 
 class TestSoftmax:

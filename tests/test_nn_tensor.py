@@ -1,9 +1,12 @@
 """Tests for the autodiff tensor engine (repro.nn.tensor)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.accel.precision import use_precision
 from repro.nn.tensor import Tensor, concatenate
 
 
@@ -251,6 +254,24 @@ class TestShapeOps:
         out.sum().backward()
         assert np.allclose(t.grad, 1.0)
 
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_pad1d_equals_np_pad(self, precision):
+        rng = np.random.default_rng(1)
+        with use_precision(precision):
+            for shape, left, right in itertools.product(
+                    [(5,), (2, 5), (3, 2, 7)], [0, 1, 3], [0, 2]):
+                value = rng.normal(size=shape)
+                value[value < -0.8] = -0.0
+                for data in (value, np.asfortranarray(value)):
+                    t = Tensor(data, requires_grad=True)
+                    out = t.pad1d(left, right)
+                    expected = np.pad(t.data, [(0, 0)] * (t.ndim - 1) + [(left, right)])
+                    assert out.dtype == expected.dtype == np.dtype(precision)
+                    assert out.data.tobytes() == expected.tobytes(), (shape, left, right)
+                    grad = rng.normal(size=out.shape).astype(out.dtype)
+                    out.backward(grad)
+                    assert t.grad.tobytes() == grad[..., left:left + shape[-1]].tobytes()
+
 
 class TestGraphUtilities:
     def test_no_grad_disables_tracking(self):
@@ -303,3 +324,44 @@ class TestGraphUtilities:
             out = (Tensor([1.0], requires_grad=True) * 2).sum()
         assert not out.requires_grad
         assert out._prev == () and out._vjps == ()
+
+
+class TestAccumulate:
+    """A node's first gradient is stored as ``0.0 + grad`` in a fresh array
+    of the node's dtype; later ones are added in place."""
+
+    def test_a_negative_zero_gradient_is_stored_as_positive_zero(self):
+        leaf = Tensor([1.0, 2.0], requires_grad=True)
+        leaf.backward(np.array([-0.0, 3.0]))
+        assert leaf.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
+        inner = Tensor([1.0, -2.0], requires_grad=True)
+        (inner * -0.0).sum().backward()  # both VJP entries are -0.0
+        assert not np.signbit(inner.grad).any()
+
+    def test_a_second_backward_does_not_write_through_returned_views(self):
+        """``reshape``, ``pad1d``'s slice and ``concatenate``'s pieces hand
+        their parents views of the gradient they were given; a stored
+        gradient that adopted one would carry a second ``backward``'s
+        ``+=`` into the caller's array."""
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 2, 1)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
+        out = concatenate([a.reshape(2, 2, 3), b.pad1d(1, 1), c], axis=1)
+        grad = rng.normal(size=out.shape)
+        before = grad.copy()
+        out.backward(grad)
+        first = [t.grad.copy() for t in (a, b, c)]
+        assert not any(np.shares_memory(t.grad, grad) for t in (a, b, c))
+        out.backward(grad)
+        assert grad.tobytes() == before.tobytes()
+        for t, once in zip((a, b, c), first):
+            assert t.grad.tobytes() == (once + once).tobytes()
+
+    def test_a_float64_gradient_is_stored_in_a_float32_leaf_dtype(self):
+        with use_precision("float32"):
+            leaf = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        grad = np.array([0.1, -1.0 / 3.0, 1e-40])
+        leaf.backward(grad)
+        assert leaf.grad.dtype == np.float32
+        assert leaf.grad.tobytes() == grad.astype(np.float32).tobytes()

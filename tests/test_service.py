@@ -12,6 +12,7 @@ import asyncio
 import contextlib
 import socket
 import threading
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.service import (
     HashRing,
     ServiceConfig,
     ShardedService,
+    ShardServer,
     SharedSegmentCache,
     SharedSeriesBuffer,
     TransportError,
@@ -207,6 +209,25 @@ class TestTransport:
             a.close()
             b.close()
 
+    @pytest.mark.parametrize("reader", ["recv_message", "FrameReader"])
+    @pytest.mark.parametrize("cut", [1, 3, 4, 5, -1])
+    def test_frame_cut_in_its_header_or_body_raises(self, reader, cut):
+        """A peer that hangs up inside a header (1 or 3 of its 4 bytes) or a
+        body (right after the header, one byte in, one byte short) leaves a
+        ``TransportError``, not a hang or a partial message."""
+        frame = encode_message({"op": "ping", "seq": 1})
+        a, b = socket.socketpair()
+        try:
+            a.sendall(frame[:cut])
+            a.close()
+            with pytest.raises(TransportError, match="connection closed mid-frame"):
+                if reader == "recv_message":
+                    recv_message(b)
+                else:
+                    FrameReader(b).read_frame(timeout_s=1.0)
+        finally:
+            b.close()
+
     def test_frame_reader_survives_mid_frame_timeout(self):
         # a timeout between the two halves of a frame must not desync the
         # framing — the second half completes the original message
@@ -297,6 +318,46 @@ class TestSharedMemory:
             assert np.array_equal(view, np.arange(50, dtype=np.float64))
         finally:
             cache.close()
+            buffer.close()
+
+    def test_attaching_an_unlinked_name_raises_and_restores_the_tracker(self):
+        buffer = SharedSeriesBuffer("s", initial_capacity=4)
+        name = buffer.name
+        buffer.close()  # unlinks, as growth unlinks the segment it replaces
+        register = resource_tracker.register
+        with pytest.raises(FileNotFoundError):
+            attach_shared_array(name, 1)
+        assert resource_tracker.register is register
+
+    def test_length_beyond_the_segment_closes_it_and_names_both(self, monkeypatch):
+        buffer = SharedSeriesBuffer("s", initial_capacity=4)
+        closed = []
+        close = shared_memory.SharedMemory.close
+
+        def recording_close(shm):
+            closed.append(shm.name)
+            close(shm)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "close", recording_close)
+        try:
+            buffer.append(np.arange(4, dtype=np.float64))
+            message = f"'{buffer.name}' holds 4 float64 values; length 5 does not fit"
+            with pytest.raises(ValueError, match=message) as raised:
+                attach_shared_array(buffer.name, 5)
+            # closed before the raise: the traceback still holds the segment,
+            # so its finaliser has not run yet
+            assert closed == [buffer.name]
+            del raised
+            # an attached segment refuses the same length and keeps serving
+            cache = SharedSegmentCache()
+            try:
+                assert np.array_equal(cache.view("s", buffer.name, 4), np.arange(4.0))
+                with pytest.raises(ValueError, match=message):
+                    cache.view("s", buffer.name, 5)
+                assert np.array_equal(cache.view("s", buffer.name, 2), np.arange(2.0))
+            finally:
+                cache.close()
+        finally:
             buffer.close()
 
     def test_closed_buffer_rejects_appends(self):
@@ -565,6 +626,44 @@ class TestServiceFrontend:
                 loop.call_soon_threadsafe(loop.stop)
                 thread.join(timeout=10.0)
                 loop.close()
+
+
+class TestShardRejectsBadSegments:
+    def test_stale_or_over_long_append_gets_an_error_frame_and_the_shard_serves_on(
+            self, service_world):
+        factory = make_engine_factory(service_world["selector"],
+                                      service_world["detector_names"],
+                                      StreamingConfig(window=64, stride=32))
+        listen = socket.create_server(("127.0.0.1", 0))
+        server = ShardServer("shard-0", listen, factory)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        series = service_world["streams"]["s0"]
+        stale = SharedSeriesBuffer("s0", initial_capacity=4)
+        stale_name = stale.name
+        stale.close()
+        buffer = SharedSeriesBuffer("s0", initial_capacity=128)
+        try:
+            buffer.append(series[:100])
+            with socket.create_connection(listen.getsockname(), timeout=10.0) as conn:
+                def push(seq, name, length):
+                    send_message(conn, {"op": "push_batch", "seq": seq, "ticks": [
+                        {"stream": "s0", "shm": name, "length": length}]})
+                    return recv_message(conn)
+
+                assert push(1, stale_name, 100)["error"].startswith("FileNotFoundError")
+                assert push(2, buffer.name, 129) == {
+                    "seq": 2, "error": f"ValueError: shared segment '{buffer.name}' "
+                                       "holds 128 float64 values; length 129 does not fit"}
+                answer = push(3, buffer.name, 100)
+                assert "error" not in answer and set(answer["updates"]) == {"s0"}
+                send_message(conn, {"op": "shutdown", "seq": 4})
+                assert recv_message(conn) == {"ok": True, "seq": 4}
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        finally:
+            buffer.close()
+            listen.close()
 
 
 class TestServiceLifecycle:
