@@ -40,8 +40,9 @@ Sub-packages
     Incremental selection + detection engine for live series: running
     votes, drift monitoring, online scoring.
 ``repro.service``
-    Sharded multi-process service over the streaming engine: consistent-
-    hash routing, shared-memory handoff, supervised recovery.
+    Sharded multi-process service over the streaming engine: a fixed
+    shard count with hash-modulo routing, shared-memory handoff,
+    supervised recovery.
 ``repro.obs``
     Observability: metrics registry with Prometheus exposition, explicit-
     clock tracing, replayable selection audit trail, ``explain``.

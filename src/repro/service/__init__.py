@@ -1,10 +1,11 @@
 """Sharded streaming service: supervised shard processes behind one front end.
 
 ``repro.service`` scales :class:`repro.streaming.StreamEngine` past one
-process: N forked shards each own a consistent-hash slice of the stream
-population and run a full engine for it, while a lightweight front end
-routes requests, hands series over through shared memory (zero-copy), and
-replays streams onto restarted or rebalanced shards from its journal.
+process: a fixed set of N forked shards each own the streams whose id
+hashes to them (:func:`shard_index`, a hash modulo N) and run a full engine
+for them, while a lightweight front end routes requests, hands series over
+through shared memory (zero-copy), and replays streams onto restarted
+shards from its journal.
 Selections and scores are bitwise-equal to the single-process engine.
 
 Entry points: :class:`ShardedService` (in-process Python API),
@@ -13,8 +14,13 @@ command), and :class:`FaultInjector` (deterministic transport chaos for
 the fault-injection suite under ``tests/chaos/``).
 """
 
-from .frontend import ServiceConfig, ServiceFrontend, ShardedService, make_engine_factory
-from .ring import HashRing
+from .frontend import (
+    ServiceConfig,
+    ServiceFrontend,
+    ShardedService,
+    make_engine_factory,
+    shard_index,
+)
 from .shard import ShardServer, shard_main
 from .supervisor import ShardHandle, ShardSupervisor
 from .transport import (
@@ -28,15 +34,12 @@ from .transport import (
     TransportError,
     attach_shared_array,
     encode_message,
-    recv_message,
-    send_message,
 )
 
 __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FrameReader",
-    "HashRing",
     "ServiceConfig",
     "ServiceFrontend",
     "ShardClient",
@@ -51,7 +54,6 @@ __all__ = [
     "attach_shared_array",
     "encode_message",
     "make_engine_factory",
-    "recv_message",
-    "send_message",
+    "shard_index",
     "shard_main",
 ]

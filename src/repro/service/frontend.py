@@ -2,7 +2,9 @@
 
 :class:`ShardedService` is the authoritative router.  It owns
 
-* the :class:`HashRing` mapping stream ids to shards,
+* the fixed shard topology, ``shard-0`` … ``shard-{N-1}`` started at
+  construction, and :func:`shard_index`, which routes each stream id to one
+  of them,
 * the per-stream :class:`SharedSeriesBuffer` (the zero-copy handoff *and*
   the durable record recovery replays from),
 * the per-stream **journal** of flush boundaries (which prefixes were
@@ -16,8 +18,8 @@
 
 Failure handling is centralised in :meth:`ShardedService._request`: any
 transport error or request timeout triggers supervised recovery — SIGKILL
-+ respawn via the supervisor, then a ``replay`` of every stream the ring
-assigns to that shard — and the original request is retried once.  Because
++ respawn via the supervisor, then a ``replay`` of every stream that shard
+owns — and the original request is retried once.  Because
 the journal is committed only after a shard acknowledged a flush, the
 retry is exactly-once: a shard that died before acknowledging is replayed
 to its pre-tick state and the tick is re-applied.
@@ -30,6 +32,7 @@ server speaking the same length-prefixed JSON protocol, which is what the
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from ..obs.trace import span
 from ..selectors.base import Selector
 from ..serving.cache import LRUCache
 from ..streaming.engine import StreamEngine, StreamingConfig
-from .ring import HashRing
 from .supervisor import ShardSupervisor
 from .transport import (
     HEADER_BYTES,
@@ -58,12 +60,16 @@ from .transport import (
     frame_length,
 )
 
-#: virtual nodes per shard on the consistent-hash ring
-RING_REPLICAS = 128
 #: front-end selection LRU entries
 SELECTION_CACHE_CAPACITY = 4096
 #: initial shared-memory capacity per stream, in points
 INITIAL_STREAM_CAPACITY = 2048
+
+
+def shard_index(stream_id: str, n_shards: int) -> int:
+    """The index of the shard that owns ``stream_id``: a blake2b hash modulo ``n_shards``."""
+    digest = hashlib.blake2b(stream_id.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % n_shards
 
 
 def make_engine_factory(
@@ -108,7 +114,7 @@ def make_engine_factory(
 class ServiceConfig:
     """Topology and routing knobs of the sharded service."""
 
-    #: number of shard processes to start with
+    #: number of shard processes, fixed for the service's lifetime
     n_shards: int = 2
     #: per-request timeout before a shard is declared hung and restarted
     request_timeout_s: float = 10.0
@@ -129,14 +135,13 @@ class ShardedService:
             raise ValueError("n_shards must be >= 1")
         self._injector_factory = injector_factory or (lambda shard_id: None)
         self.supervisor = ShardSupervisor(engine_factory)
-        self.ring = HashRing(replicas=RING_REPLICAS)
+        self.shard_ids = tuple(f"shard-{index}" for index in range(self.config.n_shards))
         self._clients: Dict[str, ShardClient] = {}
         self._buffers: Dict[str, SharedSeriesBuffer] = {}
         #: per-stream flushed-prefix lengths, in flush order (the journal)
         self._journal: Dict[str, List[int]] = {}
         self._staged: set = set()
         self._selection_cache = LRUCache(SELECTION_CACHE_CAPACITY, name="frontend_selection")
-        self._next_shard_index = 0
         self._closed = False
         #: structured audit trail (``repro.obs.audit``); a no-op by default
         self.audit = audit if audit is not None else NULL_AUDIT
@@ -153,15 +158,16 @@ class ShardedService:
             "journalled flush boundaries replayed per recovered stream",
             buckets=DEFAULT_COUNT_BUCKETS)
         self._latency_hist: Dict[str, object] = {}
-        for _ in range(self.config.n_shards):
-            self.add_shard(rebalance=False)
+        for shard_id in self.shard_ids:
+            self.supervisor.spawn(shard_id)
+            self._connect(shard_id)
 
     # ------------------------------------------------------------------ #
     # shard management
     # ------------------------------------------------------------------ #
-    @property
-    def shard_ids(self) -> List[str]:
-        return self.ring.shard_ids
+    def owner(self, stream_id: str) -> str:
+        """The shard that owns ``stream_id``."""
+        return self.shard_ids[shard_index(stream_id, len(self.shard_ids))]
 
     def _connect(self, shard_id: str) -> ShardClient:
         handle = self.supervisor.handles[shard_id]
@@ -170,32 +176,6 @@ class ShardedService:
                              injector=self._injector_factory(shard_id))
         self._clients[shard_id] = client
         return client
-
-    def add_shard(self, shard_id: Optional[str] = None, rebalance: bool = True) -> str:
-        """Grow the topology by one shard; owned streams move to it.
-
-        The hash ring guarantees only ~K/N streams move; each moved stream
-        is replayed on the new shard from its shared buffer and dropped
-        from its previous owner (deterministic rebalance).
-        """
-        if shard_id is None:
-            shard_id = f"shard-{self._next_shard_index}"
-        self._next_shard_index += 1
-        previous_owner = {stream: self.ring.owner(stream) for stream in self._buffers} \
-            if len(self.ring) else {}
-        self.supervisor.spawn(shard_id)
-        self._connect(shard_id)
-        self.ring.add(shard_id)
-        if rebalance and previous_owner:
-            moved = [stream for stream in self._buffers
-                     if self.ring.owner(stream) == shard_id]
-            self._replay_streams(shard_id, moved)
-            by_old_owner: Dict[str, List[str]] = {}
-            for stream in moved:
-                by_old_owner.setdefault(previous_owner[stream], []).append(stream)
-            for old_owner, streams in sorted(by_old_owner.items()):
-                self._request(old_owner, "drop_streams", streams=streams)
-        return shard_id
 
     # ------------------------------------------------------------------ #
     # request path with supervised recovery
@@ -236,18 +216,14 @@ class ShardedService:
         self._c_recoveries.inc()
         self._retire_client(shard_id)
         self.supervisor.restart(shard_id)
-        self._connect(shard_id)
-        owned = [stream for stream in self._buffers
-                 if self.ring.owner(stream) == shard_id]
+        client = self._connect(shard_id)
+        owned = [stream for stream in self._buffers if self.owner(stream) == shard_id]
         if self.audit.enabled:
             self.audit.record(
                 "shard_restart", shard=shard_id,
                 streams=len(owned),
                 replay_depth=sum(len(self._journal.get(s) or ()) for s in owned))
-        self._replay_streams(shard_id, owned)
-
-    def _replay_streams(self, shard_id: str, streams: Sequence[str]) -> None:
-        flushed = [s for s in sorted(streams) if self._journal.get(s)]
+        flushed = [s for s in sorted(owned) if self._journal.get(s)]
         if not flushed:
             return
         for stream in flushed:
@@ -261,7 +237,6 @@ class ShardedService:
         # Replay goes through the raw client on purpose: a shard that dies
         # *during* recovery surfaces as a failure of the original request's
         # retry instead of recursing here.
-        client = self._clients.get(shard_id) or self._connect(shard_id)
         client.request("replay", streams=payload)
 
     # ------------------------------------------------------------------ #
@@ -306,7 +281,9 @@ class ShardedService:
             return {}
         staged = sorted(self._staged)
         updates: Dict[str, Dict[str, object]] = {}
-        by_shard = self.ring.assign(staged)
+        by_shard: Dict[str, List[str]] = {}
+        for stream in staged:
+            by_shard.setdefault(self.owner(stream), []).append(stream)
         shard_order = sorted(by_shard)
 
         def push_one(shard_id: str) -> Dict[str, object]:
@@ -354,8 +331,7 @@ class ShardedService:
             hit = self._selection_cache.get(stream_id)
             if hit is not None:
                 return {**hit, "cached": True}
-        response = self._request(self.ring.owner(stream_id), "select",
-                                 stream=stream_id)
+        response = self._request(self.owner(stream_id), "select", stream=stream_id)
         selection = response.get("selection")
         if selection is not None and not staged:
             self._selection_cache.put(stream_id, dict(selection))
@@ -363,8 +339,7 @@ class ShardedService:
 
     def scores(self, stream_id: str) -> np.ndarray:
         """Per-point anomaly scores of one stream's scored prefix."""
-        response = self._request(self.ring.owner(stream_id), "scores",
-                                 stream=stream_id)
+        response = self._request(self.owner(stream_id), "scores", stream=stream_id)
         return np.asarray(response["scores"], dtype=np.float64)
 
     def series(self, stream_id: str) -> np.ndarray:
@@ -373,8 +348,7 @@ class ShardedService:
 
     def explain(self, stream_id: str) -> Optional[Dict[str, object]]:
         """Vote breakdown + drift trajectory from the stream's owning shard."""
-        response = self._request(self.ring.owner(stream_id), "explain",
-                                 stream=stream_id)
+        response = self._request(self.owner(stream_id), "explain", stream=stream_id)
         return response.get("explain")
 
     def metrics_text(self) -> str:
@@ -409,7 +383,6 @@ class ShardedService:
             "streams": len(self._buffers),
             "totals": totals,
             "per_shard": {sid: resp["stats"] for sid, resp in per_shard.items()},
-            "ring": self.ring.to_state(),
             "restarts": self.supervisor.restarts,
             "recoveries": self.recoveries,
             "transport_retransmits": self._retired_retransmits + sum(

@@ -1,8 +1,9 @@
 """The shard process: one :class:`StreamEngine` behind a request socket.
 
-Each shard owns a consistent-hash slice of the stream population and runs
-the full incremental machinery for it — windowing, running votes, drift
-monitoring, online scoring — exactly as the single-process engine would.
+Each shard owns the streams whose id hashes to its index
+(:func:`repro.service.frontend.shard_index`) and runs the full incremental
+machinery for them — windowing, running votes, drift monitoring, online
+scoring — exactly as the single-process engine would.
 Series points arrive as shared-memory references (never through the
 socket): a ``push_batch`` request names ``(segment, length)`` per stream
 and the handler hands the engine zero-copy views via
@@ -29,7 +30,6 @@ pickled to start a shard.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
@@ -40,12 +40,7 @@ from typing import Callable, Dict, List
 from ..obs.audit import NULL_AUDIT, AuditLog
 from ..obs.metrics import Counter, default_registry
 from ..streaming.engine import StreamEngine
-from .transport import (
-    SharedSegmentCache,
-    TransportError,
-    recv_message,
-    send_message,
-)
+from .transport import FrameReader, SharedSegmentCache, TransportError, encode_message
 
 #: per-connection response-cache depth (covers retransmits and duplicates)
 RESPONSE_CACHE_DEPTH = 64
@@ -99,11 +94,12 @@ class ShardServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        reader = FrameReader(conn)
         responses: "OrderedDict[int, Dict[str, object]]" = OrderedDict()
         try:
             while self._running:
                 try:
-                    request = recv_message(conn)
+                    request = reader.read_frame()
                 except TransportError:
                     break
                 if request is None:
@@ -113,7 +109,7 @@ class ShardServer:
                 seq = request.get("seq")
                 if seq in responses:  # retransmit/duplicate: answer, don't redo
                     self._duplicates_suppressed.inc()
-                    send_message(conn, responses[seq])
+                    conn.sendall(encode_message(responses[seq]))
                     continue
                 try:
                     response = self._dispatch(request)
@@ -124,7 +120,7 @@ class ShardServer:
                 while len(responses) > RESPONSE_CACHE_DEPTH:
                     responses.popitem(last=False)
                 try:
-                    send_message(conn, response)
+                    conn.sendall(encode_message(response))
                 except OSError:
                     break
         finally:
@@ -146,9 +142,6 @@ class ShardServer:
         view = self._segments.view(stream, str(tick["shm"]), int(tick["length"]))
         self.engine.append_view(stream, view)
 
-    def _op_ping(self, request: Dict[str, object]) -> Dict[str, object]:
-        return {"ok": True, "shard": self.shard_id, "pid": os.getpid()}
-
     def _op_push_batch(self, request: Dict[str, object]) -> Dict[str, object]:
         for tick in request["ticks"]:
             self._append_tick(tick)
@@ -162,7 +155,7 @@ class ShardServer:
                 "events": events}
 
     def _op_replay(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Rebuild streams from their shared buffers (restart/rebalance).
+        """Rebuild streams from their shared buffers (after a restart).
 
         Boundaries are the original per-stream flush lengths, so votes,
         drift state and scores come out bitwise-equal to the uninterrupted
@@ -222,14 +215,6 @@ class ShardServer:
         """This shard process's metrics in Prometheus text format."""
         return {"metrics": default_registry().render_prometheus(),
                 "shard": self.shard_id}
-
-    def _op_drop_streams(self, request: Dict[str, object]) -> Dict[str, object]:
-        dropped = 0
-        for stream in request["streams"]:
-            stream = str(stream)
-            dropped += self.engine.drop_stream(stream)
-            self._segments.drop(stream)
-        return {"ok": True, "dropped": dropped}
 
     def _op_chaos(self, request: Dict[str, object]) -> Dict[str, object]:
         self._chaos_sleep_s = float(request.get("sleep_s", 0.0))

@@ -20,7 +20,7 @@ import os
 import signal
 import socket
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..streaming.engine import StreamEngine
 from .shard import shard_main
@@ -109,12 +109,6 @@ class ShardSupervisor:
             handle.process.join(timeout=5.0)
         return pid or -1
 
-    def forget(self, shard_id: str) -> None:
-        """Terminate a shard and remove it from the topology (scale-down)."""
-        handle = self.handles.pop(shard_id, None)
-        if handle is not None:
-            self._terminate(handle)
-
     def _terminate(self, handle: ShardHandle) -> None:
         if handle.is_alive():
             handle.process.terminate()
@@ -130,13 +124,10 @@ class ShardSupervisor:
         handle = self.handles.get(shard_id)
         return handle is not None and handle.is_alive()
 
-    @property
-    def shard_ids(self) -> List[str]:
-        return sorted(self.handles)
-
     def stop_all(self) -> None:
+        """Terminate every shard and empty the topology."""
         for shard_id in list(self.handles):
-            self.forget(shard_id)
+            self._terminate(self.handles.pop(shard_id))
 
     def __repr__(self) -> str:
         alive = sum(h.is_alive() for h in self.handles.values())

@@ -53,16 +53,12 @@ class ShardTimeoutError(TimeoutError):
 
 
 # --------------------------------------------------------------------------- #
-# length-prefixed JSON framing (blocking sockets)
+# length-prefixed JSON framing
 # --------------------------------------------------------------------------- #
 def encode_message(payload: Dict[str, object]) -> bytes:
     """One wire frame: 4-byte big-endian length + UTF-8 JSON."""
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return _HEADER.pack(len(body)) + body
-
-
-def send_message(sock: socket.socket, payload: Dict[str, object]) -> None:
-    sock.sendall(encode_message(payload))
 
 
 def frame_length(header: bytes) -> int:
@@ -82,32 +78,6 @@ def decode_frame(body: bytes) -> Dict[str, object]:
     if not isinstance(payload, dict):
         raise TransportError("protocol messages must be JSON objects")
     return payload
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly ``n`` bytes; None on clean EOF at a frame boundary."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if remaining == n:
-                return None
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_message(sock: socket.socket) -> Optional[Dict[str, object]]:
-    """Read one frame; ``None`` on clean EOF (peer closed between frames)."""
-    header = _recv_exact(sock, HEADER_BYTES)
-    if header is None:
-        return None
-    body = _recv_exact(sock, frame_length(header))
-    if body is None:
-        raise TransportError("connection closed mid-frame")
-    return decode_frame(body)
 
 
 # --------------------------------------------------------------------------- #
@@ -265,28 +235,38 @@ class SharedSegmentCache:
 
 
 class FrameReader:
-    """Buffered frame reader for sockets read under a timeout.
+    """Buffered frame reader of one socket connection.
 
-    A timeout may strike after part of a frame arrived; the partial bytes
-    stay in the buffer so the next read resumes cleanly — the framing never
-    desynchronises, which is what lets :class:`ShardClient` retransmit
-    after an injected drop without corrupting the conversation.
+    The shard reads without a timeout; :class:`ShardClient` reads against a
+    deadline.  A timeout may strike after part of a frame arrived; the
+    partial bytes stay in the buffer so the next read resumes cleanly — the
+    framing never desynchronises, which is what lets :class:`ShardClient`
+    retransmit after an injected drop without corrupting the conversation.
+    Keep one reader per connection: the buffer also holds the bytes that
+    arrived past a frame boundary, which a fresh reader would lose.
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._buf = bytearray()
 
-    def read_frame(self, timeout_s: float) -> Optional[Dict[str, object]]:
-        """One message within ``timeout_s``; None on clean EOF."""
-        deadline = time.monotonic() + timeout_s
+    def read_frame(self, timeout_s: Optional[float] = None) -> Optional[Dict[str, object]]:
+        """One message within ``timeout_s`` (blocking when None); None on clean EOF.
+
+        A peer that hangs up mid-frame, an oversized header or an
+        undecodable body raise :class:`TransportError`; a missed deadline
+        raises :class:`TimeoutError`.
+        """
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
             frame = self._extract()
             if frame is not None:
                 return frame
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("no complete frame within the timeout")
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("no complete frame within the timeout")
             self._sock.settimeout(remaining)
             try:
                 chunk = self._sock.recv(1 << 16)

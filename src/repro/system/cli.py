@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -443,7 +444,7 @@ def _detector_names_path(performance_path: Path) -> Path:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     _apply_runtime_args(args)
-    records = load_series_directory(args.data_dir)
+    records = _load_series_directory_or_exit(args.data_dir)
     model_set = make_default_model_set(window=args.detector_window, fast=True)
     oracle = Oracle(model_set, metric=args.metric, cache_dir=args.cache_dir, verbose=True,
                     max_workers=args.workers)
@@ -458,17 +459,29 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _load_labelled(data_dir: Path, performance_path: Path):
-    records = load_series_directory(data_dir)
-    with np.load(performance_path.with_suffix(".npz") if performance_path.suffix != ".npz"
-                 else performance_path, allow_pickle=False) as archive:
-        matrix = archive["performance"]
-        names = [str(n) for n in archive["names"]]
+    """The labelled series, performance matrix and detector names ``label`` wrote.
+
+    A missing or unreadable data directory, archive or ``.detectors.json``
+    exits with a message naming it.
+    """
+    records = _load_series_directory_or_exit(data_dir)
+    archive_path = performance_path.with_suffix(".npz")
+    try:
+        with np.load(archive_path, allow_pickle=False) as archive:
+            matrix = archive["performance"]
+            names = [str(n) for n in archive["names"]]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
+        raise SystemExit(f"cannot read performance archive {archive_path}: {error}")
     by_name = {record.name: record for record in records}
     missing = [name for name in names if name not in by_name]
     if missing:
         raise SystemExit(f"series missing from {data_dir}: {missing[:5]} ...")
     ordered = [by_name[name] for name in names]
-    detector_names = json.loads(_detector_names_path(performance_path).read_text())
+    names_path = _detector_names_path(performance_path)
+    try:
+        detector_names = json.loads(names_path.read_text())
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"cannot read detector names {names_path}: {error}")
     return ordered, matrix, detector_names
 
 
@@ -507,12 +520,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     from ..cascade import calibrate_margin_threshold
     from ..distill import DistillConfig, calibration_split, distill_student
 
-    try:
-        records = load_series_directory(args.data_dir)
-    except (FileNotFoundError, NotADirectoryError) as error:
-        raise SystemExit(f"no such directory: {error}")
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
+    records = _load_series_directory_or_exit(args.data_dir)
     store = SelectorStore(args.store)
     teacher = _load_tier_selector(store, args.name, "teacher")
     detector_names = (list(DEFAULT_MODEL_NAMES)
@@ -565,12 +573,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _cmd_quantize_teacher(args: argparse.Namespace) -> int:
     from ..distill import quantize_teacher
 
-    try:
-        records = load_series_directory(args.data_dir)
-    except (FileNotFoundError, NotADirectoryError) as error:
-        raise SystemExit(f"no such directory: {error}")
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
+    records = _load_series_directory_or_exit(args.data_dir)
     store = SelectorStore(args.store)
     teacher = _load_tier_selector(store, args.name, "teacher")
     windows = np.vstack([extract_windows(record.series, args.window, stride=args.stride)
@@ -614,6 +617,17 @@ def _load_series_or_exit(path):
         return load_series_file(path)
     except (OSError, ValueError) as error:
         raise SystemExit(str(error) or type(error).__name__)
+
+
+def _load_series_directory_or_exit(directory):
+    """``load_series_directory``, with a missing directory, one holding no
+    series or an unreadable series file as a clean exit."""
+    try:
+        return load_series_directory(directory)
+    except (FileNotFoundError, NotADirectoryError) as error:
+        raise SystemExit(f"no such directory: {error}")
+    except (OSError, ValueError) as error:
+        raise SystemExit(str(error))
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -727,12 +741,7 @@ def _cmd_batch_select(args: argparse.Namespace) -> int:
     from ..serving import microbatches
     from .reporting import format_cache_stats
 
-    try:
-        records = load_series_directory(args.data_dir)
-    except (FileNotFoundError, NotADirectoryError) as error:
-        raise SystemExit(f"no such directory: {error}")
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
+    records = _load_series_directory_or_exit(args.data_dir)
     service = _make_service(args)
 
     throughput = {}
@@ -976,12 +985,12 @@ def _frontend_request(host: str, port: int, op: str, **fields: object):
     """One length-prefixed JSON request to a running serve-sharded front end."""
     import socket
 
-    from ..service.transport import encode_message, recv_message
+    from ..service.transport import FrameReader, encode_message
 
     try:
         with socket.create_connection((host, port), timeout=30.0) as sock:
             sock.sendall(encode_message({"op": op, **fields}))
-            response = recv_message(sock)
+            response = FrameReader(sock).read_frame(30.0)
     except OSError as error:
         raise SystemExit(f"cannot reach {host}:{port}: {error}")
     if response is None:

@@ -46,7 +46,7 @@ class TestShardCrash:
         # kill a shard with the third tick already staged: the push hits a
         # dead socket, the supervisor restarts the shard, the front end
         # replays its streams from the shared buffers, and the tick retries
-        victim = service.ring.owner(sorted(streams)[0])
+        victim = service.owner(sorted(streams)[0])
         for sid, series in streams.items():
             service.append(sid, series[200:300])
         service.supervisor.kill(victim)
@@ -67,8 +67,8 @@ class TestShardCrash:
             final_updates.update(_tick(service, streams, tick))
             if tick == kill_after_tick:
                 # kill whichever shard owns the most streams (worst case)
-                loads = service.ring.assign(sorted(streams))
-                victim = max(sorted(loads), key=lambda sid: len(loads[sid]))
+                owners = [service.owner(sid) for sid in sorted(streams)]
+                victim = max(sorted(set(owners)), key=owners.count)
                 service.supervisor.kill(victim)
         assert service.supervisor.restarts == 1
         _assert_matches_reference(service, streams, chaos_reference, final_updates)
@@ -79,7 +79,7 @@ class TestShardCrash:
         service = make_chaos_service(n_shards=2)
         for tick in range(3):
             _tick(service, streams, tick)
-        victim = service.ring.owner(sorted(streams)[0])
+        victim = service.owner(sorted(streams)[0])
         service.supervisor.kill(victim)
         # the first read after the crash transparently recovers the shard
         _assert_matches_reference(service, streams, chaos_reference)
@@ -93,7 +93,7 @@ class TestHungShard:
         service = make_chaos_service(n_shards=2, request_timeout_s=1.0)
         _tick(service, streams, 0)
         _tick(service, streams, 1)
-        victim = service.ring.owner(sorted(streams)[0])
+        victim = service.owner(sorted(streams)[0])
         # a sleep far beyond the request timeout: the deterministic stand-in
         # for a wedged shard (every later request stalls the same way)
         service._request(victim, "chaos", sleep_s=5.0)
@@ -111,7 +111,7 @@ class TestHungShard:
         shard_id = service.shard_ids[0]
         service._request(shard_id, "chaos", sleep_s=5.0)
         with pytest.raises(ShardTimeoutError):
-            service._clients[shard_id].request("ping")
+            service._clients[shard_id].request("stats")
 
 
 class TestFlakyTransport:
@@ -133,14 +133,14 @@ class TestFlakyTransport:
         faults = sum(i.dropped + i.duplicated + i.delayed
                      for i in injectors.values())
         assert faults > 0  # the run actually saw faults
-        # pings are state-free: roll the dice until both fault kinds have
-        # actually fired (deterministic seeds, converges in a few rounds)
+        # stats requests are state-free: roll the dice until both fault kinds
+        # have actually fired (deterministic seeds, converges in a few rounds)
         for _ in range(200):
             if sum(i.duplicated for i in injectors.values()) > 0 and \
                     sum(i.dropped for i in injectors.values()) > 0:
                 break
             for shard_id in service.shard_ids:
-                service._request(shard_id, "ping")
+                service._request(shard_id, "stats")
         duplicated = sum(i.duplicated for i in injectors.values())
         dropped = sum(i.dropped for i in injectors.values())
         assert duplicated > 0 and dropped > 0

@@ -577,7 +577,7 @@ def _audited_runs(world, streams, cascade):
     factory = make_engine_factory(world["fast"], world["detector_names"], config,
                                   cascade=cascade)
     with ShardedService(factory, ServiceConfig(n_shards=2), audit=sharded) as service:
-        assert len({service.ring.owner(sid) for sid in streams}) == 2
+        assert len({service.owner(sid) for sid in streams}) == 2
         _drive(service, streams, chunk=64)
     return in_process.events(), sharded.events()
 

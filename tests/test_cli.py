@@ -86,6 +86,45 @@ class TestGenerateAndLabel:
         assert len(detectors) == 12
 
 
+class TestUnreadableInputs:
+    """Commands that read a data directory or a performance archive exit
+    with a message naming the input, never with a traceback."""
+
+    #: what each command needs besides its data directory
+    ARGS_AFTER_DIRECTORY = {
+        "label": ["{perf}"],
+        "train": ["{perf}"],
+        "evaluate": ["{perf}", "--name", "mlp"],
+        "distill": ["--name", "mlp"],
+        "quantize-teacher": ["--name", "mlp"],
+        "batch-select": ["--name", "mlp"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS_AFTER_DIRECTORY))
+    def test_missing_data_directory(self, tmp_path, command):
+        extra = [arg.format(perf=tmp_path / "perf.npz")
+                 for arg in self.ARGS_AFTER_DIRECTORY[command]]
+        with pytest.raises(SystemExit, match=r"^no such directory: .*no_such_dir$"):
+            main([command, str(tmp_path / "no_such_dir"), *extra])
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("case", ["missing", "not-an-archive", "bad-detector-names"])
+    def test_unreadable_performance_files(self, cli_workspace, tmp_path, command, case):
+        perf = tmp_path / "perf.npz"
+        if case == "missing":
+            reason = r"^cannot read performance archive .*perf\.npz: .*No such file"
+        elif case == "not-an-archive":
+            perf.write_text("value\n1.0\n")
+            reason = r"^cannot read performance archive .*perf\.npz: "
+        else:
+            shutil.copy(cli_workspace["perf_path"], perf)
+            perf.with_suffix(".detectors.json").write_text("[\"IForest\", ")
+            reason = r"^cannot read detector names .*perf\.detectors\.json: "
+        with pytest.raises(SystemExit, match=reason):
+            main([command, str(cli_workspace["data_dir"]), str(perf),
+                  "--store", str(tmp_path / "store"), "--name", "mlp"])
+
+
 class TestTrainEvaluateDetect:
     @pytest.fixture(scope="class")
     def trained_store(self, cli_workspace):

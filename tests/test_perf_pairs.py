@@ -106,10 +106,11 @@ def test_wall_clock_figures_are_kept_per_side(perf_pairs):
                     (_record(120.0, 1.2, [0.4]), _record(70.0, 1.3, [0.5, 0.9])),
                     (_record(110.0, 1.1, [0.3, 0.2]), _record(65.0, 1.0, [0.8]))]
     summary = perf_pairs.summarise_wall_clock(record_pairs)
-    assert set(summary) == {"op_p50_ms", "reference_p50_ms", "setup_wall_s"}
+    assert set(summary) == {"op_p50_ms", "op_tail_ms", "reference_p50_ms", "setup_wall_s"}
     assert summary["op_p50_ms"]["parent"] == {"q1": 105.0, "median": 110.0, "q3": 115.0,
                                               "runs": [100.0, 120.0, 110.0]}
     assert summary["op_p50_ms"]["change"]["runs"] == [60.0, 70.0, 65.0]
+    assert summary["op_tail_ms"]["parent"]["runs"] == [200.0, 240.0, 220.0]
     assert summary["reference_p50_ms"]["change"]["runs"] == [1.1, 1.3, 1.0]
     # one run's set-up figure is the median of its set-up repeats
     assert summary["setup_wall_s"]["parent"]["runs"] == [0.6, 0.4, 0.25]

@@ -1,17 +1,18 @@
 """Tests for the sharded streaming service (repro.service).
 
 The load-bearing property is **bitwise equivalence**: a service with any
-number of shards — including one that was rebalanced or recovered — must
-produce exactly the selections and scores of a single in-process
-:class:`StreamEngine`.  The fault-injection side lives in ``tests/chaos/``;
-this module covers the ring, the transport layer, the shared-memory
-handoff and the happy-path service semantics.
+number of shards — including one that was recovered — must produce exactly
+the selections and scores of a single in-process :class:`StreamEngine`.
+The fault-injection side lives in ``tests/chaos/``; this module covers the
+routing hash, the transport layer, the shared-memory handoff and the
+happy-path service semantics.
 """
 
 import asyncio
 import contextlib
 import socket
 import threading
+import time
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.selectors import make_selector
 from repro.service import (
     FaultInjector,
     FrameReader,
-    HashRing,
     ServiceConfig,
     ShardedService,
     ShardServer,
@@ -34,8 +34,7 @@ from repro.service import (
     attach_shared_array,
     encode_message,
     make_engine_factory,
-    recv_message,
-    send_message,
+    shard_index,
 )
 from repro.service.transport import MAX_MESSAGE_BYTES
 from repro.streaming import DriftConfig, StreamEngine, StreamingConfig
@@ -69,87 +68,36 @@ def _running_frontend(service):
 
 
 # --------------------------------------------------------------------------- #
-# consistent-hash ring
+# stream routing
 # --------------------------------------------------------------------------- #
 TEN_K_STREAMS = [f"stream-{i}" for i in range(10_000)]
 
 
-class TestHashRing:
-    def test_owner_is_deterministic_and_total(self):
-        ring = HashRing(["a", "b", "c"])
-        owners = {sid: ring.owner(sid) for sid in TEN_K_STREAMS[:100]}
-        again = HashRing(["a", "b", "c"])
-        assert all(again.owner(sid) == owner for sid, owner in owners.items())
-        assert set(owners.values()) <= {"a", "b", "c"}
+class TestShardIndex:
+    def test_index_is_deterministic_and_in_range(self):
+        for n in range(1, 9):
+            indices = [shard_index(sid, n) for sid in TEN_K_STREAMS[:100]]
+            assert [shard_index(sid, n) for sid in TEN_K_STREAMS[:100]] == indices
+            assert all(0 <= index < n for index in indices)
 
     def test_uniformity_bounded_imbalance(self):
-        # with the default 128 virtual nodes, no shard may own more than
-        # 25% above (or below) its fair share of a 10k-stream population
+        # no shard may own more than 25% above (or below) its fair share
+        # of a 10k-stream population
         for n in (2, 4, 8):
-            ring = HashRing([f"shard-{j}" for j in range(n)])
-            counts = {s: 0 for s in ring.shard_ids}
-            for sid in TEN_K_STREAMS:
-                counts[ring.owner(sid)] += 1
+            counts = np.bincount([shard_index(sid, n) for sid in TEN_K_STREAMS],
+                                 minlength=n)
             expected = len(TEN_K_STREAMS) / n
-            assert max(counts.values()) <= 1.25 * expected, counts
-            assert min(counts.values()) >= 0.75 * expected, counts
+            assert counts.max() <= 1.25 * expected, counts
+            assert counts.min() >= 0.75 * expected, counts
 
     def test_uniformity_chi_square(self):
-        # with enough virtual nodes the assignment is statistically uniform:
-        # chi-square over 4 shards x 10k streams below the 99.9% critical
-        # value for 3 degrees of freedom (16.27)
-        ring = HashRing([f"shard-{j}" for j in range(4)], replicas=512)
-        counts = {s: 0 for s in ring.shard_ids}
-        for sid in TEN_K_STREAMS:
-            counts[ring.owner(sid)] += 1
+        # the assignment is statistically uniform: chi-square over 4 shards
+        # x 10k streams below the 99.9% critical value for 3 degrees of
+        # freedom (16.27)
+        counts = np.bincount([shard_index(sid, 4) for sid in TEN_K_STREAMS], minlength=4)
         expected = len(TEN_K_STREAMS) / 4
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 16.27, (chi2, counts)
-
-    def test_adding_a_shard_moves_a_minimal_slice(self):
-        ring = HashRing([f"shard-{j}" for j in range(4)])
-        before = {sid: ring.owner(sid) for sid in TEN_K_STREAMS}
-        ring.add("shard-new")
-        moved = [sid for sid in TEN_K_STREAMS if ring.owner(sid) != before[sid]]
-        # every moved stream went *to* the new shard (nothing reshuffles
-        # between surviving shards) and the slice is about K/(N+1)
-        assert all(ring.owner(sid) == "shard-new" for sid in moved)
-        assert len(moved) <= 2 * len(TEN_K_STREAMS) / 5
-
-    def test_ownership_is_insertion_order_independent(self):
-        forward = HashRing(["a", "b", "c", "d"])
-        backward = HashRing(["d", "c", "b", "a"])
-        rebuilt = HashRing(["b", "d"])
-        rebuilt.add("a")
-        rebuilt.add("c")
-        for sid in TEN_K_STREAMS[:500]:
-            assert forward.owner(sid) == backward.owner(sid) == rebuilt.owner(sid)
-
-    def test_state_round_trip_preserves_ownership(self):
-        ring = HashRing(["a", "b", "c"], replicas=32)
-        state = ring.to_state()
-        clone = HashRing(state["shards"], replicas=state["replicas"])
-        assert clone.to_state() == ring.to_state()
-        assert all(clone.owner(sid) == ring.owner(sid) for sid in TEN_K_STREAMS[:200])
-
-    def test_assign_groups_by_owner(self):
-        ring = HashRing(["a", "b"])
-        grouped = ring.assign(TEN_K_STREAMS[:50])
-        assert sorted(sid for streams in grouped.values() for sid in streams) \
-            == sorted(TEN_K_STREAMS[:50])
-        for shard, streams in grouped.items():
-            assert all(ring.owner(sid) == shard for sid in streams)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(replicas=0)
-        with pytest.raises(LookupError):
-            HashRing().owner("s")
-        ring = HashRing(["a"])
-        with pytest.raises(ValueError):
-            ring.add("a")
-        with pytest.raises(ValueError):
-            ring.add("")
 
 
 # --------------------------------------------------------------------------- #
@@ -160,8 +108,8 @@ class TestTransport:
         a, b = socket.socketpair()
         try:
             payload = {"op": "ping", "seq": 7, "values": [1.5, -2.25]}
-            send_message(a, payload)
-            assert recv_message(b) == payload
+            a.sendall(encode_message(payload))
+            assert FrameReader(b).read_frame() == payload
         finally:
             a.close()
             b.close()
@@ -169,17 +117,39 @@ class TestTransport:
     def test_clean_eof_returns_none_and_mid_frame_eof_raises(self):
         a, b = socket.socketpair()
         a.close()
-        assert recv_message(b) is None
+        assert FrameReader(b).read_frame() is None
         b.close()
         a, b = socket.socketpair()
         frame = encode_message({"op": "ping"})
         a.sendall(frame[: len(frame) - 2])
         a.close()
         with pytest.raises(TransportError):
-            recv_message(b)
+            FrameReader(b).read_frame()
         b.close()
 
-    @pytest.mark.parametrize("reader", ["recv_message", "FrameReader", "frontend"])
+    def test_read_without_a_timeout_waits_for_a_late_frame(self):
+        """With no timeout the read blocks until the frame arrives, then
+        reports the peer's clean hang-up as ``None``."""
+        a, b = socket.socketpair()
+        payload = {"op": "select", "seq": 3}
+
+        def write_late():
+            time.sleep(0.05)
+            a.sendall(encode_message(payload))
+            a.close()
+
+        writer = threading.Thread(target=write_late)
+        writer.start()
+        try:
+            reader = FrameReader(b)
+            assert reader.read_frame() == payload
+            assert reader.read_frame() is None
+        finally:
+            writer.join(timeout=10.0)
+            assert not writer.is_alive()
+            b.close()
+
+    @pytest.mark.parametrize("reader", ["FrameReader", "frontend"])
     def test_oversized_frame_rejected(self, reader):
         oversized = (MAX_MESSAGE_BYTES + 1).to_bytes(4, "big")
         if reader == "frontend":
@@ -187,31 +157,28 @@ class TestTransport:
             with _running_frontend(service=None) as frontend:
                 with socket.create_connection(("127.0.0.1", frontend.port),
                                               timeout=5.0) as conn:
+                    replies = FrameReader(conn)
                     # undecodable bodies are answered on the same connection
                     conn.sendall(len(b"\xff{").to_bytes(4, "big") + b"\xff{")
-                    assert "error" in recv_message(conn)
-                    send_message(conn, [1, 2])
-                    assert "JSON objects" in recv_message(conn)["error"]
+                    assert "error" in replies.read_frame(5.0)
+                    conn.sendall(encode_message([1, 2]))
+                    assert "JSON objects" in replies.read_frame(5.0)["error"]
                     # an oversized header is answered, then the peer hangs up
                     conn.sendall(oversized)
-                    assert "exceeds the protocol limit" in recv_message(conn)["error"]
-                    assert recv_message(conn) is None
+                    assert "exceeds the protocol limit" in replies.read_frame(5.0)["error"]
+                    assert replies.read_frame(5.0) is None
             return
         a, b = socket.socketpair()
         try:
             a.sendall(oversized)
             with pytest.raises(TransportError, match="protocol limit"):
-                if reader == "recv_message":
-                    recv_message(b)
-                else:
-                    FrameReader(b).read_frame(timeout_s=1.0)
+                FrameReader(b).read_frame(timeout_s=1.0)
         finally:
             a.close()
             b.close()
 
-    @pytest.mark.parametrize("reader", ["recv_message", "FrameReader"])
     @pytest.mark.parametrize("cut", [1, 3, 4, 5, -1])
-    def test_frame_cut_in_its_header_or_body_raises(self, reader, cut):
+    def test_frame_cut_in_its_header_or_body_raises(self, cut):
         """A peer that hangs up inside a header (1 or 3 of its 4 bytes) or a
         body (right after the header, one byte in, one byte short) leaves a
         ``TransportError``, not a hang or a partial message."""
@@ -221,10 +188,7 @@ class TestTransport:
             a.sendall(frame[:cut])
             a.close()
             with pytest.raises(TransportError, match="connection closed mid-frame"):
-                if reader == "recv_message":
-                    recv_message(b)
-                else:
-                    FrameReader(b).read_frame(timeout_s=1.0)
+                FrameReader(b).read_frame(timeout_s=1.0)
         finally:
             b.close()
 
@@ -451,7 +415,7 @@ class TestShardedServiceEquivalence:
         factory = make_engine_factory(service_world["selector"],
                                       service_world["detector_names"], config)
         with ShardedService(factory, ServiceConfig(n_shards=2)) as service:
-            owners = [service.ring.owner(sid) for sid in drifting_streams]
+            owners = [service.owner(sid) for sid in drifting_streams]
             assert len(set(owners)) < len(owners)
             assert _drive(service, drifting_streams, n_ticks=12, chunk=64) == expected
 
@@ -477,32 +441,6 @@ class TestShardedServiceEquivalence:
                                     for s in stats["per_shard"].values())
             assert per_shard_streams == len(service_world["streams"])
             assert stats["restarts"] == 0 and stats["recoveries"] == 0
-
-
-class TestRebalance:
-    def test_add_and_remove_shard_preserve_results(self, service_world,
-                                                   reference_run):
-        with _make_service(service_world, 2) as service:
-            _drive(service, service_world["streams"])
-            service.add_shard()
-            assert len(service.shard_ids) == 3
-            for sid in service_world["streams"]:
-                assert np.array_equal(service.scores(sid),
-                                      reference_run["scores"][sid])
-
-    def test_streams_keep_flowing_after_rebalance(self, service_world,
-                                                  reference_run):
-        streams = service_world["streams"]
-        with _make_service(service_world, 2) as service:
-            _drive(service, streams, n_ticks=2)
-            service.add_shard()
-            # the third tick lands after the topology change — the final
-            # updates must still be bitwise-equal to the uninterrupted run
-            for sid, series in streams.items():
-                service.append(sid, series[200:300])
-            updates = service.flush()
-            for sid in streams:
-                assert updates[sid] == reference_run["updates"][sid]
 
 
 class TestSelectionCache:
@@ -594,9 +532,11 @@ class TestServiceFrontend:
                 conn = socket.create_connection(("127.0.0.1", frontend.port),
                                                 timeout=10.0)
                 try:
+                    replies = FrameReader(conn)
+
                     def call(**payload):
-                        send_message(conn, payload)
-                        return recv_message(conn)
+                        conn.sendall(encode_message(payload))
+                        return replies.read_frame(10.0)
 
                     assert call(op="ping")["ok"] is True
                     # drive the standard traffic over the wire
@@ -646,10 +586,12 @@ class TestShardRejectsBadSegments:
         try:
             buffer.append(series[:100])
             with socket.create_connection(listen.getsockname(), timeout=10.0) as conn:
+                replies = FrameReader(conn)
+
                 def push(seq, name, length):
-                    send_message(conn, {"op": "push_batch", "seq": seq, "ticks": [
-                        {"stream": "s0", "shm": name, "length": length}]})
-                    return recv_message(conn)
+                    conn.sendall(encode_message({"op": "push_batch", "seq": seq, "ticks": [
+                        {"stream": "s0", "shm": name, "length": length}]}))
+                    return replies.read_frame(10.0)
 
                 assert push(1, stale_name, 100)["error"].startswith("FileNotFoundError")
                 assert push(2, buffer.name, 129) == {
@@ -657,8 +599,8 @@ class TestShardRejectsBadSegments:
                                        "holds 128 float64 values; length 129 does not fit"}
                 answer = push(3, buffer.name, 100)
                 assert "error" not in answer and set(answer["updates"]) == {"s0"}
-                send_message(conn, {"op": "shutdown", "seq": 4})
-                assert recv_message(conn) == {"ok": True, "seq": 4}
+                conn.sendall(encode_message({"op": "shutdown", "seq": 4}))
+                assert replies.read_frame(10.0) == {"ok": True, "seq": 4}
             thread.join(timeout=10.0)
             assert not thread.is_alive()
         finally:

@@ -23,9 +23,9 @@ metric's bound and whether the change's median stays within it, plus
 each side's ``failed`` counts and, where the workload reports them, its
 distinct answers (``offline``: ``matrix_hash``, ``selection_auc_pr``).
 Beside the ``ref``-unit metrics, each workload keeps both sides' wall-clock
-figures per run (``wall_clock``: the operations' median ms, the reference
-workload's median ms and the median set-up wall seconds), so a reader can
-tell a program change from a move of the reference.
+figures per run (``wall_clock``: the operations' median and tail ms, the
+reference workload's median ms and the median set-up wall seconds), so a
+reader can tell a program change from a move of the reference.
 A run that exits non-zero stops the tool before anything is written.
 """
 
@@ -115,6 +115,7 @@ def wall_clock(record: dict) -> Dict[str, float]:
     figures show which of the two moved.
     """
     return {"op_p50_ms": record["wall_clock"]["op_p50_ms"],
+            "op_tail_ms": record["wall_clock"]["op_tail_ms"],
             "reference_p50_ms": record["wall_clock"]["reference_p50_ms"],
             "setup_wall_s": statistics.median(record["setup_wall_s"])}
 
