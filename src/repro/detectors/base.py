@@ -27,12 +27,6 @@ def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndar
     return series[idx]
 
 
-#: Window block size for the scatter-add in ``window_scores_to_point_scores``
-#: — bounds the (block, window) index buffer instead of materialising one
-#: row per window for the whole series.
-_POINT_SCORE_BLOCK = 4096
-
-
 def window_scores_to_point_scores(
     window_scores: np.ndarray,
     series_length: int,
@@ -41,24 +35,22 @@ def window_scores_to_point_scores(
 ) -> np.ndarray:
     """Spread per-window scores back onto points by averaging overlaps.
 
-    Vectorised: window scores are scattered onto their covered points with
-    ``np.add.at`` (in blocks, so peak memory stays bounded) and the overlap
-    counts come from closed-form index arithmetic.  Both accumulate exactly
-    the values the historical per-window Python loop added, in the same
-    ascending-window order per point, so results are bitwise identical.
+    Vectorised: window ``i`` adds its score to points ``i*stride + offset``,
+    so one strided slice-add per offset spreads every window at once, and
+    the overlap counts come from closed-form index arithmetic.  The offsets
+    run in descending order, which adds each point's windows in ascending
+    window order: the historical per-window Python loop's order, so results
+    are bitwise identical.
     """
     window_scores = np.asarray(window_scores, dtype=np.float64)
     n = len(window_scores)
-    # Scatter into a buffer long enough for every window (windows may extend
+    # Add into a buffer long enough for every window (windows may extend
     # past series_length — the old loop's slice assignment clamped them);
     # the overhang is truncated at the end.
     span = (n - 1) * stride + window if n else 0
     scores = np.zeros(max(series_length, span), dtype=np.float64)
-    offsets = np.arange(window)[None, :]
-    for block_start in range(0, n, _POINT_SCORE_BLOCK):
-        block = slice(block_start, min(block_start + _POINT_SCORE_BLOCK, n))
-        idx = stride * np.arange(block.start, block.stop)[:, None] + offsets
-        np.add.at(scores, idx, window_scores[block, None])
+    for offset in reversed(range(window)):
+        scores[offset:offset + n * stride:stride] += window_scores
     scores = scores[:series_length]
 
     # A point p is covered by windows s with s*stride <= p <= s*stride+window-1,

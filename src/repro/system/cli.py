@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import zipfile
 from pathlib import Path
@@ -933,6 +934,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
+    # SIGTERM (how a service manager stops a process) ends the command as
+    # Ctrl-C does, so the shards are stopped either way
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        return _serve_sharded(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _serve_sharded(args: argparse.Namespace) -> int:
     from ..service import ServiceConfig, ShardedService
     from ..streaming import replay_records
 

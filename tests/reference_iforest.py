@@ -5,7 +5,8 @@ build and traversal :mod:`repro.detectors.iforest` used before its trees
 were flattened into arrays.  ``reference_score_samples`` is that forest's
 fit + ``score_samples``, and the two detector helpers wrap it the way
 ``IForestDetector`` and ``IForest1Detector`` do, so a test can compare the
-library with this module bit for bit.
+library with this module bit for bit.  ``reference_flat_trees`` flattens
+the recursive trees in pre-order, the layout of the library's arrays.
 """
 
 from __future__ import annotations
@@ -60,12 +61,8 @@ class _IsolationTree:
         return out
 
 
-def reference_score_samples(fit_x: np.ndarray, score_x: np.ndarray, n_estimators: int = 50,
-                            max_samples: int = 128, seed: int = 0) -> np.ndarray:
-    """``IsolationForest(n_estimators, max_samples, seed).fit(fit_x).score_samples(score_x)``."""
-    x = np.asarray(fit_x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+def _reference_fit(x: np.ndarray, n_estimators: int, max_samples: int, seed: int):
+    """The recursive forest's trees and sample size, fitted on the (rows, columns) ``x``."""
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     sample_size = min(max_samples, n)
@@ -74,14 +71,46 @@ def reference_score_samples(fit_x: np.ndarray, score_x: np.ndarray, n_estimators
     for _ in range(n_estimators):
         idx = rng.choice(n, size=sample_size, replace=False)
         trees.append(_IsolationTree().fit(x[idx], 0, max_depth, rng))
+    return trees, sample_size
+
+
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
+
+
+def reference_score_samples(fit_x: np.ndarray, score_x: np.ndarray, n_estimators: int = 50,
+                            max_samples: int = 128, seed: int = 0) -> np.ndarray:
+    """``IsolationForest(n_estimators, max_samples, seed).fit(fit_x).score_samples(score_x)``."""
+    trees, sample_size = _reference_fit(_as_rows(fit_x), n_estimators, max_samples, seed)
     if not trees:
         raise RuntimeError("IsolationForest must be fitted before scoring")
-    x = np.asarray(score_x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_rows(score_x)
     paths = np.mean([tree.path_length(x) for tree in trees], axis=0)
     c = _average_path_length(sample_size)
     return np.power(2.0, -paths / max(c, 1e-12))
+
+
+def _preorder(tree: _IsolationTree, depth: int = 0):
+    """``(feature, value, leaf_path)`` per node: a node, its left subtree, then its right."""
+    if tree.left is None:
+        yield -1, 0.0, depth + _average_path_length(tree.size)
+        return
+    yield tree.split_feature, tree.split_value, 0.0
+    yield from _preorder(tree.left, depth + 1)
+    yield from _preorder(tree.right, depth + 1)
+
+
+def reference_flat_trees(fit_x: np.ndarray, n_estimators: int = 50, max_samples: int = 128,
+                         seed: int = 0) -> list:
+    """Per tree, the ``(feature, value, leaf_path)`` arrays of its pre-order flattening."""
+    trees, _ = _reference_fit(_as_rows(fit_x), n_estimators, max_samples, seed)
+    flat = []
+    for tree in trees:
+        feature, value, leaf_path = zip(*_preorder(tree))
+        flat.append((np.array(feature, dtype=np.intp), np.array(value, dtype=np.float64),
+                     np.array(leaf_path, dtype=np.float64)))
+    return flat
 
 
 def reference_iforest_scores(series: np.ndarray, window: int = 32, n_estimators: int = 40,

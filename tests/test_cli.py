@@ -7,13 +7,23 @@ are generated.
 """
 
 import json
+import os
 import re
+import select
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.detectors import DEFAULT_MODEL_NAMES
+from repro.selectors import make_selector
+from repro.system import SelectorStore
 from repro.system.cli import build_parser, main
 
 
@@ -364,3 +374,48 @@ class TestTrainEvaluateDetect:
     def test_list_selectors_empty_store(self, tmp_path, capsys):
         assert main(["list-selectors", "--store", str(tmp_path / "empty")]) == 0
         assert "no selectors stored" in capsys.readouterr().out
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has already exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestServeShardedShutdown:
+    def test_sigterm_stops_every_shard(self, tmp_path):
+        """SIGTERM ends ``serve-sharded --port`` as Ctrl-C does: exit 0, no shard left."""
+        selector = make_selector("MLP", window=64, n_classes=len(DEFAULT_MODEL_NAMES),
+                                 hidden=8, feature_dim=4, seed=0)
+        SelectorStore(tmp_path / "store").save("untrained", selector)
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        front_end = subprocess.Popen(
+            [sys.executable, "-m", "repro.system.cli", "serve-sharded", "--port", "0",
+             "--shards", "2", "--store", str(tmp_path / "store"), "--name", "untrained",
+             "--window", "64"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        shards = []
+        try:
+            ready, _, _ = select.select([front_end.stdout], [], [], 60.0)
+            assert ready, "serve-sharded announced no port within 60 s"
+            assert "listening" in json.loads(front_end.stdout.readline())
+            children = Path(f"/proc/{front_end.pid}/task/{front_end.pid}/children")
+            if not children.exists():
+                pytest.skip("the kernel does not list a process's children")
+            shards = [int(pid) for pid in children.read_text().split()]
+            assert len(shards) == 2 and all(map(_running, shards))
+
+            front_end.send_signal(signal.SIGTERM)
+            assert front_end.wait(timeout=30.0) == 0  # docs/cli.md: exits 0
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, shards)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, shards)), "a shard outlived its front end"
+        finally:
+            for pid in [front_end.pid, *shards]:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            front_end.wait(timeout=10.0)

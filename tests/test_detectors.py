@@ -86,7 +86,7 @@ class TestWindowHelpers:
         return scores / counts
 
     def test_vectorised_point_scores_bitwise_match_loop(self):
-        """Regression: the np.add.at implementation must reproduce the old
+        """Regression: the slice-add implementation must reproduce the old
         per-window loop bit for bit, for any window/stride/length combo."""
         gen = np.random.default_rng(42)
         for _ in range(40):
@@ -111,13 +111,10 @@ class TestWindowHelpers:
             assert got.shape == (length,)
             assert np.array_equal(got, want)
 
-    def test_vectorised_point_scores_bitwise_match_loop_across_blocks(self):
-        """The blocked scatter-add must stay bitwise identical across the
-        internal block boundary."""
-        from repro.detectors.base import _POINT_SCORE_BLOCK
-
+    def test_vectorised_point_scores_bitwise_match_loop_on_a_long_series(self):
+        """8,209 windows of 32: each point sums 32 windows, in the loop's order."""
         gen = np.random.default_rng(43)
-        n_windows = _POINT_SCORE_BLOCK * 2 + 17
+        n_windows = 8209
         window_scores = gen.normal(size=n_windows)
         got = window_scores_to_point_scores(window_scores, n_windows + 31, 32)
         want = self._point_scores_loop(window_scores, n_windows + 31, 32)
