@@ -15,6 +15,7 @@
 #   make obs-demo    - run the observability walkthrough example end to end
 #   make distill-demo - run the distill + quantize + refresh example end to end
 #   make cascade-demo - run the cost-aware cascade + SLO admission example
+#   make examples    - run every script in examples/ end to end
 #   make docs-check  - docstring + documentation-link checks
 
 PYTHON ?= python
@@ -24,7 +25,7 @@ PYTHONPATH := src
 #: recovery loop must fail the build, not wedge it
 CHAOS_TIMEOUT ?= 600
 
-.PHONY: test chaos bench-smoke bench stream-demo obs-demo distill-demo cascade-demo docs-check
+.PHONY: test chaos bench-smoke bench stream-demo obs-demo distill-demo cascade-demo examples docs-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -61,6 +62,11 @@ distill-demo:
 
 cascade-demo:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/cascade_demo.py
+
+examples:
+	@for example in examples/*.py; do \
+	  echo "== $$example"; PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$example || exit 1; \
+	done
 
 docs-check:
 	$(PYTHON) tools/docs_check.py

@@ -42,9 +42,8 @@ def _margin(votes: Dict[str, float]) -> Dict[str, object]:
 def _quantization_block(engine) -> Optional[Dict[str, object]]:
     """Gate summary of whichever int8 selector is in the path: the served
     selector, or the cascade's slow (escalation) selector."""
-    served = getattr(getattr(engine, "streaming_selector", None), "selector", None)
-    slow = getattr(getattr(engine, "cascade", None), "slow_selector", None)
-    return quant_summary(served) or quant_summary(slow)
+    slow = getattr(engine.cascade, "slow_selector", None)
+    return quant_summary(engine.selector) or quant_summary(slow)
 
 
 def explain_stream(engine, stream_id: str) -> Dict[str, object]:
@@ -60,7 +59,7 @@ def explain_stream(engine, stream_id: str) -> Dict[str, object]:
         votes = {name: float(view.aggregated[k]) for k, name in enumerate(names)}
 
     # per-window argmax breakdown over the rows the running vote covers
-    active = state.votes.active_probas
+    active = state.probas.values[state.vote_start:]
     window_votes = {name: 0 for name in names}
     if len(active):
         counts = np.bincount(active.argmax(axis=1), minlength=len(names))
@@ -88,7 +87,7 @@ def explain_stream(engine, stream_id: str) -> Dict[str, object]:
         "selected_model": (None if view is None
                            else names[int(view.selected_index)]),
         "n_windows": 0 if view is None else int(view.n_windows),
-        "vote_start": int(state.votes.vote_start),
+        "vote_start": int(state.vote_start),
         "provisional": bool(view.provisional) if view is not None else False,
         "votes": votes,
         "window_votes": window_votes,

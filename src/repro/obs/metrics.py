@@ -346,16 +346,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.values())
 
-    def find(self, name: str, **labels: str):
-        """The tracked metric under ``(name, labels)`` or ``None``."""
-        with self._lock:
-            return self._metrics.get((name, _label_key(labels)))
-
-    def value(self, name: str, **labels: str) -> Optional[float]:
-        """Shortcut: the tracked metric's scalar value (counters/gauges)."""
-        metric = self.find(name, **labels)
-        return None if metric is None else metric.value
-
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
         by_name: "Dict[str, List[object]]" = {}

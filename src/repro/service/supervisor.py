@@ -120,10 +120,6 @@ class ShardSupervisor:
             handle.process.join(timeout=1.0)
 
     # ------------------------------------------------------------------ #
-    def is_alive(self, shard_id: str) -> bool:
-        handle = self.handles.get(shard_id)
-        return handle is not None and handle.is_alive()
-
     def stop_all(self) -> None:
         """Terminate every shard and empty the topology."""
         for shard_id in list(self.handles):

@@ -22,8 +22,7 @@ def window_budget_groups(counts: Sequence[int], max_windows: int) -> List[List[i
     order is preserved and groups are contiguous; an item alone larger than
     the budget still forms its own group (it cannot be split without
     changing results).  Items contributing zero windows ride along with
-    their neighbours.  This is the shared budgeting rule of directory-sweep
-    micro-batching and the stream engine's cross-stream forward batching.
+    their neighbours.  :func:`microbatches` budgets directory sweeps with it.
     """
     if max_windows < 1:
         raise ValueError("max_windows must be >= 1")

@@ -3,12 +3,12 @@
 A live series grows one tick at a time, but the selector consumes complete
 fixed-length windows.  :class:`StreamBuffer` owns that boundary: it stores
 the raw points of one stream (amortised-O(1) append into a doubling array)
-and, on every append, yields exactly the windows that newly became complete
-— via :func:`repro.data.windows.extract_new_windows`, so the emitted rows
-are bitwise identical to what batch extraction over the final series would
-produce.  A partial tail (fewer than ``window`` unconsumed points past the
-last complete window) simply stays pending until enough points arrive; no
-padded pseudo-window is ever emitted.
+and, when asked, yields exactly the windows that became complete since it
+was last asked — via :func:`repro.data.windows.extract_new_windows`, so the
+emitted rows are bitwise identical to what batch extraction over the final
+series would produce.  A partial tail (fewer than ``window`` unconsumed
+points past the last complete window) simply stays pending until enough
+points arrive; no padded pseudo-window is ever emitted.
 """
 
 from __future__ import annotations
@@ -21,25 +21,32 @@ from ..data.windows import extract_new_windows
 
 
 class GrowingArray:
-    """A 1-D float64 array with amortised-O(1) append (doubling capacity)."""
+    """A float64 array with amortised-O(1) append (doubling capacity).
 
-    def __init__(self, initial_capacity: int = 1024) -> None:
+    It holds points (1-D) by default, or rows of ``row_width`` columns.
+    """
+
+    def __init__(self, initial_capacity: int = 1024,
+                 row_width: Optional[int] = None) -> None:
         if initial_capacity < 1:
             raise ValueError("initial_capacity must be >= 1")
-        self._data = np.empty(initial_capacity, dtype=np.float64)
+        row_shape = () if row_width is None else (row_width,)
+        self._data = np.empty((initial_capacity,) + row_shape, dtype=np.float64)
         self._length = 0
 
     def __len__(self) -> int:
         return self._length
 
     def append(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64).ravel()
+        values = np.asarray(values, dtype=np.float64)
+        if self._data.ndim == 1:
+            values = values.ravel()
         needed = self._length + len(values)
         if needed > len(self._data):
             capacity = len(self._data)
             while capacity < needed:
                 capacity *= 2
-            grown = np.empty(capacity, dtype=np.float64)
+            grown = np.empty((capacity,) + self._data.shape[1:], dtype=np.float64)
             grown[: self._length] = self._data[: self._length]
             self._data = grown
         self._data[self._length:needed] = values
@@ -134,11 +141,6 @@ class StreamBuffer:
                                       stride=self.stride)
         self._n_emitted += len(windows)
         return windows
-
-    def append(self, values: np.ndarray) -> np.ndarray:
-        """Append points and return the windows that became complete."""
-        self.extend(values)
-        return self.take_new_windows()
 
     def __repr__(self) -> str:
         return (f"StreamBuffer(length={self.length}, windows={self.n_windows}, "

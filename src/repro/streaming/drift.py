@@ -16,9 +16,9 @@ Re-selection must not flap, so the trigger carries two kinds of hysteresis:
   around the threshold fires once, not on every tick.
 
 On trigger the monitor rebuilds its reference from the post-drift stream;
-the engine pairs the trigger with :meth:`StreamingSelector.reset_votes`, so
-the running vote restarts from recent windows and the chosen detector can
-change mid-stream.
+the engine pairs the trigger with a vote reset (the stream's ``vote_start``
+moves up to its last ``keep_last_on_drift`` windows), so the running vote
+restarts from recent windows and the chosen detector can change mid-stream.
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ together by :meth:`flush`:
 
 1. every stream's newly complete windows are collected
    (:class:`StreamBuffer` — incremental windowing),
-2. streams are packed into window-budgeted groups
-   (:func:`repro.serving.batching.window_budget_groups`, the same budget
-   rule the serving layer's micro-batching uses) and each group takes **one
-   selector forward pass** (:class:`StreamingSelector`),
-3. per-stream running votes, drift monitors and online scorers are updated;
-   detector re-selection (drift) swaps the stream's scorer.
+2. the flush's new windows, from every stream, take **one selector forward
+   pass** (the selector's own ``predict_proba``, through the engine's
+   :class:`~repro.cascade.executor.ForwardPlan`),
+3. each stream's probability rows and running vote, drift monitor and
+   online scorer are updated; detector re-selection (drift) swaps the
+   stream's scorer.
+
+The engine owns each stream's running vote: the probability rows of every
+window the stream has completed and the first row the vote covers
+(``vote_start``, advanced by drift resets).
 
 Scorer updates run inline, one stream after another in stream order.  A
 chunk holding a NaN or an infinity is rejected where it enters:
@@ -41,17 +45,16 @@ from ..obs.audit import NULL_AUDIT, selection_inputs
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
-from ..serving.batching import window_budget_groups
 from ..serving.cache import RunningFingerprint
-from .buffer import StreamBuffer
+from .buffer import GrowingArray, StreamBuffer
 from .drift import DriftConfig, DriftMonitor
 from .scorer import OnlineScorer
-from .selector import SelectionView, StreamingSelector, StreamVoteState
+from .selector import SelectionView, stream_selection
 
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """Knobs of the stream engine (windowing, batching, drift, scoring)."""
+    """Knobs of the stream engine (windowing, drift, scoring)."""
 
     #: selector input window length (must match how the selector was trained)
     window: int = 96
@@ -59,8 +62,6 @@ class StreamingConfig:
     stride: Optional[int] = None
     #: per-series reduction of window predictions: ``"vote"`` or ``"mean"``
     aggregation: str = "vote"
-    #: cross-stream forward-batch budget, in selector windows
-    max_batch_windows: int = 8192
     #: drift monitoring configuration; ``None`` disables re-selection
     drift: Optional[DriftConfig] = None
     #: windows the running vote keeps after a drift-triggered re-selection
@@ -78,6 +79,18 @@ class StreamingConfig:
     #: the admission step picks the best predicted-quality plan fitting it.
     #: ``None`` leaves admission quality-only (cascade plan by default).
     latency_slo_ms: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.stride is not None and self.stride < 1:
+            raise ValueError("stride must be >= 1 (or None for non-overlapping)")
+        if self.aggregation not in ("vote", "mean"):
+            raise ValueError("aggregation must be 'vote' or 'mean'")
+        if self.keep_last_on_drift < 0:
+            raise ValueError("keep_last_on_drift must be >= 0")
+        if self.rescore_every < 1:
+            raise ValueError("rescore_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,10 +154,13 @@ class StreamEngineStats:
 class _StreamState:
     """Everything the engine keeps for one named stream."""
 
-    def __init__(self, buffer: StreamBuffer, votes: StreamVoteState,
+    def __init__(self, buffer: StreamBuffer, n_classes: int,
                  monitor: Optional[DriftMonitor]) -> None:
         self.buffer = buffer
-        self.votes = votes
+        #: the selector's probability rows, one per completed window
+        self.probas = GrowingArray(64, row_width=n_classes)
+        #: first row the running vote covers (advanced by drift resets)
+        self.vote_start = 0
         self.monitor = monitor
         self.scorer: Optional[OnlineScorer] = None
         self.selected_index: Optional[int] = None
@@ -196,13 +212,12 @@ class StreamEngine:
             missing = [n for n in self.detector_names if n not in model_set]
             if missing:
                 raise ValueError(f"model_set lacks detectors the selector can choose: {missing}")
-        self.streaming_selector = StreamingSelector(
-            selector,
-            n_classes=len(self.detector_names),
-            window=self.config.window,
-            stride=self.config.stride,
-            aggregation=self.config.aggregation,
-        )
+        #: the selector this engine serves (the cascade's fast tier)
+        self.selector = selector
+        self._stride = self.config.stride or self.config.window
+        self._forward_windows = default_registry().register(Counter(
+            "repro_stream_forward_windows_total",
+            "windows sent through an actual selector forward pass"))
         from ..cascade.executor import ForwardPlan, PlanOutput  # deferred: streaming imports stay cascade-free
 
         #: each flush's forward step; with a
@@ -210,9 +225,8 @@ class StreamEngine:
         #: the latency SLO and low-margin windows escalate from this engine's
         #: (fast) selector to the router's teacher.  ``cascade=None`` keeps
         #: the exact pre-cascade code path — selections stay bitwise identical.
-        self.plan = ForwardPlan("streaming", self.streaming_selector.predict_proba,
-                                self.config, cascade)
-        #: the forward output of a stream with no new windows in a flush
+        self.plan = ForwardPlan("streaming", self._forward, self.config, cascade)
+        #: the forward output of a flush with no new windows
         self._no_windows = PlanOutput(np.empty((0, len(self.detector_names))))
         self._streams: Dict[str, _StreamState] = {}
         registry = default_registry()
@@ -253,8 +267,8 @@ class StreamEngine:
         state = self._streams.get(stream_id)
         if state is None:
             state = _StreamState(
-                buffer=StreamBuffer(self.config.window, self.config.stride),
-                votes=self.streaming_selector.new_state(),
+                buffer=StreamBuffer(self.config.window, self._stride),
+                n_classes=len(self.detector_names),
                 monitor=DriftMonitor(self.config.drift) if self.config.drift else None,
             )
             self._streams[stream_id] = state
@@ -280,8 +294,23 @@ class StreamEngine:
 
     def selection(self, stream_id: str) -> Optional[SelectionView]:
         """The stream's current model choice (recomputed from stored votes)."""
-        state = self._streams[stream_id]
-        return self.streaming_selector.selection(state.votes, series=state.buffer.series)
+        return self._selection(self._streams[stream_id])
+
+    def _selection(self, state: _StreamState) -> Optional[SelectionView]:
+        return stream_selection(state.probas.values[state.vote_start:], state.buffer.series,
+                                self._forward, self.config.window, self._stride,
+                                self.config.aggregation)
+
+    def _forward(self, windows: np.ndarray) -> np.ndarray:
+        """One counted selector forward pass over a (k, window) matrix.
+
+        NN selectors run a row-invariant forward, so a row's bits do not
+        depend on how many windows arrived with it — the bitwise-equality
+        guarantee.  Classical selectors are called exactly as the batch
+        pipeline and the serving layer call them.
+        """
+        self._forward_windows.inc(len(windows))
+        return self.selector.predict_proba(windows)
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -352,34 +381,28 @@ class StreamEngine:
         # 1. incremental windowing: only the windows that became complete
         new_windows = [state.buffer.take_new_windows() for _, state in pending]
 
-        # 2. one forward pass per window-budgeted group of streams; with a
-        # cascade attached, the flush's total forward work is admitted
-        # against the SLO first and low-margin rows escalate per group
+        # 2. one forward pass over every stream's new windows; with a
+        # cascade attached, the flush's forward work is admitted against
+        # the SLO first and low-margin rows escalate
         counts = [len(w) for w in new_windows]
-        outputs = [self._no_windows] * len(pending)
         total_windows = sum(counts)
         self._h_flush_windows.observe(total_windows)
         self._h_flush_streams.observe(len(pending))
         admitted = self.plan.admit(total_windows, self.audit)
-        forward_ms = 0.0
-        for group in window_budget_groups(counts, self.config.max_batch_windows):
-            members = [i for i in group if counts[i]]
-            if not members:
-                continue
-            stacked = np.vstack([new_windows[i] for i in members])
-            with span("engine.forward", windows=len(stacked), streams=len(members)):
+        flush_output, forward_ms = self._no_windows, 0.0
+        if total_windows:
+            with span("engine.forward", windows=total_windows,
+                      streams=sum(1 for n in counts if n)):
                 start = time.perf_counter()
-                output = self.plan.forward(stacked, admitted, self.audit)
-                forward_ms += (time.perf_counter() - start) * 1000.0
-            offset = 0
-            for i in members:
-                outputs[i] = output[offset:offset + counts[i]]
-                offset += counts[i]
+                flush_output = self.plan.forward(np.vstack(new_windows), admitted, self.audit)
+                forward_ms = (time.perf_counter() - start) * 1000.0
+        ends = np.cumsum(counts)
 
         # 3. votes, drift, selection per stream
         updates: Dict[str, StreamUpdate] = {}
         to_score: Dict[str, _StreamState] = {}
-        for (stream_id, state), windows, output in zip(pending, new_windows, outputs):
+        for (stream_id, state), windows, end in zip(pending, new_windows, ends):
+            output = flush_output[end - len(windows):end]
             stream_probas = output.proba
             if admitted is not None and len(windows):
                 state.escalated_windows += output.n_escalated
@@ -388,7 +411,7 @@ class StreamEngine:
                 state.last_cascade = self.plan.summary(
                     admitted, output, "n_new_windows",
                     actual_forward_ms=float(forward_ms))
-            self.streaming_selector.update(state.votes, windows, probas=stream_probas)
+            state.probas.append(stream_probas)
 
             drift_stat, drift_triggered = 0.0, False
             if state.monitor is not None and len(stream_probas):
@@ -396,16 +419,14 @@ class StreamEngine:
                 drift_stat, drift_triggered = drift.statistic, drift.triggered
                 if drift_triggered:
                     self._drift_triggers.inc()
-                    self.streaming_selector.reset_votes(
-                        state.votes, keep_last=self.config.keep_last_on_drift)
+                    state.vote_start = max(len(state.probas) - self.config.keep_last_on_drift, 0)
                     if self.refresher is not None:
                         # probe student↔teacher agreement, fine-tune if it fell
                         self.refresher.refresh_from_series(
                             state.buffer.series, window=self.config.window,
-                            stride=self.config.stride or self.config.window,
-                            audit=self.audit, stream=stream_id)
+                            stride=self._stride, audit=self.audit, stream=stream_id)
 
-            view = self.streaming_selector.selection(state.votes, series=state.buffer.series)
+            view = self._selection(state)
             self._tier_selections.inc()
             selected_index = view.selected_index if view is not None else None
             previous_index = state.selected_index
@@ -470,7 +491,7 @@ class StreamEngine:
                 "drift", stream=stream_id,
                 statistic=float(update.drift_statistic),
                 keep_last=self.config.keep_last_on_drift,
-                vote_start=int(state.votes.vote_start))
+                vote_start=int(state.vote_start))
         if update.changed:
             self.audit.record(
                 "reselection", stream=stream_id,
@@ -500,9 +521,9 @@ class StreamEngine:
             inputs=selection_inputs(
                 state.buffer.series,
                 window=self.config.window,
-                stride=self.config.stride or self.config.window,
+                stride=self._stride,
                 aggregation=self.config.aggregation,
-                vote_start=state.votes.vote_start,
+                vote_start=state.vote_start,
                 fingerprint=state.fingerprint,
             ),
             **cascade_fields)
@@ -523,7 +544,7 @@ class StreamEngine:
             flushes=self._flushes.value,
             points=self._points.value,
             windows=sum(s.buffer.n_windows for s in self._streams.values()),
-            forward_windows=self.streaming_selector.forward_windows,
+            forward_windows=self._forward_windows.value,
             drift_triggers=sum(s.monitor.triggers for s in self._streams.values()
                                if s.monitor is not None),
             tail_rescores=sum(s.scorer.tail_rescores for s in self._streams.values()

@@ -57,7 +57,6 @@ class OnlineScorer:
         #: update counters (observability + benchmark accounting)
         self.full_rescores = 0
         self.tail_rescores = 0
-        self.points_rescored = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -96,7 +95,6 @@ class OnlineScorer:
         boundary = n_old - (window - 1)
         spliced = np.concatenate([self._raw[:boundary], tail_raw[boundary - cut:]])
         self.tail_rescores += 1
-        self.points_rescored += n_new - boundary
         if self.verify:
             full = self.detector.score(series)
             if not np.array_equal(spliced, full):
@@ -143,7 +141,6 @@ class OnlineScorer:
         if spliced is None:
             spliced = self.detector.score(series)
             self.full_rescores += 1
-            self.points_rescored += n_new
 
         self._raw = spliced
         self._scored_length = n_new

@@ -312,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--chunk", type=int, default=32,
                         help="points appended per stream per replayed tick")
     stream.add_argument("--aggregation", default="vote", choices=["vote", "mean"])
-    stream.add_argument("--max-batch-windows", type=int, default=8192,
-                        help="cross-stream forward-batch budget, in windows")
     stream.add_argument("--drift-threshold", type=float, default=None,
                         help="total-variation drift threshold enabling re-selection "
                              "(default: drift monitoring off)")
@@ -805,27 +803,29 @@ def _load_refresh_parts(args: argparse.Namespace, store: SelectorStore, tier: st
     return teacher, RefreshConfig(min_agreement=args.refresh_min_agreement)
 
 
-def _make_engine_factory(args: argparse.Namespace, model_set=None, **config_fields):
+def _make_engine_factory(args: argparse.Namespace, model_set=None):
     """The engine builder of ``stream`` (called once, in process) and
     ``serve-sharded`` (called inside every shard): the served tier, the
-    cascade router and the student refresher the flags describe.
-    ``config_fields`` adds command-specific :class:`StreamingConfig` fields.
+    cascade router and the student refresher the flags describe.  A flag
+    value the engine's configuration rejects exits with its message.
     """
     from ..service import make_engine_factory
     from ..streaming import DriftConfig, StreamingConfig
 
     store = SelectorStore(args.store)
     selector, tier, router = _load_served(args, store)
-    config = StreamingConfig(
-        window=args.window,
-        stride=args.stride,
-        aggregation=args.aggregation,
-        drift=(DriftConfig(threshold=args.drift_threshold)
-               if args.drift_threshold is not None else None),
-        selector_tier=tier,
-        latency_slo_ms=args.latency_slo_ms,
-        **config_fields,
-    )
+    try:
+        config = StreamingConfig(
+            window=args.window,
+            stride=args.stride,
+            aggregation=args.aggregation,
+            drift=(DriftConfig(threshold=args.drift_threshold)
+                   if args.drift_threshold is not None else None),
+            selector_tier=tier,
+            latency_slo_ms=args.latency_slo_ms,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
     teacher, refresh_config = _load_refresh_parts(args, store, tier)
     return make_engine_factory(selector, DEFAULT_MODEL_NAMES, config, model_set=model_set,
                                teacher=teacher, refresh_config=refresh_config,
@@ -900,8 +900,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     audit, tracer, previous_tracer = _setup_obs(args)
     model_set = (make_default_model_set(window=args.detector_window, fast=True)
                  if args.score else None)
-    engine = _make_engine_factory(args, model_set=model_set,
-                                  max_batch_windows=args.max_batch_windows)()
+    engine = _make_engine_factory(args, model_set=model_set)()
     if audit is not None:
         engine.audit = audit
 

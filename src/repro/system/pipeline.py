@@ -166,7 +166,7 @@ class ModelSelectionPipeline:
         Returns a :class:`repro.streaming.StreamEngine` configured with this
         pipeline's window settings; keyword arguments override fields of
         :class:`repro.streaming.StreamingConfig` (e.g. ``drift``,
-        ``keep_last_on_drift``, ``max_batch_windows``).  Online per-point
+        ``keep_last_on_drift``, ``rescore_every``).  Online per-point
         scoring is opt-in: ``score=True`` scores with the pipeline's own
         model set, ``model_set=...`` with a custom one.  Note that
         globally-scored detectors re-run full detection over the whole

@@ -53,7 +53,7 @@ class TestShardCrash:
         updates = service.flush()
         assert service.supervisor.restarts == 1
         assert service.recoveries == 1
-        assert service.supervisor.is_alive(victim)
+        assert service.supervisor.handles[victim].is_alive()
         _assert_matches_reference(service, streams, chaos_reference, updates)
 
     @pytest.mark.parametrize("kill_after_tick", [0, 1])

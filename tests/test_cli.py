@@ -334,6 +334,19 @@ class TestTrainEvaluateDetect:
             main(["stream", "no/such/file.csv",
                   "--store", str(trained_store), "--name", "mlp"])
 
+    @pytest.mark.parametrize("command", ["stream", "serve-sharded"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window", "0", "window must be >= 1"),
+        ("--stride", "-8", "stride must be >= 1 (or None for non-overlapping)"),
+    ])
+    def test_bad_engine_config_exits_with_its_message(self, cli_workspace, trained_store,
+                                                      command, flag, value, message):
+        series = sorted(cli_workspace["data_dir"].glob("*.csv"))[0]
+        with pytest.raises(SystemExit) as caught:
+            main([command, str(series), "--store", str(trained_store), "--name", "mlp",
+                  flag, value])
+        assert str(caught.value.code) == message
+
     def test_serve_sharded_matches_single_process_stream(self, cli_workspace,
                                                          trained_store, capsys):
         files = sorted(cli_workspace["data_dir"].glob("*.csv"))[:2]

@@ -63,3 +63,25 @@ def test_a_method_read_as_an_attribute_of_any_object_is_a_use(tmp_path):
     files = {"box.py": BOX, "use.py": "from .box import Box\n\n\ndef _run(obj):\n"
                                       "    obj.open = None\n    return Box, obj.open, obj.close\n"}
     assert _dead_names(tmp_path, files) == []
+
+
+def test_every_shard_op_handler_has_a_sender():
+    """``ShardServer._dispatch`` finds handlers by name (``_op_<op>``), which
+    the tool cannot follow: each handler's op must be one the front end
+    sends, or ``chaos``, the fault-injection hook only ``tests/chaos`` sends."""
+    import ast
+
+    from repro.service.shard import ShardServer
+
+    tree = ast.parse((ROOT / "src" / "repro" / "service" / "frontend.py").read_text())
+    sent = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            # self._request(shard_id, "<op>", ...) and client.request("<op>", ...)
+            position = {"_request": 1, "request": 0}.get(node.func.attr)
+            if position is not None and len(node.args) > position:
+                op = node.args[position]
+                if isinstance(op, ast.Constant) and isinstance(op.value, str):
+                    sent.add(op.value)
+    handlers = {name[len("_op_"):] for name in vars(ShardServer) if name.startswith("_op_")}
+    assert handlers == sent | {"chaos"}

@@ -17,7 +17,7 @@ from repro.data import (
 )
 from repro.detectors import HBOSDetector, make_detector
 from repro.detectors.base import NonFiniteSeriesError
-from repro.eval import predict_for_series
+from repro.eval import aggregate_window_probas, predict_for_series
 from repro.selectors import make_selector
 from repro.serving import window_budget_groups
 from repro.streaming import (
@@ -28,12 +28,12 @@ from repro.streaming import (
     StreamBuffer,
     StreamEngine,
     StreamingConfig,
-    StreamingSelector,
     iter_chunks,
     parse_tick_line,
     replay_records,
     total_variation,
 )
+from repro.streaming.selector import stream_selection
 from repro.system import ModelSelectionPipeline, PipelineConfig
 
 
@@ -74,6 +74,16 @@ class TestGrowingArray:
         with pytest.raises(ValueError):
             arr.values[0] = 99.0
 
+    def test_rows_read_back_across_doublings(self, rng):
+        rows = rng.normal(size=(300, 5))
+        arr = GrowingArray(initial_capacity=2, row_width=5)
+        for start in range(0, len(rows), 7):  # 2 -> 512 rows: eight doublings
+            arr.append(rows[start:start + 7])
+        assert len(arr) == len(rows)
+        assert np.array_equal(arr.values, rows)
+        with pytest.raises(ValueError):
+            arr.values[0, 0] = 99.0
+
 
 class TestStreamBuffer:
     def test_windows_match_batch_extraction_bitwise(self, rng):
@@ -81,7 +91,8 @@ class TestStreamBuffer:
         buffer = StreamBuffer(window=64, stride=32)
         emitted = []
         for start in range(0, len(series), 13):
-            emitted.append(buffer.append(series[start:start + 13]))
+            buffer.extend(series[start:start + 13])
+            emitted.append(buffer.take_new_windows())
         stacked = np.vstack([w for w in emitted if len(w)])
         assert np.array_equal(stacked, extract_windows(series, 64, stride=32))
         assert buffer.n_windows == complete_window_count(1000, 64, 32)
@@ -89,15 +100,20 @@ class TestStreamBuffer:
     def test_each_window_emitted_exactly_once(self, rng):
         series = rng.normal(size=300)
         buffer = StreamBuffer(window=64)
-        total = sum(len(buffer.append(series[i:i + 1])) for i in range(len(series)))
+        total = 0
+        for point in series:
+            buffer.extend([point])
+            total += len(buffer.take_new_windows())
         assert total == complete_window_count(300, 64)
         assert buffer.take_new_windows().shape == (0, 64)
 
     def test_no_padded_window_before_first_complete(self):
         buffer = StreamBuffer(window=64)
-        assert buffer.append(np.zeros(63)).shape == (0, 64)
+        buffer.extend(np.zeros(63))
+        assert buffer.take_new_windows().shape == (0, 64)
         assert buffer.length == 63 and buffer.n_windows == 0
-        assert buffer.append(np.zeros(1)).shape == (1, 64)
+        buffer.extend(np.zeros(1))
+        assert buffer.take_new_windows().shape == (1, 64)
 
 
 @pytest.fixture(scope="module")
@@ -136,44 +152,67 @@ class _RejectsHugeSeries(HBOSDetector):
         return super().score(series)
 
 
-class TestStreamingSelector:
-    def test_incremental_probas_match_batch(self, streaming_world):
+class _CountingSelector:
+    """Delegates to a selector and counts its ``predict_proba`` calls."""
+
+    def __init__(self, selector) -> None:
+        self.selector = selector
+        self.calls = 0
+
+    def predict_proba(self, windows: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        return self.selector.predict_proba(windows)
+
+
+class TestRunningVote:
+    def test_one_window_per_tick_stores_the_batch_rows(self, streaming_world):
         selector = streaming_world["selector"]
-        streaming = StreamingSelector(selector, n_classes=4, window=64)
+        engine = _fresh_engine(streaming_world)
         record = streaming_world["queries"][0]
         windows = extract_windows(record.series, 64, stride=64)
-        state = streaming.new_state()
-        for row in windows:  # one window per tick
-            streaming.update(state, row[None, :])
-        assert np.array_equal(state.probas, selector.predict_proba(windows))
+        for start in range(0, len(windows) * 64, 64):  # one window per tick
+            engine.push(record.name, record.series[start:start + 64])
+        stored = engine._streams[record.name].probas.values
+        assert np.array_equal(stored, selector.predict_proba(windows))
 
-    def test_selection_matches_batch_pipeline_bitwise(self, streaming_world):
-        streaming = StreamingSelector(streaming_world["selector"], n_classes=4, window=64)
+    def test_stream_selection_matches_batch_pipeline_bitwise(self, streaming_world):
+        selector = streaming_world["selector"]
         for record in streaming_world["queries"]:
-            state = streaming.new_state()
             windows = extract_windows(record.series, 64, stride=64)
-            streaming.update(state, windows)
-            view = streaming.selection(state)
-            choice, aggregated = predict_for_series(streaming_world["selector"], record, 64)
+            view = stream_selection(selector.predict_proba(windows), record.series,
+                                    selector.predict_proba, 64, 64, "vote")
+            choice, aggregated = predict_for_series(selector, record, 64)
+            assert not view.provisional and view.n_windows == len(windows)
             assert view.selected_index == choice
             assert np.array_equal(view.aggregated, aggregated)
-
-    def test_provisional_selection_before_first_window(self, streaming_world):
-        streaming = StreamingSelector(streaming_world["selector"], n_classes=4, window=64)
-        state = streaming.new_state()
-        assert streaming.selection(state) is None
+        # before the first complete window: a provisional padded window,
+        # and nothing at all without a point
+        no_rows = np.empty((0, 4))
         partial = streaming_world["queries"][0].series[:20]
-        view = streaming.selection(state, series=partial)
+        view = stream_selection(no_rows, partial, selector.predict_proba, 64, 64, "vote")
         assert view.provisional and view.n_windows == 1
+        assert stream_selection(no_rows, partial[:0], selector.predict_proba,
+                                64, 64, "vote") is None
 
-    def test_reset_votes_keeps_only_recent_windows(self, streaming_world):
-        streaming = StreamingSelector(streaming_world["selector"], n_classes=4, window=64)
-        state = streaming.new_state()
-        windows = extract_windows(streaming_world["queries"][0].series, 64, stride=64)
-        streaming.update(state, windows)
-        streaming.reset_votes(state, keep_last=3)
-        assert len(state.active_probas) == 3
-        assert np.array_equal(state.active_probas, state.probas[-3:])
+    def test_drift_reset_keeps_only_recent_windows(self, streaming_world):
+        engine = _fresh_engine(
+            streaming_world,
+            drift=DriftConfig(reference_size=3, recent_size=3, threshold=0.05,
+                              release=0.01, cooldown=3),
+            keep_last_on_drift=3)
+        stitched = np.concatenate([generate_series("ECG", 1, 640, seed=2).series,
+                                   generate_series("IOPS", 2, 640, seed=2).series])
+        for start in range(0, len(stitched), 64):
+            if engine.push("flip", stitched[start:start + 64]).drift_triggered:
+                break
+        else:
+            pytest.fail("the stitched stream never triggered a drift reset")
+        state = engine._streams["flip"]
+        assert state.vote_start == len(state.probas) - 3
+        view = engine.selection("flip")
+        assert view.n_windows == 3
+        assert np.array_equal(view.aggregated,
+                              aggregate_window_probas(state.probas.values[-3:])[1])
 
 
 class TestDriftMonitor:
@@ -381,16 +420,22 @@ class TestStreamEngine:
             assert (last_together[record.name].selected_index
                     == separate[record.name].selected_index)
 
-    def test_small_forward_budget_preserves_results(self, streaming_world):
-        records = streaming_world["queries"][:3]
-        tight = _fresh_engine(streaming_world, max_batch_windows=1)
-        roomy = _fresh_engine(streaming_world)
-        for updates in replay_records(tight, records, chunk=130):
-            tight_last = dict(updates)
-        for updates in replay_records(roomy, records, chunk=130):
-            roomy_last = dict(updates)
+    def test_large_flush_runs_one_forward(self, streaming_world):
+        """A flush of more than 8,192 new windows is one selector call."""
+        counting = _CountingSelector(streaming_world["selector"])
+        engine = StreamEngine(counting, streaming_world["detector_names"],
+                              StreamingConfig(window=64))
+        records = [generate_series(name, 7, 64 * 2800, seed=8)
+                   for name in ("ECG", "IOPS", "SMD")]
         for record in records:
-            assert tight_last[record.name].votes == roomy_last[record.name].votes
+            engine.append(record.name, record.series)
+        updates = engine.flush()
+        assert counting.calls == 1
+        assert sum(u.n_new_windows for u in updates.values()) == 3 * 2800
+        for record in records:
+            choice, aggregated = predict_for_series(streaming_world["selector"], record, 64)
+            assert updates[record.name].selected_index == choice
+            assert list(updates[record.name].votes.values()) == [float(v) for v in aggregated]
 
     def test_drift_reselection_can_change_model_midstream(self, streaming_world):
         # a stream whose character flips halfway: ECG-like, then IOPS-like
@@ -540,6 +585,18 @@ class TestStreamEngine:
     def test_engine_without_pending_flushes_to_nothing(self, streaming_world):
         engine = _fresh_engine(streaming_world)
         assert engine.flush() == {}
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"window": 0}, r"^window must be >= 1$"),
+        ({"stride": 0}, r"^stride must be >= 1"),
+        ({"stride": -8}, r"^stride must be >= 1"),
+        ({"aggregation": "median"}, r"^aggregation must be 'vote' or 'mean'$"),
+        ({"keep_last_on_drift": -1}, r"^keep_last_on_drift must be >= 0$"),
+        ({"rescore_every": 0}, r"^rescore_every must be >= 1$"),
+    ])
+    def test_config_rejects_bad_values_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            StreamingConfig(**fields)
 
     def test_model_set_must_cover_detector_names(self, streaming_world):
         with pytest.raises(ValueError):
