@@ -28,18 +28,6 @@ FEATURE_NAMES: List[str] = [
 ]
 
 
-def _autocorr(x: np.ndarray, lag: int) -> np.ndarray:
-    """Batched autocorrelation at ``lag`` for rows of ``x``."""
-    n = x.shape[1]
-    if lag >= n:
-        return np.zeros(x.shape[0])
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1)
-    centred = x - mean
-    cov = (centred[:, :-lag] * centred[:, lag:]).mean(axis=1)
-    return np.where(var > 1e-12, cov / np.maximum(var, 1e-12), 0.0)
-
-
 def _longest_strike_above_mean(row: np.ndarray) -> int:
     """Reference (per-row) implementation; the regression baseline of
     :func:`_longest_strike_batch`."""
@@ -70,20 +58,15 @@ def _peak_distance(row: np.ndarray) -> float:
 def _longest_strike_batch(above: np.ndarray) -> np.ndarray:
     """Longest run of True per row of a boolean matrix, vectorised.
 
-    Run boundaries are found from the sign changes of the zero-padded
-    mask; lengths are integers, so the result is bitwise identical to the
+    Counting positions from 1, the run of True ending at position ``i``
+    has length ``i - j``, where ``j`` is the last False position at or
+    before ``i`` (0 if there is none), a running maximum along the row.
+    Lengths are integers, so the result is bitwise identical to the
     per-row reference loop.
     """
-    n, length = above.shape
-    padded = np.zeros((n, length + 2), dtype=np.int8)
-    padded[:, 1:-1] = above
-    edges = np.diff(padded, axis=1)
-    run_rows, starts = np.nonzero(edges == 1)
-    _, ends = np.nonzero(edges == -1)
-    best = np.zeros(n, dtype=np.float64)
-    # starts/ends pair up in order within each row
-    np.maximum.at(best, run_rows, (ends - starts).astype(np.float64))
-    return best
+    position = np.arange(1, above.shape[1] + 1)
+    last_false = np.maximum.accumulate(np.where(above, 0, position), axis=1)
+    return (position - last_false).max(axis=1, initial=0).astype(np.float64)
 
 
 def _peak_stats_batch(x: np.ndarray) -> tuple:
@@ -107,47 +90,128 @@ def _peak_stats_batch(x: np.ndarray) -> tuple:
     return counts.astype(np.float64), distance
 
 
+_PERCENTILES = [1, 5, 25, 75, 95, 99]
+# ``np.percentile`` divides its ``q`` by 100 the same way
+_QUANTILES = np.true_divide(_PERCENTILES, 100)
+
+
+def _quantile_positions(length: int) -> tuple:
+    """Sorted positions and weights of ``_QUANTILES`` over ``length`` values.
+
+    The positions and weights NumPy's ``linear`` percentile method uses
+    (``_get_indexes``/``_get_gamma``): the virtual index ``(length - 1) * q``,
+    its floor and the next position, both moved to the last value once the
+    virtual index reaches it, and the weight measured from the moved floor.
+    """
+    virtual = (length - 1) * _QUANTILES
+    below = np.floor(virtual)
+    above = below + 1
+    at_end = virtual >= length - 1
+    below[at_end] = -1
+    above[at_end] = -1
+    below = below.astype(np.intp)
+    above = above.astype(np.intp)
+    gamma = virtual - below
+    return below, above, gamma, gamma >= 0.5
+
+
+def _order_statistics(x: np.ndarray) -> tuple:
+    """Per-row median and ``_PERCENTILES`` from one sort, as ``np.median``
+    and ``np.percentile`` (``linear`` method) return them, byte for byte.
+
+    The median sums the middle one or two sorted values and divides by
+    their count, the mean ``np.median`` takes of its partition.  The
+    percentiles interpolate between neighbouring sorted values with NumPy's
+    ``_lerp``.  A row holding NaN gets NaN throughout, as NumPy returns.
+    -0.0 and +0.0 compare equal, so the sort may order them differently
+    from NumPy's partition; rows holding zeros of both signs take their
+    statistics from ``np.median``/``np.percentile``, which work row by row.
+    """
+    length = x.shape[1]
+    s = np.sort(x, axis=1)
+    half = length // 2
+    middle = s[:, half - 1 + length % 2:half + 1]
+    median = middle.sum(axis=1) / middle.shape[1]
+
+    below, above, gamma, upper = _quantile_positions(length)
+    a = s[:, below]
+    b = s[:, above]
+    diff_b_a = b - a
+    quantiles = a + diff_b_a * gamma
+    np.subtract(b, diff_b_a * (1 - gamma), out=quantiles, where=upper)
+
+    with_nan = np.isnan(s[:, -1])  # NaN sorts last
+    if with_nan.any():
+        median[with_nan] = np.nan
+        quantiles[with_nan] = np.nan
+    zero = x == 0
+    if zero.any():
+        negative = np.signbit(x)
+        mixed = (zero & negative).any(axis=1) & (zero & ~negative).any(axis=1)
+        if mixed.any():
+            rows = x[mixed]
+            median[mixed] = np.median(rows, axis=1)
+            quantiles[mixed] = np.percentile(rows, _PERCENTILES, axis=1).T
+    return median, quantiles
+
+
 def extract_features(windows: np.ndarray) -> np.ndarray:
-    """Compute the feature matrix (n_windows, len(FEATURE_NAMES))."""
+    """Compute the feature matrix (n_windows, len(FEATURE_NAMES)).
+
+    One pass over shared intermediates: each row is centred once for every
+    moment, autocorrelation and the trend fit, sorted once for the median
+    and the percentiles, and differenced once.  Every value is byte-equal
+    to the NumPy call it stands for: ``mean``, ``var`` and ``std`` sum and
+    divide the same way, ``np.diff`` is the same slice subtraction, and the
+    order statistics follow ``np.median`` and ``np.percentile`` (see
+    :func:`_order_statistics`).  A window's row depends on that window
+    alone.  NaN and infinite values are written as 0.0.
+    """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     n, length = x.shape
     eps = 1e-12
 
-    mean = x.mean(axis=1)
-    std = x.std(axis=1)
     minimum = x.min(axis=1)
     maximum = x.max(axis=1)
-    median = np.median(x, axis=1)
-    q01, q05, q25, q75, q95, q99 = np.percentile(x, [1, 5, 25, 75, 95, 99], axis=1)
-    iqr = q75 - q25
+    mean = x.sum(axis=1) / length
+    centred = x - mean[:, None]
+    sq_total = np.square(centred).sum(axis=1)
+    var = sq_total / length
+    std = np.sqrt(var)
+    median, quantiles = _order_statistics(x)
+    iqr = quantiles[:, 3] - quantiles[:, 2]
     value_range = maximum - minimum
 
-    centred = x - mean[:, None]
     safe_std = np.maximum(std, eps)
-    skewness = (centred ** 3).mean(axis=1) / safe_std ** 3
-    kurtosis = (centred ** 4).mean(axis=1) / safe_std ** 4 - 3.0
+    skewness = (centred ** 3).sum(axis=1) / length / safe_std ** 3
+    kurtosis = (centred ** 4).sum(axis=1) / length / safe_std ** 4 - 3.0
 
-    diffs = np.diff(x, axis=1)
-    mean_abs_change = np.abs(diffs).mean(axis=1)
-    mean_change = diffs.mean(axis=1)
-    abs_energy = (x ** 2).sum(axis=1)
-    rms = np.sqrt((x ** 2).mean(axis=1))
+    diffs = x[:, 1:] - x[:, :-1]
+    mean_abs_change = np.abs(diffs).sum(axis=1) / (length - 1)
+    mean_change = diffs.sum(axis=1) / (length - 1)
+    abs_energy = np.square(x).sum(axis=1)
+    rms = np.sqrt(abs_energy / length)
 
     above_mean = x > mean[:, None]
-    count_above = above_mean.sum(axis=1).astype(float)
-    count_below = length - count_above
+    count_above = above_mean.sum(axis=1)
     longest_strike = _longest_strike_batch(above_mean)
 
     signs = np.sign(x)
-    zero_crossings = (np.abs(np.diff(signs, axis=1)) > 0).sum(axis=1).astype(float)
-    mean_crossings = (np.abs(np.diff(above_mean.astype(float), axis=1)) > 0).sum(axis=1).astype(float)
+    zero_crossings = (np.abs(signs[:, 1:] - signs[:, :-1]) > 0).sum(axis=1)
+    mean_crossings = (above_mean[:, 1:] != above_mean[:, :-1]).sum(axis=1)
 
-    ac1 = _autocorr(x, 1)
-    ac2 = _autocorr(x, 2)
-    ac4 = _autocorr(x, 4)
-    ac8 = _autocorr(x, 8)
+    has_var = var > eps
+    safe_var = np.maximum(var, eps)
+    autocorr = []
+    for lag in (1, 2, 4, 8):
+        if lag >= length:
+            autocorr.append(np.zeros(n))
+            continue
+        cov = (centred[:, :-lag] * centred[:, lag:]).sum(axis=1) / (length - lag)
+        autocorr.append(np.where(has_var, cov / safe_var, 0.0))
+    ac1, ac2, ac4, ac8 = autocorr
     pac1 = ac1  # first partial autocorrelation equals the first autocorrelation
 
     spectrum = np.abs(np.fft.rfft(centred, axis=1)) ** 2
@@ -156,32 +220,30 @@ def extract_features(windows: np.ndarray) -> np.ndarray:
     spectral_centroid = (spectrum * freqs[None, :]).sum(axis=1) / spectrum_sum
     p_norm = spectrum / spectrum_sum[:, None]
     spectral_entropy = -(p_norm * np.log(p_norm + eps)).sum(axis=1)
-    dominant_freq = spectrum[:, 1:].argmax(axis=1).astype(float) + 1.0 if spectrum.shape[1] > 1 \
-        else np.zeros(n)
-    dominant_power_ratio = (
-        spectrum[np.arange(n), dominant_freq.astype(int)] / spectrum_sum
-        if spectrum.shape[1] > 1 else np.zeros(n)
-    )
+    if spectrum.shape[1] > 1:
+        dominant_freq = spectrum[:, 1:].argmax(axis=1) + 1
+        dominant_power_ratio = spectrum[np.arange(n), dominant_freq] / spectrum_sum
+    else:
+        dominant_freq = dominant_power_ratio = np.zeros(n)
 
     t = np.arange(length, dtype=float)
     t_centred = t - t.mean()
     slope = (centred * t_centred[None, :]).sum(axis=1) / np.maximum((t_centred ** 2).sum(), eps)
     fitted = slope[:, None] * t_centred[None, :]
     ss_res = ((centred - fitted) ** 2).sum(axis=1)
-    ss_tot = np.maximum((centred ** 2).sum(axis=1), eps)
-    r2 = 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / np.maximum(sq_total, eps)
 
     n_peaks, peak_dist = _peak_stats_batch(x)
 
-    complexity = np.sqrt((diffs ** 2).sum(axis=1))
-    sample_entropy_proxy = np.log1p(mean_abs_change / np.maximum(std, eps))
+    complexity = np.sqrt(np.square(diffs).sum(axis=1))
+    sample_entropy_proxy = np.log1p(mean_abs_change / safe_std)
 
-    features = np.column_stack([
+    columns = [
         mean, std, minimum, maximum, median, iqr, value_range,
-        q01, q05, q25, q75, q95, q99,
+        *quantiles.T,  # q01, q05, q25, q75, q95, q99
         skewness, kurtosis,
         mean_abs_change, mean_change, abs_energy, rms,
-        count_above, count_below, longest_strike,
+        count_above, length - count_above, longest_strike,
         zero_crossings, mean_crossings,
         ac1, ac2, ac4, ac8,
         pac1,
@@ -189,12 +251,14 @@ def extract_features(windows: np.ndarray) -> np.ndarray:
         slope, r2,
         n_peaks, peak_dist,
         complexity, sample_entropy_proxy, x[:, -1], x[:, 0],
-    ])
-    if features.shape[1] != len(FEATURE_NAMES):
+    ]
+    if len(columns) != len(FEATURE_NAMES):
         raise AssertionError(
-            f"feature matrix has {features.shape[1]} columns but {len(FEATURE_NAMES)} names"
+            f"feature matrix has {len(columns)} columns but {len(FEATURE_NAMES)} names"
         )
-    return np.nan_to_num(features, nan=0.0, posinf=0.0, neginf=0.0)
+    features = np.array(columns, dtype=np.float64)
+    np.copyto(features, 0.0, where=~np.isfinite(features))  # NaN and ±inf become 0.0
+    return np.ascontiguousarray(features.T)
 
 
 def extract_features_cached(windows: np.ndarray) -> np.ndarray:

@@ -60,6 +60,14 @@ class ServingConfig:
     #: ``None`` leaves admission quality-only (cascade plan by default).
     latency_slo_ms: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.aggregation not in ("vote", "mean"):
+            raise ValueError("aggregation must be 'vote' or 'mean'")
+        if self.cache_capacity < 1:
+            raise ValueError("cache_capacity must be >= 1")
+
 
 @dataclass(frozen=True)
 class SelectionResult:

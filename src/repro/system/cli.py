@@ -722,13 +722,16 @@ def _make_service(args: argparse.Namespace) -> "SelectionService":
     from ..serving import SelectionService, ServingConfig
 
     selector, tier, router = _load_served(args, SelectorStore(args.store))
-    config = ServingConfig(
-        window=args.window,
-        aggregation=args.aggregation,
-        cache_capacity=args.cache_capacity,
-        selector_tier=tier,
-        latency_slo_ms=args.latency_slo_ms,
-    )
+    try:
+        config = ServingConfig(
+            window=args.window,
+            aggregation=args.aggregation,
+            cache_capacity=args.cache_capacity,
+            selector_tier=tier,
+            latency_slo_ms=args.latency_slo_ms,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
     return SelectionService(selector, DEFAULT_MODEL_NAMES, config, cascade=router)
 
 
@@ -740,6 +743,8 @@ def _cmd_batch_select(args: argparse.Namespace) -> int:
     from ..serving import microbatches
     from .reporting import format_cache_stats
 
+    if args.max_batch_windows < 1:
+        raise SystemExit("--max-batch-windows must be >= 1")
     records = _load_series_directory_or_exit(args.data_dir)
     service = _make_service(args)
 
@@ -897,19 +902,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from ..streaming import parse_tick_line, replay_records
 
     _apply_runtime_args(args)
-    audit, tracer, previous_tracer = _setup_obs(args)
-    model_set = (make_default_model_set(window=args.detector_window, fast=True)
-                 if args.score else None)
-    engine = _make_engine_factory(args, model_set=model_set)()
-    if audit is not None:
-        engine.audit = audit
+    if args.chunk < 1:
+        raise SystemExit("--chunk must be >= 1")
 
     def emit(update) -> None:
         if args.emit == "changes" and not (update.changed or update.drift_triggered):
             return
         print(json.dumps(update.as_dict()), flush=True)
 
+    audit, tracer, previous_tracer = _setup_obs(args)
     try:
+        # built inside the try: a flag the engine rejects exits through the
+        # teardown, which restores the default tracer and closes the audit file
+        model_set = (make_default_model_set(window=args.detector_window, fast=True)
+                     if args.score else None)
+        engine = _make_engine_factory(args, model_set=model_set)()
+        if audit is not None:
+            engine.audit = audit
         if args.series_files:
             records = [_load_series_or_exit(path) for path in args.series_files]
             for updates in replay_records(engine, records, chunk=args.chunk):
@@ -949,10 +958,16 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     if args.port is None and not args.series_files:
         raise SystemExit("serve-sharded needs series files to replay, "
                          "or --port to listen for requests")
+    if args.shards < 1:
+        raise SystemExit("--shards must be >= 1")
+    if args.chunk < 1:
+        raise SystemExit("--chunk must be >= 1")
     audit, tracer, previous_tracer = _setup_obs(args)
-    service = ShardedService(_make_engine_factory(args), ServiceConfig(
-        n_shards=args.shards, request_timeout_s=args.request_timeout), audit=audit)
+    service = None
     try:
+        # built inside the try: a flag error exits through the teardown
+        service = ShardedService(_make_engine_factory(args), ServiceConfig(
+            n_shards=args.shards, request_timeout_s=args.request_timeout), audit=audit)
         if args.port is not None:
             import asyncio
 
@@ -987,8 +1002,10 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     finally:
         _teardown_obs(args, audit, tracer, previous_tracer,
                       metrics_text=(service.metrics_text()
-                                    if args.metrics_output is not None else None))
-        service.close()
+                                    if service is not None and args.metrics_output is not None
+                                    else None))
+        if service is not None:
+            service.close()
 
 
 def _frontend_request(host: str, port: int, op: str, **fields: object):

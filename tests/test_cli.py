@@ -347,6 +347,67 @@ class TestTrainEvaluateDetect:
                   flag, value])
         assert str(caught.value.code) == message
 
+    @pytest.mark.parametrize("command", ["batch-select", "serve"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window", "0", "window must be >= 1"),
+        ("--window", "-5", "window must be >= 1"),
+        ("--cache-capacity", "0", "cache_capacity must be >= 1"),
+    ])
+    def test_bad_serving_config_exits_with_its_message(self, cli_workspace, trained_store,
+                                                       monkeypatch, command, flag, value,
+                                                       message):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        inputs = [str(cli_workspace["data_dir"])] if command == "batch-select" else []
+        with pytest.raises(SystemExit) as caught:
+            main([command, *inputs, "--store", str(trained_store), "--name", "mlp", flag, value])
+        assert str(caught.value.code) == message
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_batch_select_rejects_a_window_budget_below_one(self, trained_store, tmp_path,
+                                                            budget):
+        # checked before the data directory is read
+        with pytest.raises(SystemExit) as caught:
+            main(["batch-select", str(tmp_path / "no-such-dir"), "--store", str(trained_store),
+                  "--name", "mlp", "--window", "64", "--max-batch-windows", budget])
+        assert str(caught.value.code) == "--max-batch-windows must be >= 1"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("serve-sharded", "--shards"), ("serve-sharded", "--chunk"), ("stream", "--chunk"),
+    ])
+    def test_replay_flag_below_one_exits_with_its_message(self, cli_workspace, trained_store,
+                                                          command, flag):
+        series = sorted(cli_workspace["data_dir"].glob("*.csv"))[0]
+        with pytest.raises(SystemExit) as caught:
+            main([command, str(series), "--store", str(trained_store), "--name", "mlp",
+                  flag, "0"])
+        assert str(caught.value.code) == f"{flag} must be >= 1"
+
+    @pytest.mark.parametrize("command", ["stream", "serve-sharded"])
+    def test_flag_error_closes_the_tracer_and_audit_file(self, cli_workspace, trained_store,
+                                                         tmp_path, monkeypatch, command):
+        from repro import obs
+        from repro.obs import trace
+
+        opened = []
+
+        class RecordingAuditLog(obs.AuditLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(obs, "AuditLog", RecordingAuditLog)
+        series = sorted(cli_workspace["data_dir"].glob("*.csv"))[0]
+        # serve-sharded has no --trace flag
+        trace_flag = ["--trace", str(tmp_path / "trace.jsonl")] if command == "stream" else []
+        with pytest.raises(SystemExit) as caught:
+            main([command, str(series), "--store", str(trained_store), "--name", "mlp",
+                  "--window", "0", "--audit", str(tmp_path / "audit.jsonl"), *trace_flag])
+        assert str(caught.value.code) == "window must be >= 1"
+        assert trace._default_tracer is trace.NULL_TRACER
+        assert len(opened) == 1 and opened[0]._file is None
+
     def test_serve_sharded_matches_single_process_stream(self, cli_workspace,
                                                          trained_store, capsys):
         files = sorted(cli_workspace["data_dir"].glob("*.csv"))[:2]

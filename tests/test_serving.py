@@ -415,6 +415,18 @@ class TestNonFiniteSelection:
             predict_for_series(serving_world["selector"], self._broken(serving_world, value), 64)
 
 
+class TestServingConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"window": 0}, r"^window must be >= 1$"),
+        ({"window": -5}, r"^window must be >= 1$"),
+        ({"aggregation": "median"}, r"^aggregation must be 'vote' or 'mean'$"),
+        ({"cache_capacity": 0}, r"^cache_capacity must be >= 1$"),
+    ])
+    def test_config_rejects_bad_values_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ServingConfig(**fields)
+
+
 class TestEmptySelection:
     """An empty series has no point to window: both selection entry points
     raise a ``ValueError`` naming it, and nothing about it reaches the cache."""
