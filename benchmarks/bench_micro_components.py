@@ -115,7 +115,7 @@ def test_micro_feature_extraction(benchmark):
 
 
 @pytest.mark.benchmark(group="micro-oracle")
-@pytest.mark.parametrize("detector_name", ["IForest", "IForest1", "MP", "HBOS", "POLY"])
+@pytest.mark.parametrize("detector_name", ["IForest", "IForest1", "LOF", "MP", "HBOS", "POLY"])
 def test_micro_detector_scoring(benchmark, detector_name):
     record = generate_series("IOPS", 0, 1000, seed=3)
     detector = make_detector(detector_name, window=24)

@@ -22,7 +22,9 @@ tiling:
 
 The self-join (``reference is query``) walks only the upper triangle of
 the tile grid and reuses each block transposed for the mirrored rows —
-half the GEMM work.
+half the GEMM work.  Both self-joins, this one's diagonal tiles and
+``ml.neighbors.pairwise_sq_euclidean``'s full matrix, make their result
+exactly symmetric with :func:`mirror_upper`.
 """
 
 from __future__ import annotations
@@ -34,10 +36,31 @@ import numpy as np
 from .config import memory_budget_bytes
 from .precision import resolve_dtype
 
-__all__ = ["padded_matmul_t", "tile_kneighbors"]
+__all__ = ["mirror_upper", "padded_matmul_t", "tile_kneighbors"]
 
 #: output-dimension padding multiple; covers OpenBLAS micro-kernel widths
 _GEMM_PAD = 16
+
+#: rows mirrored per block: the transposed source is a strip this many
+#: columns wide, which stays in cache while the block's rows are written
+_MIRROR_ROWS = 64
+_STRICT_LOWER = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
+
+
+def mirror_upper(d: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square ``d`` onto its lower one, in place.
+
+    Block by block of ``_MIRROR_ROWS`` rows: the rows left of the diagonal
+    block come from the strip above it, transposed, and the diagonal block
+    copies its own transpose below its diagonal.  Only copies, so every
+    mirrored element has its upper twin's bytes.
+    """
+    n = d.shape[0]
+    for i0 in range(0, n, _MIRROR_ROWS):
+        i1 = min(i0 + _MIRROR_ROWS, n)
+        d[i0:i1, :i0] = d[:i0, i0:i1].T
+        diagonal = d[i0:i1, i0:i1]
+        np.copyto(diagonal, diagonal.T, where=_STRICT_LOWER[:i1 - i0, :i1 - i0])
 
 
 def padded_matmul_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,8 +195,7 @@ def tile_kneighbors(
                     # GEMM output is not guaranteed bitwise symmetric; mirror
                     # the upper triangle so every (i, j) / (j, i) pair shares
                     # the upper-triangle bits no matter how the grid is cut.
-                    il, jl = np.tril_indices(i1 - i0, k=-1)
-                    block[il, jl] = block[jl, il]
+                    mirror_upper(block)
                 if exclude_self:
                     _mask_self_matches(block, i0, j0)
                 _merge_topk(best_d[i0:i1], best_i[i0:i1], block, j0)

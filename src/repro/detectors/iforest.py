@@ -126,7 +126,16 @@ class _FlatTrees:
         self.depth = 0
 
     def grow(self, xt: np.ndarray, max_depth: int, rng: np.random.Generator) -> None:
-        """Append one tree fitted on the (features, samples) array ``xt``."""
+        """Append one tree fitted on the (features, samples) array ``xt``.
+
+        A node sorts its rows by the drawn feature: the sorted column's ends
+        are its minimum and maximum, ``searchsorted`` counts the rows below
+        the split, and the children are the two slices of the rows in that
+        order.  The trees are the recursive build's: a node's draws, split
+        and leaf path depend only on its set of rows, ``lo + span·u`` is the
+        same whichever zero sorts first, and NaN sorts last, so a column
+        holding one has a NaN span and ``uniform`` raises.
+        """
         draws = _TreeDraws(rng, 3 * 2 ** (max_depth - 1) + 1)
         add_feature, add_value, add_path = self.feature.append, self.value.append, self.leaf_path.append
         right = self.right
@@ -140,18 +149,21 @@ class _FlatTrees:
             size = len(rows)
             if depth < max_depth and size > 1:
                 feature = draws.integers(n_features)
-                column = xt[feature, rows]
-                lo, hi = float(column.min()), float(column.max())
+                column = xt[feature][rows]
+                order = column.argsort()
+                column = column[order]
+                lo, hi = float(column[0]), float(column[-1])
                 if not hi - lo < 1e-12:
                     value = draws.uniform(lo, hi)
-                    mask = column < value
-                    if 0 < np.count_nonzero(mask) < size:
+                    split = column.searchsorted(value)
+                    if 0 < split < size:
+                        rows = rows[order]
                         add_feature(feature)
                         add_value(value)
                         add_path(0.0)
                         right.append(-1)
-                        stack.append((rows[~mask], depth + 1, node))
-                        stack.append((rows[mask], depth + 1, -1))
+                        stack.append((rows[split:], depth + 1, node))
+                        stack.append((rows[:split], depth + 1, -1))
                         continue
             add_feature(-1)
             add_value(0.0)

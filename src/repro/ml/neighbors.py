@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..accel.config import memory_budget_bytes
-from ..accel.distances import tile_kneighbors
+from ..accel.distances import mirror_upper, tile_kneighbors
 from ..accel.precision import resolve_dtype
 
 
@@ -46,7 +46,7 @@ def pairwise_sq_euclidean(a: np.ndarray, b: Optional[np.ndarray] = None,
         a_sq = (a ** 2).sum(axis=1)
         d = a_sq[:, None] + a_sq[None, :] - 2.0 * a @ a.T
         np.maximum(d, 0.0, out=d)
-        _mirror_upper(d)
+        mirror_upper(d)
         return d
     b = np.asarray(b, dtype=dt)
     a_sq = (a ** 2).sum(axis=1)[:, None]
@@ -54,17 +54,6 @@ def pairwise_sq_euclidean(a: np.ndarray, b: Optional[np.ndarray] = None,
     d = a_sq + b_sq - 2.0 * a @ b.T
     np.maximum(d, 0.0, out=d)
     return d
-
-
-def _mirror_upper(d: np.ndarray, block: int = 1024) -> None:
-    """Copy the strict upper triangle of a square matrix onto the lower one."""
-    n = d.shape[0]
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        if i0:
-            d[i0:i1, :i0] = d[:i0, i0:i1].T
-        il, jl = np.tril_indices(i1 - i0, k=-1)
-        d[i0 + il, i0 + jl] = d[i0 + jl, i0 + il]
 
 
 def kneighbors(

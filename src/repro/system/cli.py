@@ -89,6 +89,13 @@ def _apply_runtime_args(args: argparse.Namespace) -> None:
         args.workers = accel_config.default_max_workers(args.workers)
 
 
+def _require_at_least_one(args: argparse.Namespace, *flags: str) -> None:
+    """Exit with ``FLAG must be >= 1`` for the first of ``flags`` set below one."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) < 1:
+            raise SystemExit(f"{flag} must be >= 1")
+
+
 #: suffix appended to a teacher's store name per serving tier
 _TIER_SUFFIX = {"teacher": "", "teacher-int8": "-int8", "student": "-student"}
 
@@ -485,6 +492,7 @@ def _load_labelled(data_dir: Path, performance_path: Path):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "--window", "--stride")
     records, matrix, detector_names = _load_labelled(args.data_dir, args.performance)
     dataset = build_selector_dataset(records, matrix, detector_names,
                                      window=args.window, stride=args.stride, seed=args.seed)
@@ -519,6 +527,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     from ..cascade import calibrate_margin_threshold
     from ..distill import DistillConfig, calibration_split, distill_student
 
+    _require_at_least_one(args, "--window", "--stride")
     records = _load_series_directory_or_exit(args.data_dir)
     store = SelectorStore(args.store)
     teacher = _load_tier_selector(store, args.name, "teacher")
@@ -572,6 +581,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _cmd_quantize_teacher(args: argparse.Namespace) -> int:
     from ..distill import quantize_teacher
 
+    _require_at_least_one(args, "--window", "--stride")
     records = _load_series_directory_or_exit(args.data_dir)
     store = SelectorStore(args.store)
     teacher = _load_tier_selector(store, args.name, "teacher")
@@ -600,6 +610,7 @@ def _cmd_quantize_teacher(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "--window")
     records, matrix, detector_names = _load_labelled(args.data_dir, args.performance)
     selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
     evaluation = evaluate_selection(selector, records, matrix, detector_names, window=args.window)
@@ -630,6 +641,7 @@ def _load_series_directory_or_exit(directory):
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "--window")
     record = _load_series_or_exit(args.series_file)
     selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
     choice, votes = predict_for_series(selector, record, args.window)
@@ -640,6 +652,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "--window")
     _apply_runtime_args(args)
     record = _load_series_or_exit(args.series_file)
     selector = _load_tier_selector(SelectorStore(args.store), args.name, "teacher")
@@ -743,8 +756,7 @@ def _cmd_batch_select(args: argparse.Namespace) -> int:
     from ..serving import microbatches
     from .reporting import format_cache_stats
 
-    if args.max_batch_windows < 1:
-        raise SystemExit("--max-batch-windows must be >= 1")
+    _require_at_least_one(args, "--max-batch-windows")
     records = _load_series_directory_or_exit(args.data_dir)
     service = _make_service(args)
 
@@ -902,8 +914,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from ..streaming import parse_tick_line, replay_records
 
     _apply_runtime_args(args)
-    if args.chunk < 1:
-        raise SystemExit("--chunk must be >= 1")
+    _require_at_least_one(args, "--chunk")
 
     def emit(update) -> None:
         if args.emit == "changes" and not (update.changed or update.drift_triggered):
@@ -958,10 +969,7 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     if args.port is None and not args.series_files:
         raise SystemExit("serve-sharded needs series files to replay, "
                          "or --port to listen for requests")
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.chunk < 1:
-        raise SystemExit("--chunk must be >= 1")
+    _require_at_least_one(args, "--shards", "--chunk")
     audit, tracer, previous_tracer = _setup_obs(args)
     service = None
     try:
@@ -1031,6 +1039,7 @@ def _cmd_train_cost_model(args: argparse.Namespace) -> int:
     from ..cascade import CostModel, harvest_cost_observations
     from ..obs import AuditLog
 
+    _require_at_least_one(args, "--window")
     events = []
     for path in args.audit_files:
         try:

@@ -25,6 +25,7 @@ from repro.accel import (
 )
 from repro.accel import config as accel_config
 from repro.accel import precision as accel_precision
+from repro.accel.distances import mirror_upper
 from repro.accel.reference import (
     kneighbors_dense,
     matrix_profile_matmul,
@@ -35,6 +36,8 @@ from repro.detectors.matrix_profile import matrix_profile as detector_matrix_pro
 from repro.ml.neighbors import kneighbors, pairwise_sq_euclidean
 from repro.ml.scalers import zscore, zscore_rows
 from repro.serving.workers import WorkerPool
+
+from reference_mirror import reference_mirror_upper
 
 
 # --------------------------------------------------------------------------- #
@@ -365,6 +368,69 @@ class TestPairwiseSelfJoin:
     def test_float32_dtype(self):
         a = np.random.default_rng(17).normal(size=(10, 3))
         assert pairwise_sq_euclidean(a, dtype="float32").dtype == np.float32
+
+
+#: a quiet NaN with a payload: a mirror that copies bytes keeps it
+_PAYLOAD_NAN = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+
+
+def _square_with_specials(n: int, dtype, seed: int) -> np.ndarray:
+    """A random (n, n) matrix with NaN, ±inf and ±0.0 entries on both sides of the diagonal."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, n))
+    if n:
+        flat = d.reshape(-1)
+        specials = np.array([np.nan, _PAYLOAD_NAN, np.inf, -np.inf, -0.0, 0.0])
+        spots = rng.choice(n * n, size=min(n * n, 6 * max(1, n // 4)), replace=False)
+        flat[spots] = np.resize(specials, len(spots))
+    return d.astype(dtype)
+
+
+class TestMirrorUpper:
+    """``mirror_upper`` against the former 1,024-row ``tril_indices`` mirror, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025, 2049])
+    def test_bytes_match_the_reference(self, n, dtype):
+        d = _square_with_specials(n, dtype, seed=n)
+        ours, theirs = d.copy(), d.copy()
+        mirror_upper(ours)
+        reference_mirror_upper(theirs)
+        assert ours.dtype == dtype
+        assert ours.tobytes() == theirs.tobytes()
+        upper = np.triu_indices(n)
+        assert ours[upper].tobytes() == d[upper].tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("tile", [37, 63, 64, 65, 100, 129, 200])
+    def test_tiled_self_join_keeps_its_bits(self, monkeypatch, tile, dtype):
+        """Diagonal tiles that end inside a mirror block give the former mirror's output."""
+        import repro.accel.distances as distances
+
+        rng = np.random.default_rng(tile)
+        x = rng.normal(size=(300, 6))
+        x[150] = x[0]  # exact distance ties
+        x[7, 2] = -0.0
+        for exclude in (True, False):
+            ours = tile_kneighbors(x, x, 9, exclude_self=exclude, tile_rows=tile, dtype=dtype)
+            with monkeypatch.context() as patch:
+                patch.setattr(distances, "mirror_upper", reference_mirror_upper)
+                theirs = tile_kneighbors(x, x, 9, exclude_self=exclude, tile_rows=tile, dtype=dtype)
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n", [1, 65, 700, 1100])
+    def test_dense_self_join_keeps_its_bits(self, monkeypatch, n, dtype):
+        import repro.ml.neighbors as neighbors
+
+        x = np.random.default_rng(n).normal(size=(n, 5))
+        ours = kneighbors(x, x, 10, exclude_self=True, dtype=dtype)
+        with monkeypatch.context() as patch:
+            patch.setattr(neighbors, "mirror_upper", reference_mirror_upper)
+            theirs = kneighbors(x, x, 10, exclude_self=True, dtype=dtype)
+        for a, b in zip(ours, theirs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestKneighborsRouting:

@@ -80,6 +80,43 @@ class TestParser:
             build_parser().parse_args(["train", "data", "perf.npz", "--selector", "NotASelector"])
 
 
+class TestWindowAndStrideBelowOne:
+    """``--window`` and ``--stride`` below 1 exit with a message before any input is read.
+
+    Every input named here is missing, so a command that read one first
+    would exit with a different message.
+    """
+
+    #: each command's required arguments
+    REQUIRED = {
+        "train": ["{missing}", "{missing}.npz", "--store", "{store}"],
+        "distill": ["{missing}", "--name", "mlp", "--store", "{store}"],
+        "quantize-teacher": ["{missing}", "--name", "mlp", "--store", "{store}"],
+        "evaluate": ["{missing}", "{missing}.npz", "--name", "mlp", "--store", "{store}"],
+        "select": ["{missing}.csv", "--name", "mlp", "--store", "{store}"],
+        "detect": ["{missing}.csv", "--name", "mlp", "--store", "{store}"],
+        "train-cost-model": ["{missing}.jsonl"],
+    }
+
+    def _exit_message(self, tmp_path, command, flag, value):
+        args = [arg.format(missing=tmp_path / "missing", store=tmp_path / "store")
+                for arg in self.REQUIRED[command]]
+        with pytest.raises(SystemExit) as caught:
+            main([command, *args, flag, value])
+        assert not (tmp_path / "store").exists()
+        return str(caught.value.code)
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_window_below_one(self, tmp_path, command, value):
+        assert self._exit_message(tmp_path, command, "--window", value) == "--window must be >= 1"
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["train", "distill", "quantize-teacher"])
+    def test_stride_below_one(self, tmp_path, command, value):
+        assert self._exit_message(tmp_path, command, "--stride", value) == "--stride must be >= 1"
+
+
 class TestGenerateAndLabel:
     def test_generate_data_writes_csv(self, cli_workspace):
         files = list(cli_workspace["data_dir"].glob("*.csv"))

@@ -229,6 +229,16 @@ class TestIsolationForest:
         s2 = IsolationForest(seed=7).fit(x).score_samples(x)
         assert np.array_equal(s1, s2)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_split_on_a_sample_value_sends_it_right(self, d):
+        """Floats near 1e16 are 2 apart, so every drawn split lands on a grid
+        value; rows equal to it go right, as in the recursive reference."""
+        from reference_iforest import reference_score_samples
+
+        x = 1e16 + 2.0 * np.random.default_rng(9).integers(0, 6, size=(200, d))
+        ours = IsolationForest(20, 64, 5).fit(x).score_samples(x)
+        assert ours.tobytes() == reference_score_samples(x, x, 20, 64, 5).tobytes()
+
 
 class TestLOFandHBOS:
     def test_lof_isolated_point_scores_high(self):

@@ -3,7 +3,8 @@
 ``tools/perf_pairs.py`` pairs perfbench runs of a parent and a change and
 appends one summary record to ``BENCH_perfbench.json``.  These tests pin
 the arithmetic of that record: quartiles, wins in each metric's direction,
-the bound check, the clear-gain rule and the alternating run order.
+the bound check, the clear-gain rule, the alternating run order and the
+report of a reference that moved between the sides.
 """
 
 import importlib.util
@@ -106,7 +107,8 @@ def test_wall_clock_figures_are_kept_per_side(perf_pairs):
                     (_record(120.0, 1.2, [0.4]), _record(70.0, 1.3, [0.5, 0.9])),
                     (_record(110.0, 1.1, [0.3, 0.2]), _record(65.0, 1.0, [0.8]))]
     summary = perf_pairs.summarise_wall_clock(record_pairs)
-    assert set(summary) == {"op_p50_ms", "op_tail_ms", "reference_p50_ms", "setup_wall_s"}
+    assert set(summary) == {"op_p50_ms", "op_tail_ms", "reference_p50_ms", "setup_wall_s",
+                            "reference_shift", "reference_moved"}
     assert summary["op_p50_ms"]["parent"] == {"q1": 105.0, "median": 110.0, "q3": 115.0,
                                               "runs": [100.0, 120.0, 110.0]}
     assert summary["op_p50_ms"]["change"]["runs"] == [60.0, 70.0, 65.0]
@@ -115,6 +117,42 @@ def test_wall_clock_figures_are_kept_per_side(perf_pairs):
     # one run's set-up figure is the median of its set-up repeats
     assert summary["setup_wall_s"]["parent"]["runs"] == [0.6, 0.4, 0.25]
     assert summary["setup_wall_s"]["change"]["runs"] == [0.6, 0.7, 0.8]
+
+
+def _workload_summary(perf_pairs, parent_refs, change_refs):
+    """A workload's summary: flat metrics, and these reference times per run and side."""
+    summary = perf_pairs.summarise([(_result(1.0, 10.0), _result(1.0, 10.0))] * len(parent_refs),
+                                   SPEC)
+    summary["wall_clock"] = perf_pairs.summarise_wall_clock(
+        [(_record(100.0, parent, [0.5]), _record(90.0, change, [0.5]))
+         for parent, change in zip(parent_refs, change_refs)])
+    return summary
+
+
+def test_a_reference_faster_in_the_change_is_reported(perf_pairs):
+    summary = _workload_summary(perf_pairs, [2.0, 2.2, 2.1], [1.9, 1.94, 1.96])
+    clock = summary["wall_clock"]
+    assert clock["reference_shift"] == pytest.approx(1.94 / 2.1 - 1.0)
+    assert clock["reference_moved"] is True
+    note = perf_pairs.reference_note("offline", summary)
+    assert note.startswith("offline reference moved: the change's reference_p50_ms is -7.6 % ")
+    # only the metrics that divide by the reference are named, and they read worse
+    assert note.endswith("so points_per_ref read worse for the change by that alone")
+    assert "setup_s" not in note
+
+
+def test_a_reference_slower_in_the_change_reads_better(perf_pairs):
+    summary = _workload_summary(perf_pairs, [2.0, 2.0], [2.1, 2.1])
+    assert summary["wall_clock"]["reference_shift"] == pytest.approx(0.05)
+    assert "+5.0 %" in perf_pairs.reference_note("stream", summary)
+    assert "read better" in perf_pairs.reference_note("stream", summary)
+
+
+@pytest.mark.parametrize("change_refs", [[2.0, 2.0, 2.0], [2.05, 2.06, 2.04], [1.95, 1.95, 1.95]])
+def test_a_reference_within_three_percent_has_not_moved(perf_pairs, change_refs):
+    summary = _workload_summary(perf_pairs, [2.0, 2.0, 2.0], change_refs)
+    assert summary["wall_clock"]["reference_moved"] is False
+    assert perf_pairs.reference_note("serve", summary) is None
 
 
 def test_append_record_keeps_earlier_records(perf_pairs, tmp_path):
@@ -136,8 +174,16 @@ def test_committed_ledger_records_are_complete():
             for metric in summary["metrics"].values():
                 assert {"q1", "median", "q3"} <= set(metric["parent"]) & set(metric["change"])
                 assert 0 <= metric["change_wins"] <= summary["pairs"]
-            # records written before the wall-clock figures were kept lack them
-            for figure in summary.get("wall_clock", {}).values():
+            # records written before the wall-clock figures were kept lack
+            # them, and those written before the reference shift lack it
+            clock = dict(summary.get("wall_clock", {}))
+            if "reference_shift" in clock:
+                shift, moved = clock.pop("reference_shift"), clock.pop("reference_moved")
+                reference = clock["reference_p50_ms"]
+                assert shift == pytest.approx(
+                    reference["change"]["median"] / reference["parent"]["median"] - 1.0)
+                assert moved == (abs(shift) > 0.03)
+            for figure in clock.values():
                 for side in ("parent", "change"):
                     assert {"q1", "median", "q3"} <= set(figure[side])
                     assert len(figure[side]["runs"]) == summary["pairs"]

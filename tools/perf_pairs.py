@@ -25,7 +25,11 @@ distinct answers (``offline``: ``matrix_hash``, ``selection_auc_pr``).
 Beside the ``ref``-unit metrics, each workload keeps both sides' wall-clock
 figures per run (``wall_clock``: the operations' median and tail ms, the
 reference workload's median ms and the median set-up wall seconds), so a
-reader can tell a program change from a move of the reference.
+reader can tell a program change from a move of the reference.  The
+wall-clock summary also holds ``reference_shift``, the change's median
+reference time over the parent's minus one, and ``reference_moved``, set
+when that shift exceeds ``REFERENCE_MOVE`` either way; the tool then
+prints which ``ref`` metrics the shift distorts.
 A run that exits non-zero stops the tool before anything is written.
 """
 
@@ -42,10 +46,12 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: a relative shift of the median reference time beyond which it "moved"
+REFERENCE_MOVE = 0.03
 
 
 def run_order(pair: int) -> Tuple[str, str]:
@@ -124,15 +130,40 @@ def summarise_wall_clock(record_pairs: Sequence[Tuple[dict, dict]]) -> dict:
     """Each side's runs and quartiles of every :func:`wall_clock` figure.
 
     ``record_pairs`` holds (parent, change) run records; no bound or win is
-    judged on these figures.
+    judged on these figures.  ``reference_shift`` compares the two sides'
+    median reference times and ``reference_moved`` flags a shift beyond
+    ``REFERENCE_MOVE``.
     """
-    summary: Dict[str, dict] = {}
+    summary: Dict[str, object] = {}
     for side, column in zip(SIDES, zip(*record_pairs)):
         figures = [wall_clock(record) for record in column]
         for name in figures[0]:
             runs = [f[name] for f in figures]
             summary.setdefault(name, {})[side] = {**quartiles(runs), "runs": runs}
+    reference = summary["reference_p50_ms"]
+    shift = reference["change"]["median"] / reference["parent"]["median"] - 1.0
+    summary["reference_shift"] = shift
+    summary["reference_moved"] = abs(shift) > REFERENCE_MOVE
     return summary
+
+
+def reference_note(workload: str, summary: dict) -> Optional[str]:
+    """A line naming a moved reference and the ``ref`` metrics it distorts, else ``None``.
+
+    A ``ref`` metric counts each operation in reference times
+    (``points_per_ref`` divides the points by their sum), so a reference
+    that runs faster in the change's processes makes every ``ref`` metric
+    read worse for the change by the same factor, and a slower one better.
+    """
+    clock = summary["wall_clock"]
+    if not clock["reference_moved"]:
+        return None
+    shift = clock["reference_shift"]
+    distorted = [name for name, metric in summary["metrics"].items()
+                 if metric["unit"].split("/")[-1] == "ref"]
+    return (f"{workload} reference moved: the change's reference_p50_ms is {100 * shift:+.1f} % "
+            f"off the parent's, so {', '.join(distorted)} read {'better' if shift > 0 else 'worse'} "
+            f"for the change by that alone")
 
 
 def append_record(ledger: Path, record: dict) -> None:
@@ -244,8 +275,12 @@ def main(argv=None) -> int:
                   f"change {metric['change']['median']:.4g} "
                   f"(change wins {metric['change_wins']}/{summary['pairs']})")
         for name, sides in summary["wall_clock"].items():
-            print(f"{workload} wall_clock {name}: parent {sides['parent']['median']:.4g} "
-                  f"change {sides['change']['median']:.4g}")
+            if isinstance(sides, dict):
+                print(f"{workload} wall_clock {name}: parent {sides['parent']['median']:.4g} "
+                      f"change {sides['change']['median']:.4g}")
+        note = reference_note(workload, summary)
+        if note:
+            print(note)
     return 0
 
 
