@@ -2,8 +2,8 @@
 #
 #   make test        - tier-1 test suite (the gate every PR must keep green)
 #   make chaos       - fault-injection suite for the sharded service
-#                      (shard kills, hangs, flaky transport) under a hard
-#                      wall-clock timeout
+#                      (shards killed with SIGKILL, hung with SIGSTOP)
+#                      under a hard wall-clock timeout
 #   make bench-smoke - fast serving + streaming + kernel + service benchmarks
 #                      (assert speedups; smoke runs gate against
 #                      benchmarks/baselines.json with recorded margins).

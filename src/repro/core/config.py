@@ -60,6 +60,8 @@ class PruningConfig:
             raise ValueError("pruning method must be 'none', 'infobatch' or 'pa'")
         if not 0.0 <= self.ratio < 1.0:
             raise ValueError("pruning ratio must be in [0, 1)")
+        if not 1 <= self.lsh_bits <= 63:
+            raise ValueError("lsh_bits must be between 1 and 63")
 
 
 @dataclass(frozen=True)

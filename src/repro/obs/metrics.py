@@ -21,8 +21,8 @@ A :class:`MetricsRegistry` aggregates metrics for exposition
 (:meth:`MetricsRegistry.render_prometheus` emits the Prometheus text
 format).  The registry is where the **no-op mode** lives:
 
-* a *disabled* registry hands out shared null metrics from
-  :meth:`counter` / :meth:`histogram` whose methods do
+* a *disabled* registry hands out a shared null metric from
+  :meth:`histogram` whose methods do
   nothing and whose :meth:`Histogram.time` context manager never reads a
   clock — instrumentation sites pay one attribute call and nothing else,
 * :meth:`register` on a disabled registry leaves the metric fully
@@ -271,9 +271,9 @@ def _render_labels(labels: Dict[str, str]) -> str:
 class MetricsRegistry:
     """A collection of metrics with get-or-create access and exposition.
 
-    ``enabled=False`` turns the registry into a no-op factory: the
-    ``counter``/``histogram`` helpers return :data:`NULL_METRIC`
-    and :meth:`register` tracks nothing (the metric itself keeps working).
+    ``enabled=False`` turns the registry into a no-op factory:
+    :meth:`histogram` returns :data:`NULL_METRIC` and :meth:`register`
+    tracks nothing (the metric itself keeps working).
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -307,9 +307,6 @@ class MetricsRegistry:
                 raise TypeError(f"metric {name!r} already registered as "
                                 f"{type(metric).__name__}, not {cls.__name__}")
             return metric
-
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,

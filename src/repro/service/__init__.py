@@ -8,10 +8,10 @@ through shared memory (zero-copy), and replays streams onto restarted
 shards from its journal.
 Selections and scores are bitwise-equal to the single-process engine.
 
-Entry points: :class:`ShardedService` (in-process Python API),
+Entry points: :class:`ShardedService` (in-process Python API) and
 :class:`ServiceFrontend` (asyncio TCP server; the ``serve-sharded`` CLI
-command), and :class:`FaultInjector` (deterministic transport chaos for
-the fault-injection suite under ``tests/chaos/``).
+command).  The front end and each shard speak one request, one reply over
+TCP; a shard that dies or hangs is killed, restarted and replayed.
 """
 
 from .frontend import (
@@ -24,8 +24,6 @@ from .frontend import (
 from .shard import ShardServer, shard_main
 from .supervisor import ShardHandle, ShardSupervisor
 from .transport import (
-    FaultInjector,
-    FaultPlan,
     FrameReader,
     SharedSegmentCache,
     SharedSeriesBuffer,
@@ -37,8 +35,6 @@ from .transport import (
 )
 
 __all__ = [
-    "FaultInjector",
-    "FaultPlan",
     "FrameReader",
     "ServiceConfig",
     "ServiceFrontend",

@@ -50,7 +50,6 @@ from ..streaming.engine import StreamEngine, StreamingConfig
 from .supervisor import ShardSupervisor
 from .transport import (
     HEADER_BYTES,
-    FaultInjector,
     SharedSeriesBuffer,
     ShardClient,
     ShardTimeoutError,
@@ -119,6 +118,12 @@ class ServiceConfig:
     #: per-request timeout before a shard is declared hung and restarted
     request_timeout_s: float = 10.0
 
+    def __post_init__(self) -> None:
+        if self.n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if not self.request_timeout_s > 0:
+            raise ValueError("request_timeout_s must be > 0")
+
 
 class ShardedService:
     """Route stream traffic across supervised shard processes."""
@@ -127,13 +132,9 @@ class ShardedService:
         self,
         engine_factory: Callable[[], StreamEngine],
         config: Optional[ServiceConfig] = None,
-        injector_factory: Optional[Callable[[str], Optional[FaultInjector]]] = None,
         audit: Optional[object] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if self.config.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self._injector_factory = injector_factory or (lambda shard_id: None)
         self.supervisor = ShardSupervisor(engine_factory)
         self.shard_ids = tuple(f"shard-{index}" for index in range(self.config.n_shards))
         self._clients: Dict[str, ShardClient] = {}
@@ -147,7 +148,6 @@ class ShardedService:
         self.audit = audit if audit is not None else NULL_AUDIT
         #: counters surfaced in :meth:`stats`
         self.recoveries = 0
-        self._retired_retransmits = 0
         registry = default_registry()
         self._registry = registry
         self._c_recoveries = registry.register(Counter(
@@ -171,9 +171,7 @@ class ShardedService:
 
     def _connect(self, shard_id: str) -> ShardClient:
         handle = self.supervisor.handles[shard_id]
-        client = ShardClient(handle.port,
-                             timeout_s=self.config.request_timeout_s,
-                             injector=self._injector_factory(shard_id))
+        client = ShardClient(handle.port, timeout_s=self.config.request_timeout_s)
         self._clients[shard_id] = client
         return client
 
@@ -203,18 +201,13 @@ class ShardedService:
                 self._recover(shard_id)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _retire_client(self, shard_id: str) -> None:
-        """Close a shard's client, folding its retransmit count into stats."""
-        client = self._clients.pop(shard_id, None)
-        if client is not None:
-            self._retired_retransmits += client.retransmits
-            client.close()
-
     def _recover(self, shard_id: str) -> None:
         """Supervised recovery: kill + respawn + replay the shard's streams."""
         self.recoveries += 1
         self._c_recoveries.inc()
-        self._retire_client(shard_id)
+        client = self._clients.pop(shard_id, None)
+        if client is not None:
+            client.close()
         self.supervisor.restart(shard_id)
         client = self._connect(shard_id)
         owned = [stream for stream in self._buffers if self.owner(stream) == shard_id]
@@ -385,8 +378,6 @@ class ShardedService:
             "per_shard": {sid: resp["stats"] for sid, resp in per_shard.items()},
             "restarts": self.supervisor.restarts,
             "recoveries": self.recoveries,
-            "transport_retransmits": self._retired_retransmits + sum(
-                client.retransmits for client in self._clients.values()),
             "selection_cache": {
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
@@ -405,7 +396,6 @@ class ShardedService:
                 client.request("shutdown")
             except (RuntimeError, OSError, ConnectionError, TimeoutError):
                 pass  # a dead shard cannot acknowledge its shutdown
-            self._retired_retransmits += client.retransmits
             client.close()
         self._clients.clear()
         self.supervisor.stop_all()

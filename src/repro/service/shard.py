@@ -11,17 +11,12 @@ and the handler hands the engine zero-copy views via
 the same cross-stream batching the engine performs in process.  An
 audited request also returns the events the engine recorded in that flush.
 
-Protocol properties the front end and chaos harness rely on:
-
-* **idempotence** — responses are cached per connection by request ``seq``;
-  a retransmitted or duplicated request is answered from the cache without
-  re-executing, so transport faults never double-append,
-* **replayability** — a ``replay`` request rebuilds per-stream state from
-  the shared-memory buffers with the original per-stream flush boundaries,
-  which makes post-restart selections and scores bitwise-equal to an
-  uninterrupted run (replays are never audited),
-* **chaos hooks** — a ``chaos`` request injects a per-request sleep, the
-  deterministic stand-in for a hung or pathologically slow shard.
+Each request gets exactly one reply, in order, on its connection; an
+``{"error": ...}`` reply reports a request the handler refused, and the
+shard serves on.  A ``replay`` request rebuilds per-stream state from the
+shared-memory buffers with the original per-stream flush boundaries, which
+makes post-restart selections and scores bitwise-equal to an uninterrupted
+run (replays are never audited).
 
 Shards are forked from the supervisor, so the engine factory and the
 trained selector it closes over are inherited copy-on-write — nothing is
@@ -32,18 +27,13 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
-from collections import OrderedDict
 from dataclasses import asdict
 from typing import Callable, Dict, List
 
 from ..obs.audit import NULL_AUDIT, AuditLog
-from ..obs.metrics import Counter, default_registry
+from ..obs.metrics import default_registry
 from ..streaming.engine import StreamEngine
 from .transport import FrameReader, SharedSegmentCache, TransportError, encode_message
-
-#: per-connection response-cache depth (covers retransmits and duplicates)
-RESPONSE_CACHE_DEPTH = 64
 
 
 class ShardServer:
@@ -57,15 +47,6 @@ class ShardServer:
         self._segments = SharedSegmentCache()
         self._engine_lock = threading.Lock()
         self._running = True
-        #: requests answered from the exactly-once response cache after the
-        #: fault injector duplicated (or the client retransmitted) a frame —
-        #: the chaos suite asserts on this instead of inferring from timing
-        self._duplicates_suppressed = default_registry().register(Counter(
-            "repro_shard_duplicates_suppressed_total",
-            "requests answered from the exactly-once response cache",
-            {"shard": shard_id}))
-        #: chaos: seconds to sleep before handling each request
-        self._chaos_sleep_s = 0.0
 
     # ------------------------------------------------------------------ #
     # request loop
@@ -95,7 +76,6 @@ class ShardServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         reader = FrameReader(conn)
-        responses: "OrderedDict[int, Dict[str, object]]" = OrderedDict()
         try:
             while self._running:
                 try:
@@ -104,21 +84,10 @@ class ShardServer:
                     break
                 if request is None:
                     break
-                if self._chaos_sleep_s:
-                    time.sleep(self._chaos_sleep_s)
-                seq = request.get("seq")
-                if seq in responses:  # retransmit/duplicate: answer, don't redo
-                    self._duplicates_suppressed.inc()
-                    conn.sendall(encode_message(responses[seq]))
-                    continue
                 try:
                     response = self._dispatch(request)
                 except Exception as error:  # surfaced to the front end
                     response = {"error": f"{type(error).__name__}: {error}"}
-                response["seq"] = seq
-                responses[seq] = response
-                while len(responses) > RESPONSE_CACHE_DEPTH:
-                    responses.popitem(last=False)
                 try:
                     conn.sendall(encode_message(response))
                 except OSError:
@@ -197,9 +166,7 @@ class ShardServer:
         return {"scores": [float(s) for s in self.engine.scores(stream)]}
 
     def _op_stats(self, request: Dict[str, object]) -> Dict[str, object]:
-        stats = asdict(self.engine.stats)
-        stats["duplicates_suppressed"] = self._duplicates_suppressed.value
-        return {"stats": stats,
+        return {"stats": asdict(self.engine.stats),
                 "streams": sorted(self.engine.stream_ids)}
 
     def _op_explain(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -215,10 +182,6 @@ class ShardServer:
         """This shard process's metrics in Prometheus text format."""
         return {"metrics": default_registry().render_prometheus(),
                 "shard": self.shard_id}
-
-    def _op_chaos(self, request: Dict[str, object]) -> Dict[str, object]:
-        self._chaos_sleep_s = float(request.get("sleep_s", 0.0))
-        return {"ok": True, "sleep_s": self._chaos_sleep_s}
 
     def _op_shutdown(self, request: Dict[str, object]) -> Dict[str, object]:
         self._running = False

@@ -12,24 +12,18 @@ attaches the segment and hands the engine a zero-copy NumPy view
 pickling/serialisation ceiling of the earlier process-pool fan-out: handoff
 cost is independent of how many points a tick carries.
 
-Reliability primitives live here too:
-
-* every request carries a monotone ``seq``; :class:`ShardClient` retries on
-  (injected) loss and discards stale responses, and the shard side answers
-  duplicate ``seq`` values from a response cache instead of re-executing —
-  so transport faults never double-apply an append;
-* :class:`FaultInjector` deterministically (seeded) drops, duplicates or
-  delays outgoing requests — the chaos harness's transport layer.
+The front end talks to each shard through one :class:`ShardClient`: one
+request frame, one reply frame, on a TCP connection that delivers each
+frame once and in order.  A shard that does not answer within the
+timeout, or hangs up, goes to the front end's supervised recovery.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import socket
 import struct
 import time
-from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Optional, Tuple
 
@@ -207,7 +201,7 @@ class SharedSegmentCache:
     """Shard-side registry of attached segments, one per stream.
 
     Re-attaches when a stream's segment name changes (the front end grew
-    the buffer) and detaches on :meth:`drop` when a stream moves away.
+    the buffer); :meth:`close` detaches every segment when the shard stops.
     """
 
     def __init__(self) -> None:
@@ -240,8 +234,7 @@ class FrameReader:
     The shard reads without a timeout; :class:`ShardClient` reads against a
     deadline.  A timeout may strike after part of a frame arrived; the
     partial bytes stay in the buffer so the next read resumes cleanly — the
-    framing never desynchronises, which is what lets :class:`ShardClient`
-    retransmit after an injected drop without corrupting the conversation.
+    framing never desynchronises.
     Keep one reader per connection: the buffer also holds the bytes that
     arrived past a frame boundary, which a fresh reader would lose.
     """
@@ -290,134 +283,43 @@ class FrameReader:
 
 
 # --------------------------------------------------------------------------- #
-# deterministic transport fault injection
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FaultPlan:
-    """Per-request fault decision (what the injector chose to do)."""
-
-    drop: bool = False
-    duplicate: bool = False
-    delay_s: float = 0.0
-
-
-class FaultInjector:
-    """Seeded drop/duplicate/delay decisions for outgoing requests.
-
-    Deterministic: the same seed produces the same fault sequence, so a
-    failing chaos run replays exactly.  Probabilities are per *send
-    attempt* — a dropped request's retry rolls again.
-    """
-
-    def __init__(self, seed: int, drop: float = 0.0, duplicate: float = 0.0,
-                 delay: float = 0.0, max_delay_s: float = 0.02) -> None:
-        for name, p in (("drop", drop), ("duplicate", duplicate), ("delay", delay)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} probability must be in [0, 1]")
-        self._rng = random.Random(seed)
-        self.drop = drop
-        self.duplicate = duplicate
-        self.delay = delay
-        self.max_delay_s = max_delay_s
-        #: counters for assertions ("faults actually happened")
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
-
-    def plan(self) -> FaultPlan:
-        """Roll the dice for one send attempt."""
-        drop = self._rng.random() < self.drop
-        duplicate = (not drop) and self._rng.random() < self.duplicate
-        delay_s = self._rng.random() * self.max_delay_s \
-            if self._rng.random() < self.delay else 0.0
-        self.dropped += drop
-        self.duplicated += duplicate
-        self.delayed += delay_s > 0.0
-        return FaultPlan(drop=drop, duplicate=duplicate, delay_s=delay_s)
-
-
-# --------------------------------------------------------------------------- #
 # the front end's per-shard request channel
 # --------------------------------------------------------------------------- #
 class ShardClient:
     """One persistent request/response connection to one shard.
 
-    Requests are sequence-numbered.  A send the injector drops is simply
-    not written; the reply wait then times out quickly and the request is
-    retransmitted with the *same* ``seq`` — the shard deduplicates, so the
-    retry is exactly-once.  Responses are matched by ``seq`` and stale or
-    duplicated replies are discarded.
+    Each request is one frame out and one reply frame back: the shard
+    answers every request once, in order, so nothing needs numbering.
     """
 
-    #: reply wait after an *injected* drop before retransmitting
-    RETRY_WAIT_S = 0.05
-
     def __init__(self, port: int, host: str = "127.0.0.1",
-                 timeout_s: float = 10.0,
-                 injector: Optional[FaultInjector] = None) -> None:
-        from ..obs.metrics import default_registry  # deferred: keep transport import-light
-
+                 timeout_s: float = 10.0) -> None:
         self.timeout_s = timeout_s
-        self.injector = injector
-        self._seq = 0
-        #: same-seq retransmissions after an injected drop (transport retries)
-        self.retransmits = 0
-        self._c_retransmits = default_registry().counter(
-            "repro_transport_retransmits_total",
-            "same-seq retransmissions after a dropped request frame")
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = FrameReader(self._sock)
 
     # ------------------------------------------------------------------ #
     def request(self, op: str, **fields: object) -> Dict[str, object]:
-        """Send one request and wait for its matching response."""
-        self._seq += 1
-        payload = {"op": op, "seq": self._seq, **fields}
-        frame = encode_message(payload)
-        deadline = time.monotonic() + self.timeout_s
-        dropped = self._send(frame)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ShardTimeoutError(
-                    f"shard did not answer {op!r} (seq {self._seq}) "
-                    f"within {self.timeout_s:.1f}s")
-            # After an injected drop nothing is in flight: wait only a short
-            # beat, then retransmit the same seq (the shard deduplicates).
-            wait = min(remaining, self.RETRY_WAIT_S) if dropped else remaining
-            try:
-                response = self._reader.read_frame(wait)
-            except ShardTimeoutError:
-                raise
-            except TimeoutError:
-                if dropped:
-                    self.retransmits += 1
-                    self._c_retransmits.inc()
-                    dropped = self._send(frame)
-                    continue
-                raise ShardTimeoutError(
-                    f"shard did not answer {op!r} (seq {self._seq}) "
-                    f"within {self.timeout_s:.1f}s") from None
-            if response is None:
-                raise TransportError("shard closed the connection")
-            if response.get("seq") != self._seq:
-                continue  # stale reply from a duplicated earlier request
-            if response.get("error"):
-                raise RuntimeError(f"shard error on {op!r}: {response['error']}")
-            return response
+        """Send one request and read its reply within ``timeout_s``.
 
-    def _send(self, frame: bytes) -> bool:
-        """Write the frame (subject to fault injection); True when dropped."""
-        plan = self.injector.plan() if self.injector is not None else FaultPlan()
-        if plan.delay_s:
-            time.sleep(plan.delay_s)
-        if plan.drop:
-            return True
-        self._sock.sendall(frame)
-        if plan.duplicate:
-            self._sock.sendall(frame)
-        return False
+        Silence raises :class:`ShardTimeoutError` and closes the connection,
+        so a late reply can never answer a later request; a hang-up raises
+        :class:`TransportError`, and an ``{"error": ...}`` reply a
+        :class:`RuntimeError` naming the op.
+        """
+        self._sock.sendall(encode_message({"op": op, **fields}))
+        try:
+            response = self._reader.read_frame(self.timeout_s)
+        except TimeoutError:
+            self.close()  # a late reply would otherwise answer the next request
+            raise ShardTimeoutError(
+                f"shard did not answer {op!r} within {self.timeout_s:.1f}s") from None
+        if response is None:
+            raise TransportError("shard closed the connection")
+        if response.get("error"):
+            raise RuntimeError(f"shard error on {op!r}: {response['error']}")
+        return response
 
     def close(self) -> None:
         try:

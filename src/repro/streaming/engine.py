@@ -68,8 +68,6 @@ class StreamingConfig:
     keep_last_on_drift: int = 32
     #: full-re-score cadence (in points) for globally-scored detectors
     rescore_every: int = 1
-    #: assert every incremental tail re-score against a full re-run (slow)
-    verify_scores: bool = False
     #: which selector tier serves this engine: ``"teacher"`` (the full NN),
     #: ``"teacher-int8"`` (quantized) or ``"student"`` (distilled).
     #: Purely descriptive — the engine serves whatever selector it is given —
@@ -358,7 +356,7 @@ class StreamEngine:
         return self.flush()[stream_id]
 
     def drop_stream(self, stream_id: str) -> bool:
-        """Forget one stream entirely (rebalance/ownership handoff).
+        """Forget one stream entirely (a shard's replay rebuilds it from scratch).
 
         Returns True when the stream existed.  All per-stream state —
         buffer, running votes, drift monitor, scorer — is discarded; a
@@ -441,8 +439,7 @@ class StreamEngine:
                 chosen = self.model_set[self.detector_names[selected_index]]
                 if state.scorer is None:
                     state.scorer = OnlineScorer(chosen,
-                                                rescore_every=self.config.rescore_every,
-                                                verify=self.config.verify_scores)
+                                                rescore_every=self.config.rescore_every)
                 elif state.scorer.detector is not chosen:
                     state.scorer.switch_detector(chosen)
                 to_score[stream_id] = state

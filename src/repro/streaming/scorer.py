@@ -14,8 +14,8 @@ Two regimes, chosen per update:
   change the scores of the last ``window - 1`` old points; the scorer
   re-runs the detector on a short tail context (``2 * window`` points
   before the old end) and splices the result in.  The spliced array is
-  **bitwise identical** to a full re-run — asserted by the test suite and,
-  with ``verify=True``, on every update.
+  **bitwise identical** to a full re-run, which the test suite asserts
+  after every update.
 * **Full re-scoring** — global detectors (IForest, MP, HBOS, ...) fit
   statistics over the whole series, so any append can move any score; the
   scorer re-runs ``detector.score`` over the full series, but only every
@@ -42,13 +42,11 @@ _MIN_SCORABLE = 4
 class OnlineScorer:
     """Maintain per-point anomaly scores of one stream incrementally."""
 
-    def __init__(self, detector: AnomalyDetector, rescore_every: int = 1,
-                 verify: bool = False) -> None:
+    def __init__(self, detector: AnomalyDetector, rescore_every: int = 1) -> None:
         if rescore_every < 1:
             raise ValueError("rescore_every must be >= 1")
         self.detector = detector
         self.rescore_every = rescore_every
-        self.verify = verify
         self._raw: Optional[np.ndarray] = None
         self._scored_length = 0
         self._seen_length = 0
@@ -83,7 +81,7 @@ class OnlineScorer:
 
     def _tail_update(self, series: np.ndarray, window: int) -> Optional[np.ndarray]:
         """Exact incremental splice, or None when the preconditions fail."""
-        n_old, n_new = self._scored_length, len(series)
+        n_old = self._scored_length
         cut = n_old - 2 * window
         if cut <= 0:
             return None  # tail run would cover (almost) everything — run full
@@ -93,26 +91,16 @@ class OnlineScorer:
         # Scores of points before ``boundary`` cannot have changed: no new
         # window reaches further back than window - 1 points before n_old.
         boundary = n_old - (window - 1)
-        spliced = np.concatenate([self._raw[:boundary], tail_raw[boundary - cut:]])
         self.tail_rescores += 1
-        if self.verify:
-            full = self.detector.score(series)
-            if not np.array_equal(spliced, full):
-                raise AssertionError(
-                    f"incremental tail re-scoring diverged from a full re-run "
-                    f"for {self.detector!r} at length {n_new}"
-                )
-        return spliced
+        return np.concatenate([self._raw[:boundary], tail_raw[boundary - cut:]])
 
-    def update(self, series: np.ndarray, force: bool = False) -> bool:
+    def update(self, series: np.ndarray) -> bool:
         """Extend the scores to cover ``series`` (the stream's full prefix).
 
         Returns True when the scored prefix advanced.  ``series`` must be
         the same stream the scorer has seen so far, grown — the scorer only
         keeps scores, not points, so the caller (the stream buffer) is the
-        source of truth for the data.  ``force=True`` ignores the
-        ``rescore_every`` cadence (useful to bring a lagging scorer fully
-        current, e.g. at end of stream).  A new point that is NaN or an
+        source of truth for the data.  A new point that is NaN or an
         infinity raises :class:`~repro.detectors.base.NonFiniteSeriesError`
         and leaves the scorer unchanged, so every later update raises too.
         """
@@ -133,7 +121,7 @@ class OnlineScorer:
         # The rescore_every cadence exists to bound *full* re-runs; the
         # exact tail path is cheap, so local detectors stay current on
         # every tick regardless of cadence.
-        if (not can_tail and not force and self._raw is not None
+        if (not can_tail and self._raw is not None
                 and self._pending_since_rescore < self.rescore_every):
             return False
 

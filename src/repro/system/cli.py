@@ -86,6 +86,8 @@ def _apply_runtime_args(args: argparse.Namespace) -> None:
     if getattr(args, "precision", None) is not None:
         set_default_precision(args.precision)
     if hasattr(args, "workers"):
+        if args.workers is not None and args.workers < 0:
+            raise SystemExit("--workers must be >= 0")
         args.workers = accel_config.default_max_workers(args.workers)
 
 
@@ -433,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 # command implementations
 # --------------------------------------------------------------------------- #
 def _cmd_generate_data(args: argparse.Namespace) -> int:
+    _require_at_least_one(args, "--length")
     args.output_dir.mkdir(parents=True, exist_ok=True)
     count = 0
     for dataset in args.datasets:
@@ -492,7 +495,12 @@ def _load_labelled(data_dir: Path, performance_path: Path):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _require_at_least_one(args, "--window", "--stride")
+    _require_at_least_one(args, "--window", "--stride", "--batch-size")
+    try:
+        pruning = PruningConfig(method=args.pruning, ratio=args.pruning_ratio,
+                                lsh_bits=args.lsh_bits, n_bins=args.bins)
+    except ValueError as error:
+        raise SystemExit(str(error))
     records, matrix, detector_names = _load_labelled(args.data_dir, args.performance)
     dataset = build_selector_dataset(records, matrix, detector_names,
                                      window=args.window, stride=args.stride, seed=args.seed)
@@ -505,8 +513,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed,
             pisl=PISLConfig(enabled=args.pisl, alpha=args.alpha, t_soft=args.t_soft),
             mki=MKIConfig(enabled=args.mki, weight=args.mki_weight, projection_dim=args.projection_dim),
-            pruning=PruningConfig(method=args.pruning, ratio=args.pruning_ratio,
-                                  lsh_bits=args.lsh_bits, n_bins=args.bins),
+            pruning=pruning,
             verbose=True,
         )
         selector.fit(dataset, config=config)
@@ -527,7 +534,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     from ..cascade import calibrate_margin_threshold
     from ..distill import DistillConfig, calibration_split, distill_student
 
-    _require_at_least_one(args, "--window", "--stride")
+    _require_at_least_one(args, "--window", "--stride", "--batch-size", "--hidden", "--kernels")
     records = _load_series_directory_or_exit(args.data_dir)
     store = SelectorStore(args.store)
     teacher = _load_tier_selector(store, args.name, "teacher")
@@ -970,12 +977,15 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         raise SystemExit("serve-sharded needs series files to replay, "
                          "or --port to listen for requests")
     _require_at_least_one(args, "--shards", "--chunk")
+    try:
+        config = ServiceConfig(n_shards=args.shards, request_timeout_s=args.request_timeout)
+    except ValueError as error:
+        raise SystemExit(str(error))
     audit, tracer, previous_tracer = _setup_obs(args)
     service = None
     try:
         # built inside the try: a flag error exits through the teardown
-        service = ShardedService(_make_engine_factory(args), ServiceConfig(
-            n_shards=args.shards, request_timeout_s=args.request_timeout), audit=audit)
+        service = ShardedService(_make_engine_factory(args), config, audit=audit)
         if args.port is not None:
             import asyncio
 

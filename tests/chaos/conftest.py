@@ -1,10 +1,11 @@
 """Fixtures for the fault-injection (chaos) suite.
 
-Everything here is deterministic on purpose: the traffic, the trained
-selector, and every injected fault derive from fixed seeds, so a failing
-chaos run replays exactly.  The ``chaos_world`` fixture mirrors the
-``streaming_world`` fixture of ``tests/test_streaming.py`` at the same
-small scale — chaos runs pay for process churn, not for model training.
+Everything here is deterministic on purpose: the traffic and the trained
+selector derive from fixed seeds, and every fault is a signal sent between
+specific ticks, so a failing chaos run replays exactly.  The
+``chaos_world`` fixture mirrors the ``streaming_world`` fixture of
+``tests/test_streaming.py`` at the same small scale — chaos runs pay for
+process churn, not for model training.
 """
 
 import numpy as np
@@ -60,14 +61,12 @@ def make_chaos_service(chaos_world):
     """Factory for services over the shared world; closes them at teardown."""
     services = []
 
-    def build(n_shards=2, injector_factory=None, **config_overrides):
+    def build(n_shards=2, **config_overrides):
         factory = make_engine_factory(chaos_world["selector"],
                                       chaos_world["detector_names"],
                                       StreamingConfig(window=64, stride=32))
-        service = ShardedService(
-            factory,
-            ServiceConfig(n_shards=n_shards, **config_overrides),
-            injector_factory=injector_factory)
+        service = ShardedService(factory, ServiceConfig(n_shards=n_shards,
+                                                        **config_overrides))
         services.append(service)
         return service
 

@@ -117,6 +117,46 @@ class TestWindowAndStrideBelowOne:
         assert self._exit_message(tmp_path, command, "--stride", value) == "--stride must be >= 1"
 
 
+class TestNumericFlagsOutOfRange:
+    """The remaining numeric flags exit with a message before any input is
+    read, any output is written or any shard is forked.
+
+    Every input named here is missing, so a command that read one first
+    would exit with a different message.
+    """
+
+    #: each command's required arguments
+    REQUIRED = {
+        "generate-data": ["{missing}"],
+        "label": ["{missing}", "{missing}.npz"],
+        "train": ["{missing}", "{missing}.npz", "--store", "{store}"],
+        "distill": ["{missing}", "--name", "mlp", "--store", "{store}"],
+        "serve-sharded": ["{missing}.csv", "--name", "mlp", "--store", "{store}"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("generate-data", "--length", "0", "--length must be >= 1"),
+        ("generate-data", "--length", "-5", "--length must be >= 1"),
+        ("label", "--workers", "-2", "--workers must be >= 0"),
+        ("train", "--batch-size", "0", "--batch-size must be >= 1"),
+        ("train", "--pruning-ratio", "1.5", "pruning ratio must be in [0, 1)"),
+        ("train", "--lsh-bits", "0", "lsh_bits must be between 1 and 63"),
+        ("train", "--lsh-bits", "64", "lsh_bits must be between 1 and 63"),
+        ("distill", "--batch-size", "0", "--batch-size must be >= 1"),
+        ("distill", "--hidden", "0", "--hidden must be >= 1"),
+        ("distill", "--kernels", "0", "--kernels must be >= 1"),
+        ("serve-sharded", "--request-timeout", "0", "request_timeout_s must be > 0"),
+        ("serve-sharded", "--request-timeout", "-1", "request_timeout_s must be > 0"),
+    ])
+    def test_exits_with_its_message(self, tmp_path, command, flag, value, message):
+        args = [arg.format(missing=tmp_path / "missing", store=tmp_path / "store")
+                for arg in self.REQUIRED[command]]
+        with pytest.raises(SystemExit) as caught:
+            main([command, *args, flag, value])
+        assert str(caught.value.code) == message
+        assert sorted(tmp_path.iterdir()) == []
+
+
 class TestGenerateAndLabel:
     def test_generate_data_writes_csv(self, cli_workspace):
         files = list(cli_workspace["data_dir"].glob("*.csv"))

@@ -49,6 +49,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             PruningConfig(ratio=1.0)
 
+    @pytest.mark.parametrize("bits", [0, -1, 64])
+    def test_lsh_bits_outside_1_to_63_raise(self, bits):
+        with pytest.raises(ValueError, match="^lsh_bits must be between 1 and 63$"):
+            PruningConfig(lsh_bits=bits)
+
     def test_kdselector_config_paper_defaults(self):
         config = kdselector_config()
         assert config.pruning.ratio == pytest.approx(0.8)

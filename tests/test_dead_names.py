@@ -67,8 +67,8 @@ def test_a_method_read_as_an_attribute_of_any_object_is_a_use(tmp_path):
 
 def test_every_shard_op_handler_has_a_sender():
     """``ShardServer._dispatch`` finds handlers by name (``_op_<op>``), which
-    the tool cannot follow: each handler's op must be one the front end
-    sends, or ``chaos``, the fault-injection hook only ``tests/chaos`` sends."""
+    the tool cannot follow: the handlers must be exactly the ops the front
+    end sends."""
     import ast
 
     from repro.service.shard import ShardServer
@@ -84,4 +84,4 @@ def test_every_shard_op_handler_has_a_sender():
                 if isinstance(op, ast.Constant) and isinstance(op.value, str):
                     sent.add(op.value)
     handlers = {name[len("_op_"):] for name in vars(ShardServer) if name.startswith("_op_")}
-    assert handlers == sent | {"chaos"}
+    assert handlers == sent

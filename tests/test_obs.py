@@ -76,24 +76,25 @@ class TestMetrics:
 
     def test_registry_returns_same_metric_for_same_name_and_labels(self):
         registry = MetricsRegistry(enabled=True)
-        a = registry.counter("x_total", "help", shard="s0")
-        b = registry.counter("x_total", shard="s0")
-        c = registry.counter("x_total", shard="s1")
+        a = registry.histogram("x_seconds", "help", shard="s0")
+        b = registry.histogram("x_seconds", shard="s0")
+        c = registry.histogram("x_seconds", shard="s1")
         assert a is b and a is not c
-        a.inc()
-        assert registry.counter("x_total", shard="s0").value == 1
+        a.observe(0.5)
+        assert registry.histogram("x_seconds", shard="s0").count == 1
 
     def test_registry_rejects_kind_mismatch(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("y_total")
+        registry.register(Counter("y_total"))
         with pytest.raises(TypeError):
             registry.histogram("y_total")
 
     def test_disabled_registry_hands_out_null_metrics(self):
         registry = MetricsRegistry(enabled=False)
-        metric = registry.counter("z_total")
+        metric = registry.histogram("z_seconds")
         assert metric is NULL_METRIC
         metric.inc()  # must be a no-op, not an error
+        metric.observe(0.5)
         with metric.time():
             pass
         assert registry.render_prometheus() == ""
@@ -119,7 +120,7 @@ class TestMetrics:
 
     def test_prometheus_rendering_format(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("req_total", "requests served", shard="s0").inc(7)
+        registry.register(Counter("req_total", "requests served", {"shard": "s0"})).inc(7)
         histogram = registry.histogram("lat_seconds", "latency", buckets=(0.5,))
         histogram.observe(0.25)
         text = registry.render_prometheus()
@@ -134,7 +135,7 @@ class TestMetrics:
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("esc_total", "h", path='a"b\\c\nd').inc()
+        registry.register(Counter("esc_total", "h", {"path": 'a"b\\c\nd'})).inc()
         assert 'esc_total{path="a\\"b\\\\c\\nd"} 1' in registry.render_prometheus()
 
     def test_default_registry_swap_round_trip(self):
@@ -319,9 +320,13 @@ class TestBitwiseUnderObservability:
         for stream in obs_world["streams"]:
             assert np.array_equal(instrumented.scores(stream),
                                   reference_scores[stream])
-        # the surfaces actually collected something
+        # the surfaces actually collected something; the instrumented
+        # engine's flush counter is the second one, under instance="2"
         registry, tracer = full_obs
-        assert registry.counter("repro_stream_flushes_total").value == 3
+        flushes = {metric.labels.get("instance"): metric.value
+                   for metric in registry.metrics()
+                   if metric.name == "repro_stream_flushes_total"}
+        assert flushes == {None: 3, "2": 3}
         assert any(s.name == "engine.flush" for s in tracer.spans)
         assert len(audit.events(event="selection")) > 0
 
@@ -346,7 +351,7 @@ class TestBitwiseUnderObservability:
                     service.append(sid, series[tick * 100:(tick + 1) * 100])
                 updates.update(service.flush())
             assert updates == reference
-            assert service.stats()["totals"]["duplicates_suppressed"] == 0
+            assert service.stats()["recoveries"] == 0
         selections = audit.events(event="selection")
         assert len(selections) == 2 * len(obs_world["streams"])
         # router-side audit carries the same decision the engine made

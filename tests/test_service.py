@@ -23,11 +23,12 @@ from repro.data import build_selector_dataset, generate_series
 from repro.detectors.base import NonFiniteSeriesError
 from repro.selectors import make_selector
 from repro.service import (
-    FaultInjector,
     FrameReader,
     ServiceConfig,
+    ShardClient,
     ShardedService,
     ShardServer,
+    ShardTimeoutError,
     SharedSegmentCache,
     SharedSeriesBuffer,
     TransportError,
@@ -101,7 +102,7 @@ class TestShardIndex:
 
 
 # --------------------------------------------------------------------------- #
-# transport framing + fault injector
+# transport framing + the shard request channel
 # --------------------------------------------------------------------------- #
 class TestTransport:
     def test_message_round_trip_over_socketpair(self):
@@ -219,16 +220,79 @@ class TestTransport:
             a.close()
             b.close()
 
-    def test_fault_injector_is_seed_deterministic(self):
-        one = FaultInjector(seed=42, drop=0.3, duplicate=0.2, delay=0.1)
-        two = FaultInjector(seed=42, drop=0.3, duplicate=0.2, delay=0.1)
-        assert [one.plan() for _ in range(200)] == [two.plan() for _ in range(200)]
-        assert one.dropped == two.dropped and one.duplicated == two.duplicated
-        assert one.dropped > 0 and one.duplicated > 0 and one.delayed > 0
 
-    def test_fault_injector_validates_probabilities(self):
-        with pytest.raises(ValueError):
-            FaultInjector(seed=0, drop=1.5)
+class TestShardClient:
+    """``ShardClient.request`` against a plain socket peer: one request
+    frame out, one reply frame back, and a typed error for every other end."""
+
+    @pytest.fixture
+    def connect(self):
+        listen = socket.create_server(("127.0.0.1", 0))
+        opened = []
+
+        def connect(timeout_s=5.0):
+            client = ShardClient(listen.getsockname()[1], timeout_s=timeout_s)
+            peer, _ = listen.accept()
+            opened.extend([client, peer])
+            return client, peer
+
+        yield connect
+        for end in opened:
+            end.close()
+        listen.close()
+
+    def test_reply_comes_back_as_sent(self, connect):
+        client, peer = connect()
+        reply = {"updates": {"s0": {"length": 100, "votes": {"HBOS": 0.25}}}, "events": []}
+        # the reply waits in the client's receive buffer until it reads
+        peer.sendall(encode_message(reply))
+        assert client.request("push_batch", ticks=[{"stream": "s0"}], audit=False) == reply
+        assert FrameReader(peer).read_frame(1.0) == {
+            "op": "push_batch", "ticks": [{"stream": "s0"}], "audit": False}
+
+    def test_error_frame_raises_runtime_error_naming_the_op(self, connect):
+        client, peer = connect()
+        peer.sendall(encode_message({"error": "ValueError: unknown op 'frobnicate'"}))
+        with pytest.raises(RuntimeError,
+                           match=r"^shard error on 'frobnicate': ValueError: unknown op"):
+            client.request("frobnicate")
+
+    @pytest.mark.parametrize("sent, message", [
+        (b"", "shard closed the connection"),
+        (encode_message({"ok": True})[:6], "connection closed mid-frame"),
+    ])
+    def test_hang_up_raises_transport_error(self, connect, sent, message):
+        client, peer = connect()
+        # half-close: the peer sends its end-of-stream but still takes the
+        # request, so the client reads the hang-up rather than a reset
+        peer.sendall(sent)
+        peer.shutdown(socket.SHUT_WR)
+        with pytest.raises(TransportError, match=message):
+            client.request("stats")
+
+    def test_silence_raises_timeout_and_a_late_reply_answers_nothing(self, connect):
+        client, peer = connect(timeout_s=0.2)
+        with pytest.raises(ShardTimeoutError, match=r"did not answer 'stats' within 0\.2s"):
+            client.request("stats")
+        assert FrameReader(peer).read_frame(1.0) == {"op": "stats"}
+        peer.sendall(encode_message({"stats": {}}))
+        # the timed-out connection is closed, so the late reply can never
+        # be taken for the answer to the next request
+        with pytest.raises(OSError):
+            client.request("select", stream="s0")
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_shards": 0}, "n_shards must be >= 1"),
+        ({"n_shards": -2}, "n_shards must be >= 1"),
+        ({"request_timeout_s": 0.0}, "request_timeout_s must be > 0"),
+        ({"request_timeout_s": -1.0}, "request_timeout_s must be > 0"),
+        ({"request_timeout_s": float("nan")}, "request_timeout_s must be > 0"),
+    ])
+    def test_bad_values_are_rejected_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ServiceConfig(**fields)
 
 
 # --------------------------------------------------------------------------- #
@@ -588,19 +652,19 @@ class TestShardRejectsBadSegments:
             with socket.create_connection(listen.getsockname(), timeout=10.0) as conn:
                 replies = FrameReader(conn)
 
-                def push(seq, name, length):
-                    conn.sendall(encode_message({"op": "push_batch", "seq": seq, "ticks": [
+                def push(name, length):
+                    conn.sendall(encode_message({"op": "push_batch", "ticks": [
                         {"stream": "s0", "shm": name, "length": length}]}))
                     return replies.read_frame(10.0)
 
-                assert push(1, stale_name, 100)["error"].startswith("FileNotFoundError")
-                assert push(2, buffer.name, 129) == {
-                    "seq": 2, "error": f"ValueError: shared segment '{buffer.name}' "
-                                       "holds 128 float64 values; length 129 does not fit"}
-                answer = push(3, buffer.name, 100)
+                assert push(stale_name, 100)["error"].startswith("FileNotFoundError")
+                assert push(buffer.name, 129) == {
+                    "error": f"ValueError: shared segment '{buffer.name}' "
+                             "holds 128 float64 values; length 129 does not fit"}
+                answer = push(buffer.name, 100)
                 assert "error" not in answer and set(answer["updates"]) == {"s0"}
-                conn.sendall(encode_message({"op": "shutdown", "seq": 4}))
-                assert replies.read_frame(10.0) == {"ok": True, "seq": 4}
+                conn.sendall(encode_message({"op": "shutdown"}))
+                assert replies.read_frame(10.0) == {"ok": True}
             thread.join(timeout=10.0)
             assert not thread.is_alive()
         finally:

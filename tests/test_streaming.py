@@ -266,11 +266,13 @@ class TestOnlineScorer:
     def test_tail_rescoring_equals_full_rerun_bitwise(self, rng):
         series = rng.normal(size=1500).cumsum() * 0.1
         detector = make_detector("POLY", window=32)
-        scorer = OnlineScorer(detector, verify=True)  # verify asserts per tick
+        scorer = OnlineScorer(detector)
         n = 0
         while n < len(series):
             n = min(n + int(rng.integers(1, 50)), len(series))
             scorer.update(series[:n])
+            if len(scorer.raw_scores):  # the detector needs 4 points
+                assert np.array_equal(scorer.raw_scores, detector.score(series[:n]))
         assert scorer.tail_rescores > scorer.full_rescores
         assert np.array_equal(scorer.raw_scores, detector.score(series))
         assert np.array_equal(scorer.scores, detector.detect(series))
@@ -285,27 +287,31 @@ class TestOnlineScorer:
         assert np.array_equal(scorer.raw_scores, detector.score(series))
 
     def test_rescore_cadence_bounds_work(self, rng):
-        series = rng.normal(size=400)
-        scorer = OnlineScorer(make_detector("HBOS", window=16), rescore_every=100)
+        series = rng.normal(size=410)
+        detector = make_detector("HBOS", window=16)
+        scorer = OnlineScorer(detector, rescore_every=100)
         for n in range(10, 401, 10):
             scorer.update(series[:n])
         # first possible score + one per 100 accumulated points; the scored
         # prefix lags until the next cadence boundary
         assert scorer.full_rescores == 4
         assert len(scorer.raw_scores) == 310
-        assert scorer.update(series, force=True)
-        assert len(scorer.raw_scores) == 400
+        assert not scorer.update(series[:409])
+        # 100 points since the last re-score: the prefix is current again
+        assert scorer.update(series)
+        assert scorer.full_rescores == 5
+        assert np.array_equal(scorer.raw_scores, detector.score(series))
 
     def test_local_detector_stays_current_despite_cadence(self, rng):
         """rescore_every bounds *full* re-runs; the exact tail path is cheap
         and keeps locally-scored detectors current every tick."""
         series = rng.normal(size=600)
         detector = make_detector("POLY", window=16)
-        scorer = OnlineScorer(detector, rescore_every=10_000, verify=True)
+        scorer = OnlineScorer(detector, rescore_every=10_000)
         for n in range(50, 601, 50):
             scorer.update(series[:n])
-        assert len(scorer.raw_scores) == 600
-        assert np.array_equal(scorer.raw_scores, detector.score(series))
+            assert np.array_equal(scorer.raw_scores, detector.score(series[:n]))
+        assert scorer.tail_rescores == 11 and scorer.full_rescores == 1
 
     def test_switch_detector_forces_full_rescore(self, rng):
         series = rng.normal(size=300)
@@ -336,7 +342,9 @@ class TestOnlineScorer:
             scorer.update(series)
         assert len(scorer.raw_scores) == 200
         assert np.array_equal(scorer.raw_scores, before)
-        assert scorer.update(series[:240], force=True)
+        # the default cadence of 1 re-scores on the next finite update
+        assert scorer.update(series[:240])
+        assert np.array_equal(scorer.raw_scores, scorer.detector.score(series[:240]))
 
 
 class TestStreamEngine:
@@ -396,10 +404,15 @@ class TestStreamEngine:
     def test_online_scores_match_batch_detection_bitwise(self, streaming_world):
         model_set = {name: make_detector(name, window=16)
                      for name in streaming_world["detector_names"]}
-        engine = _fresh_engine(streaming_world, model_set=model_set, verify_scores=True)
+        engine = _fresh_engine(streaming_world, model_set=model_set)
         records = streaming_world["queries"][:2]
         for _ in replay_records(engine, records, chunk=50):
-            pass
+            # after every tick the scored prefix equals a batch detection of it
+            for record in records:
+                scores = engine.scores(record.name)
+                view = engine.selection(record.name)
+                detector = model_set[streaming_world["detector_names"][view.selected_index]]
+                assert np.array_equal(scores, detector.detect(record.series[:len(scores)]))
         for record in records:
             view = engine.selection(record.name)
             detector = model_set[streaming_world["detector_names"][view.selected_index]]
