@@ -9,7 +9,18 @@ LSH bits and bin count for PA.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
+
+
+def check_training_fields(config, *counts: str) -> None:
+    """Raise ``ValueError`` naming the first of ``counts`` below 1, or a
+    ``lr`` that is not a finite positive number."""
+    for name in counts:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    if not (math.isfinite(config.lr) and config.lr > 0):
+        raise ValueError("lr must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,9 @@ class TrainerConfig:
     pisl: PISLConfig = field(default_factory=lambda: PISLConfig(enabled=False))
     mki: MKIConfig = field(default_factory=lambda: MKIConfig(enabled=False))
     pruning: PruningConfig = field(default_factory=lambda: PruningConfig(method="none"))
+
+    def __post_init__(self) -> None:
+        check_training_fields(self, "epochs", "batch_size")
 
     def replace(self, **overrides) -> "TrainerConfig":
         """Return a copy with the given top-level fields replaced."""

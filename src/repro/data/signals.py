@@ -83,8 +83,13 @@ def square_wave(length: int, period: int, rng: np.random.Generator, low: float =
 
 
 def level_steps(length: int, rng: np.random.Generator, n_levels: int = 5, step_std: float = 1.0) -> np.ndarray:
-    """Piecewise-constant signal (web-service load / machine state style)."""
-    boundaries = np.sort(rng.choice(np.arange(1, length - 1), size=max(n_levels - 1, 1), replace=False))
+    """Piecewise-constant signal (web-service load / machine state style).
+
+    The change points are distinct interior positions, so a series shorter
+    than ``n_levels + 1`` points gets fewer levels (one below 3 points).
+    """
+    n_changes = min(max(n_levels - 1, 1), max(length - 2, 0))
+    boundaries = np.sort(rng.choice(np.arange(1, length - 1), size=n_changes, replace=False))
     levels = np.cumsum(rng.normal(0.0, step_std, size=n_levels))
     out = np.zeros(length)
     start = 0

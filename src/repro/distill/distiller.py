@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.config import PISLConfig, TrainerConfig
+from ..core.config import PISLConfig, TrainerConfig, check_training_fields
 from ..data.windows import SelectorDataset
 from ..nn.quant import calibrate_activation_scale
 from ..selectors.base import Selector
@@ -50,6 +50,9 @@ class DistillConfig:
     #: fraction of windows held out to calibrate normalisation + agreement
     calibration_fraction: float = 0.25
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_training_fields(self, "epochs", "batch_size", "hidden", "n_kernels")
 
 
 @dataclass(frozen=True)

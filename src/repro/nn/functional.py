@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..accel.precision import resolve_dtype
 from .init import get_rng
-from .tensor import Tensor, _as_array, _matmul, _node, is_grad_enabled
+from .tensor import Tensor, _as_array, _matmul, _node, _unbroadcast, is_grad_enabled
 
 
 def _im2col_1d(x: np.ndarray, kernel_size: int, stride: int, dilation: int) -> Tuple[np.ndarray, int]:
@@ -86,15 +86,17 @@ def conv1d(
 
     def vjp_x(grad: np.ndarray) -> np.ndarray:
         gcols = (grad_rows(grad) @ w2d).reshape(n, l_out, c_in, kernel_size)
-        gcols = gcols.transpose(0, 2, 3, 1)  # (N, C_in, K, L_out)
-        # col2im: one strided slice-add per tap.  Descending taps add each
-        # input position's terms in ascending output position, the order
-        # an ``np.add.at`` over the (L_out, K) index grid adds them.
-        gx = np.zeros_like(x.data)
+        # col2im: one strided slice-add per tap into a channels-last
+        # (N, L, C_in) accumulator, which reads the GEMM's (N, L_out, C_in,
+        # K) output near-contiguously; the (N, C_in, L) view goes back.
+        # Descending taps add each input position's terms in ascending
+        # output position, the order an ``np.add.at`` over the (L_out, K)
+        # index grid adds them.
+        gx = np.zeros((n, x.shape[2], c_in), dtype=x.dtype)
         stop = (l_out - 1) * stride + 1
         for k in reversed(range(kernel_size)):
-            gx[:, :, k * dilation:k * dilation + stop:stride] += gcols[:, :, k, :]
-        return gx
+            gx[:, k * dilation:k * dilation + stop:stride] += gcols[..., k]
+        return gx.transpose(0, 2, 1)
 
     def vjp_weight(grad: np.ndarray) -> np.ndarray:
         col_rows = cols.transpose(1, 0, 2).reshape(c_in * kernel_size, -1)  # (C_in * K, N * L_out)
@@ -188,6 +190,102 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
     return _node(out, (x, w_ih, w_hh, bias),
                  *(lambda g, k=k: grads(g)[k] for k in range(4)))
+
+
+def batch_norm(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    momentum: float = 0.1,
+    eps: float = 1e-5,
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Batch normalisation of (N, C, L) or (N, C) inputs per channel.
+
+    Returns the output and the running statistics after this call: moved
+    by ``momentum`` towards the batch's in training, the given ones in
+    eval.  One graph node with parents ``(x, weight, bias)``.  Its forward
+    repeats the expressions of ``(x - mean) / (var + eps) ** 0.5 * weight
+    + bias`` built from ``Tensor`` ops (``x.mean``, ``x.var``), with the
+    policy dtype after each op, but computes the batch sum and the centred
+    array once.  Its VJPs share one backward, run once per output
+    gradient, which repeats that graph's VJP expressions and adds x's
+    terms in the order ``Tensor.backward`` adds them: the centred term, the
+    mean's, the centred array's own (``t + t``, from ``centred *
+    centred``) and the variance's mean.  So outputs and gradients are
+    byte-equal to the unrolled graph's in either precision, where the
+    norm is the only consumer of ``x`` (as in every encoder).
+    """
+    if x.ndim == 3:
+        axes, shape = (0, 2), (1, weight.shape[0], 1)
+    elif x.ndim == 2:
+        axes, shape = (0,), (1, weight.shape[0])
+    else:
+        raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.ndim}-D")
+    dtype = resolve_dtype(None)
+    record = is_grad_enabled() and any(p.requires_grad for p in (x, weight, bias))
+
+    def cast(a) -> np.ndarray:
+        return _as_array(a, dtype)
+
+    if training:
+        scale = cast(1.0 / int(np.prod([x.shape[a] for a in axes])))
+        mean = cast(cast(x.data.sum(axis=axes, keepdims=True)) * scale)
+        centred = cast(x.data + cast(-mean))
+        var = cast(cast(cast(centred * centred).sum(axis=axes, keepdims=True)) * scale)
+        running_mean = (1 - momentum) * running_mean + momentum * mean.reshape(-1)
+        running_var = (1 - momentum) * running_var + momentum * var.reshape(-1)
+    else:
+        centred = cast(x.data + cast(-cast(running_mean.reshape(shape))))
+        var = cast(running_var.reshape(shape))
+    shifted = cast(var + cast(eps))
+    root = cast(shifted ** 0.5)
+    inv = cast(root ** -1.0)
+    w, b = cast(weight.data.reshape(shape)), cast(bias.data.reshape(shape))
+    # In place wherever the backward does not read the array again.
+    keep_centred = record and training and x.requires_grad
+    normed = centred * inv if keep_centred else np.multiply(centred, inv, out=centred)
+    out = normed * w if record and weight.requires_grad else np.multiply(normed, w, out=normed)
+    out += b
+
+    def backward(grad: np.ndarray) -> tuple:
+        d_b = _unbroadcast(grad, shape).reshape(bias.shape) if bias.requires_grad else None
+        d_w = (_unbroadcast(grad * normed, shape).reshape(weight.shape)
+               if weight.requires_grad else None)
+        if not x.requires_grad:
+            return None, d_w, d_b
+        d_x = grad * w
+        if not training:
+            d_x *= inv
+            return d_x, d_w, d_b
+        d_inv = _unbroadcast(d_x * centred, shape)
+        d_x *= inv
+        d_mean = -_unbroadcast(d_x, shape) * scale
+        d_var = d_inv * -1.0 * root ** -2.0 * 0.5 * shifted ** -0.5
+        t = centred * (d_var * scale)
+        t += t
+        d_mu = -_unbroadcast(t, shape) * scale
+        # x's terms in Tensor.backward's order, summed in x's dtype as its
+        # gradient accumulates.
+        d_x = d_x.astype(x.dtype, copy=False)
+        d_x += d_mean
+        d_x += t
+        d_x += d_mu
+        return d_x, d_w, d_b
+
+    cache: dict = {}
+
+    def grads(grad: np.ndarray) -> tuple:
+        # Every VJP of one backward gets the same gradient array; a new
+        # backward brings a new one, so the backward runs again.
+        if cache.get("grad") is not grad:
+            cache.update(grad=grad, grads=backward(grad))
+        return cache["grads"]
+
+    return (_node(out, (x, weight, bias), *(lambda g, k=k: grads(g)[k] for k in range(3))),
+            running_mean, running_var)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

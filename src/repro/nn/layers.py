@@ -70,7 +70,11 @@ class Conv1d(Module):
 
 
 class BatchNorm1d(Module):
-    """Batch normalisation over (N, C, L) or (N, C) inputs."""
+    """Batch normalisation over (N, C, L) or (N, C) inputs.
+
+    Runs as one :func:`~repro.nn.functional.batch_norm` node in both
+    modes; training updates the running statistics.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
@@ -83,32 +87,13 @@ class BatchNorm1d(Module):
         self.register_buffer("running_var", np.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 3:
-            reduce_axes = (0, 2)
-            shape = (1, self.num_features, 1)
-        elif x.ndim == 2:
-            reduce_axes = (0,)
-            shape = (1, self.num_features)
-        else:
-            raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.ndim}-D")
-
+        out, running_mean, running_var = F.batch_norm(
+            x, self.weight, self.bias, self._buffers["running_mean"], self._buffers["running_var"],
+            self.training, self.momentum, self.eps)
         if self.training:
-            mean = x.mean(axis=reduce_axes, keepdims=True)
-            var = x.var(axis=reduce_axes, keepdims=True)
-            self.update_buffer(
-                "running_mean",
-                (1 - self.momentum) * self._buffers["running_mean"] + self.momentum * mean.data.reshape(-1),
-            )
-            self.update_buffer(
-                "running_var",
-                (1 - self.momentum) * self._buffers["running_var"] + self.momentum * var.data.reshape(-1),
-            )
-        else:
-            mean = Tensor(self._buffers["running_mean"].reshape(shape))
-            var = Tensor(self._buffers["running_var"].reshape(shape))
-
-        normed = (x - mean) / (var + self.eps) ** 0.5
-        return normed * self.weight.reshape(shape) + self.bias.reshape(shape)
+            self.update_buffer("running_mean", running_mean)
+            self.update_buffer("running_var", running_var)
+        return out
 
 
 class LayerNorm(Module):

@@ -123,6 +123,10 @@ class ServiceConfig:
             raise ValueError("n_shards must be >= 1")
         if not self.request_timeout_s > 0:
             raise ValueError("request_timeout_s must be > 0")
+        # sockets and locks refuse a timeout beyond this (OverflowError)
+        if not self.request_timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError(f"request_timeout_s must be finite and at most "
+                             f"{threading.TIMEOUT_MAX:.0f}")
 
 
 class ShardedService:

@@ -16,8 +16,6 @@ stream state.  That split keeps every recovery path replayable in tests.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
 import socket
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -86,11 +84,15 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------------ #
     def restart(self, shard_id: str) -> ShardHandle:
-        """Kill (if needed) and respawn one shard on a fresh port."""
+        """SIGKILL (if alive) and respawn one shard on a fresh port.
+
+        Recovery's only path: a hung shard may never act on a SIGTERM (a
+        stopped process leaves it pending), so it gets no grace period.
+        """
         old = self.handles.get(shard_id)
         if old is None:
             raise KeyError(f"unknown shard {shard_id!r}")
-        self._terminate(old)
+        self._kill(old)
         handle = self._spawn(shard_id, generation=old.generation + 1)
         self.handles[shard_id] = handle
         self.restarts += 1
@@ -103,11 +105,14 @@ class ShardSupervisor:
         and recovery are exercised through the normal request path.
         """
         handle = self.handles[shard_id]
-        pid = handle.pid
-        if pid is not None and handle.is_alive():
-            os.kill(pid, signal.SIGKILL)
-            handle.process.join(timeout=5.0)
-        return pid or -1
+        self._kill(handle)
+        return handle.pid or -1
+
+    @staticmethod
+    def _kill(handle: ShardHandle) -> None:
+        if handle.is_alive():
+            handle.process.kill()
+        handle.process.join(timeout=5.0)
 
     def _terminate(self, handle: ShardHandle) -> None:
         if handle.is_alive():

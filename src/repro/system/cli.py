@@ -497,8 +497,14 @@ def _load_labelled(data_dir: Path, performance_path: Path):
 def _cmd_train(args: argparse.Namespace) -> int:
     _require_at_least_one(args, "--window", "--stride", "--batch-size")
     try:
-        pruning = PruningConfig(method=args.pruning, ratio=args.pruning_ratio,
-                                lsh_bits=args.lsh_bits, n_bins=args.bins)
+        config = TrainerConfig(
+            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed,
+            pisl=PISLConfig(enabled=args.pisl, alpha=args.alpha, t_soft=args.t_soft),
+            mki=MKIConfig(enabled=args.mki, weight=args.mki_weight, projection_dim=args.projection_dim),
+            pruning=PruningConfig(method=args.pruning, ratio=args.pruning_ratio,
+                                  lsh_bits=args.lsh_bits, n_bins=args.bins),
+            verbose=True,
+        )
     except ValueError as error:
         raise SystemExit(str(error))
     records, matrix, detector_names = _load_labelled(args.data_dir, args.performance)
@@ -509,13 +515,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                                 if args.selector in selector_names(neural=True) else {}))
 
     if isinstance(selector, NNSelector):
-        config = TrainerConfig(
-            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-            pisl=PISLConfig(enabled=args.pisl, alpha=args.alpha, t_soft=args.t_soft),
-            mki=MKIConfig(enabled=args.mki, weight=args.mki_weight, projection_dim=args.projection_dim),
-            pruning=pruning,
-            verbose=True,
-        )
         selector.fit(dataset, config=config)
         summary = selector.last_report_.summary()
     else:
@@ -535,6 +534,15 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     from ..distill import DistillConfig, calibration_split, distill_student
 
     _require_at_least_one(args, "--window", "--stride", "--batch-size", "--hidden", "--kernels")
+    try:
+        config = DistillConfig(
+            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+            alpha=args.alpha, t_soft=args.t_soft,
+            hidden=args.hidden, features=args.features, n_kernels=args.kernels,
+            calibration_fraction=args.calibration_fraction, seed=args.seed,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
     records = _load_series_directory_or_exit(args.data_dir)
     store = SelectorStore(args.store)
     teacher = _load_tier_selector(store, args.name, "teacher")
@@ -544,12 +552,6 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     windows = np.vstack([extract_windows(record.series, args.window, stride=args.stride)
                          for record in records])
 
-    config = DistillConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        alpha=args.alpha, t_soft=args.t_soft,
-        hidden=args.hidden, features=args.features, n_kernels=args.kernels,
-        calibration_fraction=args.calibration_fraction, seed=args.seed,
-    )
     student, report = distill_student(teacher, windows, detector_names, config)
     _, calib_idx = calibration_split(len(windows), config.calibration_fraction, config.seed)
     calib_windows = windows[calib_idx] if len(calib_idx) else windows

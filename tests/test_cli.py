@@ -14,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -156,11 +157,33 @@ class TestNumericFlagsOutOfRange:
         assert str(caught.value.code) == message
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--epochs", "0", "epochs must be >= 1"),
+        ("train", "--lr", "0", "lr must be finite and > 0"),
+        ("train", "--lr", "nan", "lr must be finite and > 0"),
+        ("distill", "--epochs", "0", "epochs must be >= 1"),
+        ("distill", "--lr", "inf", "lr must be finite and > 0"),
+        ("serve-sharded", "--request-timeout", "inf",
+         f"request_timeout_s must be finite and at most {threading.TIMEOUT_MAX:.0f}"),
+        ("serve-sharded", "--request-timeout", "1e12",
+         f"request_timeout_s must be finite and at most {threading.TIMEOUT_MAX:.0f}"),
+    ])
+    def test_config_checks_exit_with_their_message(self, tmp_path, command, flag, value, message):
+        # the configs own these checks; the command reports them first
+        self.test_exits_with_its_message(tmp_path, command, flag, value, message)
+
 
 class TestGenerateAndLabel:
     def test_generate_data_writes_csv(self, cli_workspace):
         files = list(cli_workspace["data_dir"].glob("*.csv"))
         assert len(files) == 3
+
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_generate_data_writes_every_family_below_eight_points(self, tmp_path, length):
+        assert main(["generate-data", str(tmp_path), "--length", str(length), "--per-dataset", "1"]) == 0
+        files = sorted(tmp_path.glob("*.csv"))
+        assert len(files) == 16
+        assert all(len(path.read_text().splitlines()) == length + 1 for path in files)
 
     def test_label_outputs_matrix_and_names(self, cli_workspace):
         perf_path = cli_workspace["perf_path"]

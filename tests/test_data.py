@@ -165,6 +165,16 @@ class TestGenerators:
         assert set(np.unique(record.labels)) <= {0, 1}
         assert (record.labels.sum() > 0) == (record.n_anomalies > 0)
 
+    @pytest.mark.parametrize("dataset", DATASET_NAMES)
+    def test_series_of_one_to_seven_points(self, dataset):
+        # the level-step families draw at most length - 2 change points
+        for length in range(1, 8):
+            for index in range(4):
+                for seed in range(6):
+                    record = generate_series(dataset, index, length, seed)
+                    assert record.length == length
+                    assert np.all(np.isfinite(record.series))
+
     def test_generation_is_deterministic(self):
         a = generate_series("IOPS", 3, 500, seed=9)
         b = generate_series("IOPS", 3, 500, seed=9)

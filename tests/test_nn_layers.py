@@ -288,3 +288,170 @@ class TestFusedLSTM:
     def test_state_dict_keys_are_the_cell_parameters(self):
         # stored LSTM selectors load by these keys
         assert sorted(nn.LSTM(1, 8).state_dict()) == ["cell.bias", "cell.weight_hh", "cell.weight_ih"]
+
+
+def _unrolled_batch_norm(self, x):
+    """The reference: ``BatchNorm1d.forward`` as it was built from ``Tensor``
+    ops, one graph node per op (``self`` is the module)."""
+    if x.ndim == 3:
+        reduce_axes = (0, 2)
+        shape = (1, self.num_features, 1)
+    elif x.ndim == 2:
+        reduce_axes = (0,)
+        shape = (1, self.num_features)
+    else:
+        raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.ndim}-D")
+
+    if self.training:
+        mean = x.mean(axis=reduce_axes, keepdims=True)
+        var = x.var(axis=reduce_axes, keepdims=True)
+        self.update_buffer(
+            "running_mean",
+            (1 - self.momentum) * self._buffers["running_mean"] + self.momentum * mean.data.reshape(-1),
+        )
+        self.update_buffer(
+            "running_var",
+            (1 - self.momentum) * self._buffers["running_var"] + self.momentum * var.data.reshape(-1),
+        )
+    else:
+        mean = Tensor(self._buffers["running_mean"].reshape(shape))
+        var = Tensor(self._buffers["running_var"].reshape(shape))
+
+    normed = (x - mean) / (var + self.eps) ** 0.5
+    return normed * self.weight.reshape(shape) + self.bias.reshape(shape)
+
+
+#: every (N, C, L) of the grid; L is None for a 2-D (N, C) input
+_BN_SHAPES = [(n, c, length) for n, c, length in itertools.product(
+    [1, 2, 7, 64], [1, 3, 12], [None, 1, 5, 96])]
+#: (policy, the policy the module is built under)
+_BN_PRECISIONS = [("float64", "float64"), ("float32", "float32"), ("float32", "float64")]
+
+
+def _bn_case(n, c, length, parameters, seed=0):
+    """A module built under ``parameters`` with drawn parameters and running
+    statistics; an input with a constant and an all-zero channel; output
+    weights holding exact zeros and -0.0."""
+    rng = np.random.default_rng([n, c, length or 0, seed])
+    with use_precision(parameters):
+        bn = nn.BatchNorm1d(c)
+    bn.weight.data[...] = rng.normal(1.0, 0.5, size=c)
+    bn.bias.data[...] = rng.normal(0.0, 0.5, size=c)
+    bn.update_buffer("running_mean", rng.normal(size=c))
+    bn.update_buffer("running_var", rng.uniform(0.2, 3.0, size=c))
+    shape = (n, c) if length is None else (n, c, length)
+    x_value = rng.normal(3.0, 2.0, size=shape)
+    if c > 1:
+        x_value[:, 0] = 1.25
+    if c > 2:
+        x_value[:, -1] = 0.0
+    weights = rng.normal(size=shape)
+    weights[rng.random(shape) < 0.25] = 0.0
+    weights[rng.random(shape) < 0.25] = -0.0
+    return bn, x_value, weights
+
+
+def _bn_run(forward, bn, x_value, weights, x_grad):
+    """Bytes of ``forward``'s output and the running statistics after it, and
+    of the gradients of ``(output * weights).sum()``: weight's and bias's
+    (``None`` when frozen), then x's if it requires one.  The module's
+    running statistics are restored afterwards."""
+    bn.zero_grad()
+    buffers = dict(bn._buffers)
+    x = Tensor(x_value, requires_grad=x_grad)
+    out = forward(x)
+    (out * Tensor(weights)).sum().backward()
+    state = _bytes([out.data, bn.running_mean, bn.running_var])
+    for name, value in buffers.items():
+        bn.update_buffer(name, value)
+    grads = [bn.weight.grad, bn.bias.grad] + ([x.grad] if x_grad else [])
+    return state, _bytes(grads)
+
+
+class TestFusedBatchNorm:
+    """``nn.BatchNorm1d`` runs one ``functional.batch_norm`` node; it must be
+    byte-equal to the graph its forward used to build, in outputs, running
+    statistics and every gradient, over a grid fixed in advance."""
+
+    @pytest.mark.parametrize("precision, parameters", _BN_PRECISIONS)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("frozen", [(), ("weight",), ("bias",), ("weight", "bias")])
+    def test_matches_the_unrolled_graph(self, precision, parameters, training, x_grad, frozen):
+        with use_precision(precision):
+            for n, c, length in _BN_SHAPES:
+                bn, x_value, weights = _bn_case(n, c, length, parameters)
+                bn.train(training)
+                for name in frozen:
+                    getattr(bn, name).requires_grad = False
+                fused = _bn_run(bn, bn, x_value, weights, x_grad)
+                reference = _bn_run(lambda x: _unrolled_batch_norm(bn, x), bn, x_value, weights,
+                                    x_grad)
+                assert fused[0][0][0] == np.dtype(precision).str
+                assert [g is None for g in fused[1][:2]] == [name in frozen for name in
+                                                             ("weight", "bias")]
+                assert fused == reference, (n, c, length)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_inference_matches_the_unrolled_graph(self, training):
+        for precision, parameters in _BN_PRECISIONS:
+            with use_precision(precision), nn.no_grad():
+                for n, c, length in _BN_SHAPES:
+                    bn, x_value, _ = _bn_case(n, c, length, parameters)
+                    bn.train(training)
+                    fused = _bytes([bn(Tensor(x_value)).data, bn.running_mean, bn.running_var])
+                    bn.load_state_dict(_bn_case(n, c, length, parameters)[0].state_dict())
+                    reference = _bytes([_unrolled_batch_norm(bn, Tensor(x_value)).data,
+                                        bn.running_mean, bn.running_var])
+                    assert fused == reference, (precision, parameters, n, c, length)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float64_input_under_the_float32_policy(self, training):
+        # x's gradient sums its terms in x's dtype, as its accumulation does
+        for n, c, length in [(7, 3, 5), (64, 12, 96), (2, 3, None)]:
+            bn, x_value, weights = _bn_case(n, c, length, "float64")
+            bn.train(training)
+
+            def run(forward):
+                bn.zero_grad()
+                x = Tensor(x_value, requires_grad=True)  # built under float64
+                with use_precision("float32"):
+                    out = forward(x)
+                    (out * Tensor(weights)).sum().backward()
+                return _bytes([out.data, x.grad, bn.weight.grad, bn.bias.grad])
+
+            buffers = dict(bn._buffers)
+            fused = run(bn)
+            for name, value in buffers.items():
+                bn.update_buffer(name, value)
+            assert fused == run(lambda x: _unrolled_batch_norm(bn, x)), (n, c, length)
+
+    def test_second_backward_over_one_graph(self):
+        bn, x_value, weights = _bn_case(7, 3, 5, "float64")
+        other = np.random.default_rng(1).normal(size=weights.shape)
+        expected = {}
+        for name, value in (("weights", weights), ("other", other)):
+            expected[name] = _bn_run(lambda x: _unrolled_batch_norm(bn, x), bn, x_value, value,
+                                     x_grad=True)[1]
+        bn.zero_grad()
+        x = Tensor(x_value, requires_grad=True)
+        out = bn(x)
+        (out * Tensor(weights)).sum().backward()
+        bn.zero_grad()
+        x.grad = None
+        (out * Tensor(other)).sum().backward()  # the same graph, a new output gradient
+        assert _bytes([bn.weight.grad, bn.bias.grad, x.grad]) == expected["other"]
+        (out * Tensor(weights)).sum().backward()  # without zero_grad, it adds to the leaves
+        for grad, a, b in zip([bn.weight.grad, bn.bias.grad, x.grad], expected["weights"],
+                              expected["other"]):
+            a, b = (np.frombuffer(v[2], dtype=v[0]).reshape(v[1]) for v in (a, b))
+            assert np.allclose(grad, a + b)
+
+    def test_one_node_per_call(self):
+        bn = nn.BatchNorm1d(3)
+        x = Tensor(np.ones((2, 3, 6)))
+        for training in (True, False):
+            bn.train(training)
+            assert bn(x)._prev == (x, bn.weight, bn.bias)
+            with nn.no_grad():
+                assert bn(x)._prev == ()

@@ -95,20 +95,20 @@ def test_spread_wider_than_the_bound_is_unresolved(perf_pairs):
     assert not perf_pairs.summarise(narrow, SPEC)["metrics"]["setup_s"]["unresolved"]
 
 
-def _record(op_ms, reference_ms, setup_walls):
+def _record(op_ms, reference_ms, setup_walls, train_rate=1.0):
     """The parts of a perfbench run record the wall-clock summary reads."""
     return {"workload": "offline", "setup_wall_s": setup_walls, "setup_corrected_s": setup_walls,
             "wall_clock": {"op_p50_ms": op_ms, "op_tail_ms": 2 * op_ms, "points_per_s": 1.0,
-                           "train_windows_per_s": 1.0, "reference_p50_ms": reference_ms}}
+                           "train_windows_per_s": train_rate, "reference_p50_ms": reference_ms}}
 
 
 def test_wall_clock_figures_are_kept_per_side(perf_pairs):
-    record_pairs = [(_record(100.0, 1.0, [0.5, 0.7, 0.6]), _record(60.0, 1.1, [0.6])),
-                    (_record(120.0, 1.2, [0.4]), _record(70.0, 1.3, [0.5, 0.9])),
-                    (_record(110.0, 1.1, [0.3, 0.2]), _record(65.0, 1.0, [0.8]))]
+    record_pairs = [(_record(100.0, 1.0, [0.5, 0.7, 0.6], 900.0), _record(60.0, 1.1, [0.6], 1100.0)),
+                    (_record(120.0, 1.2, [0.4], 950.0), _record(70.0, 1.3, [0.5, 0.9], 1000.0)),
+                    (_record(110.0, 1.1, [0.3, 0.2], 800.0), _record(65.0, 1.0, [0.8], 1200.0))]
     summary = perf_pairs.summarise_wall_clock(record_pairs)
     assert set(summary) == {"op_p50_ms", "op_tail_ms", "reference_p50_ms", "setup_wall_s",
-                            "reference_shift", "reference_moved"}
+                            "train_windows_per_s", "reference_shift", "reference_moved"}
     assert summary["op_p50_ms"]["parent"] == {"q1": 105.0, "median": 110.0, "q3": 115.0,
                                               "runs": [100.0, 120.0, 110.0]}
     assert summary["op_p50_ms"]["change"]["runs"] == [60.0, 70.0, 65.0]
@@ -117,6 +117,10 @@ def test_wall_clock_figures_are_kept_per_side(perf_pairs):
     # one run's set-up figure is the median of its set-up repeats
     assert summary["setup_wall_s"]["parent"]["runs"] == [0.6, 0.4, 0.25]
     assert summary["setup_wall_s"]["change"]["runs"] == [0.6, 0.7, 0.8]
+    # the selector fits' throughput, kept as the runs report it
+    assert summary["train_windows_per_s"]["parent"] == {"q1": 850.0, "median": 900.0,
+                                                        "q3": 925.0, "runs": [900.0, 950.0, 800.0]}
+    assert summary["train_windows_per_s"]["change"]["runs"] == [1100.0, 1000.0, 1200.0]
 
 
 def _workload_summary(perf_pairs, parent_refs, change_refs):
@@ -165,7 +169,14 @@ def test_append_record_keeps_earlier_records(perf_pairs, tmp_path):
 def test_committed_ledger_records_are_complete():
     ledger = json.loads((ROOT / "BENCH_perfbench.json").read_text())
     assert ledger, "the ledger holds at least one record"
+    keeps_training = False
     for record in ledger:
+        # from the first record that keeps the selector fits' throughput on,
+        # every workload of every record keeps it
+        kept = ["train_windows_per_s" in summary.get("wall_clock", {})
+                for summary in record["workloads"].values()]
+        keeps_training = keeps_training or any(kept)
+        assert all(kept) or not keeps_training
         for side in ("parent", "change"):
             assert {"ref", "commit", "tree", "src_tree"} <= set(record[side])
         assert {"nproc", "python", "numpy", "seed", "seconds", "workloads"} <= set(record)

@@ -10,6 +10,7 @@ happy-path service semantics.
 
 import asyncio
 import contextlib
+import signal
 import socket
 import threading
 import time
@@ -37,6 +38,7 @@ from repro.service import (
     make_engine_factory,
     shard_index,
 )
+from repro.service.supervisor import ShardSupervisor
 from repro.service.transport import MAX_MESSAGE_BYTES
 from repro.streaming import DriftConfig, StreamEngine, StreamingConfig
 
@@ -293,6 +295,31 @@ class TestServiceConfig:
     def test_bad_values_are_rejected_when_built(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ServiceConfig(**fields)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e12, 2 * threading.TIMEOUT_MAX])
+    def test_timeouts_a_socket_refuses_are_rejected_when_built(self, timeout):
+        with pytest.raises(ValueError, match="^request_timeout_s must be finite and at most "):
+            ServiceConfig(request_timeout_s=timeout)
+
+    def test_the_largest_timeout_a_socket_takes_is_accepted(self):
+        config = ServiceConfig(request_timeout_s=threading.TIMEOUT_MAX)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            ShardClient(server.getsockname()[1], timeout_s=config.request_timeout_s).close()
+
+
+class TestShardSupervisor:
+    def test_restart_sigkills_a_live_shard(self, service_world):
+        factory = make_engine_factory(service_world["selector"], service_world["detector_names"],
+                                      StreamingConfig(window=64, stride=32))
+        supervisor = ShardSupervisor(factory)
+        try:
+            old = supervisor.spawn("shard-0").process
+            new = supervisor.restart("shard-0")
+            assert old.exitcode == -signal.SIGKILL
+            assert new.generation == 2 and new.is_alive() and supervisor.restarts == 1
+        finally:
+            supervisor.stop_all()
+        assert new.process.exitcode is not None
 
 
 # --------------------------------------------------------------------------- #
