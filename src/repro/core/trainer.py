@@ -97,7 +97,9 @@ class SelectorTrainer:
 
         Each minibatch the pruner keeps costs one forward, one backward and
         one optimizer step; nothing else runs per epoch.  The per-sample
-        losses of that forward are what the pruner averages.
+        losses of that forward are what the pruner averages.  The forward's
+        gradient-free prefix (:meth:`NNSelector.static_input`) runs once
+        over the training windows; each minibatch indexes its rows.
         """
         config = self.config
         rng = np.random.default_rng(config.seed)
@@ -138,6 +140,7 @@ class SelectorTrainer:
         )
 
         start_total = time.perf_counter()
+        static = self.selector.static_input(train_set.windows)
         for epoch in range(config.epochs):
             indices, weights = pruner.select(epoch)
             order = rng.permutation(len(indices))
@@ -151,7 +154,7 @@ class SelectorTrainer:
                 batch_idx = indices[start:start + config.batch_size]
                 batch_weights = weights[start:start + config.batch_size]
 
-                logits, features = self.selector.forward(train_set.windows[batch_idx])
+                logits, features = self.selector.forward_static(static[batch_idx])
                 per_sample = self.pisl(
                     logits,
                     train_set.hard_labels[batch_idx],

@@ -37,6 +37,21 @@ def _pad_series(series: np.ndarray, window: int) -> np.ndarray:
     return np.concatenate([series, np.full(window - len(series), fill)])
 
 
+def resolve_stride(window: int, stride: Optional[int] = None) -> int:
+    """The stride to cut ``window``-point windows with, after checking both.
+
+    ``None`` means non-overlapping windows (``stride = window``).  A window
+    or stride below 1 raises a :class:`ValueError` naming it.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if stride is None:
+        return window
+    if stride < 1:
+        raise ValueError("stride must be >= 1 (or None for non-overlapping)")
+    return stride
+
+
 def count_windows(length: int, window: int, stride: Optional[int] = None) -> int:
     """Number of windows :func:`extract_windows` yields for a series length.
 
@@ -44,7 +59,7 @@ def count_windows(length: int, window: int, stride: Optional[int] = None) -> int
     extraction and the serving layer's micro-batch budgeting): too-short
     series are padded up to ``window``, so every series yields at least one.
     """
-    stride = stride or window
+    stride = resolve_stride(window, stride)
     return (max(length, window) - window) // stride + 1
 
 
@@ -58,7 +73,7 @@ def complete_window_count(length: int, window: int, stride: Optional[int] = None
     would change on every append.  For ``length >= window`` the two counts
     agree.
     """
-    stride = stride or window
+    stride = resolve_stride(window, stride)
     if length < window:
         return 0
     return (length - window) // stride + 1
@@ -83,7 +98,7 @@ def extract_new_windows(
     never drift from batch extraction.
     """
     series = np.asarray(series, dtype=np.float64).ravel()
-    stride = stride or window
+    stride = resolve_stride(window, stride)
     total = complete_window_count(len(series), window, stride)
     if total <= n_emitted:
         return np.empty((0, window), dtype=np.float64)
@@ -99,8 +114,8 @@ def extract_windows(series: np.ndarray, window: int, stride: Optional[int] = Non
     so that every series contributes at least one window.  Each window is
     z-normalised on its own (:func:`repro.ml.scalers.zscore_rows`).
     """
+    stride = resolve_stride(window, stride)
     series = _pad_series(np.asarray(series, dtype=np.float64).ravel(), window)
-    stride = stride or window
     n = count_windows(len(series), window, stride)
     idx = np.arange(window)[None, :] + stride * np.arange(n)[:, None]
     return zscore_rows(series[idx], dtype=np.float64)
@@ -122,7 +137,7 @@ def extract_windows_batch(
     allocation happen once for the whole batch, which is what makes the
     serving layer's batched selector forward pass worthwhile.
     """
-    stride = stride or window
+    stride = resolve_stride(window, stride)
     padded: List[np.ndarray] = []
     counts: List[int] = []
     for series in series_list:

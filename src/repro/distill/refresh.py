@@ -149,11 +149,12 @@ class StudentRefresher:
         params = self.student.parameters()
         optimizer = nn.Adam(params, lr=config.lr)
         self.student.train_mode(True)
+        static = self.student.static_input(windows)
         n = len(windows)
         batch = min(config.batch_size, n)
         for _ in range(config.steps):
             idx = self._rng.choice(n, size=batch, replace=False)
-            logits, _ = self.student.forward(windows[idx])
+            logits, _ = self.student.forward_static(static[idx])
             per_sample = loss_fn(logits, hard[idx], soft[idx])
             loss = per_sample.sum() * (1.0 / batch)
             optimizer.zero_grad()

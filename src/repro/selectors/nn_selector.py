@@ -98,19 +98,33 @@ class NNSelector(Selector):
             windows = windows[:, None, :]
         return nn.Tensor(windows)
 
+    def static_input(self, windows: np.ndarray):
+        """The gradient-free prefix of :meth:`forward`: what the encoder reads.
+
+        Here it is the ``(N, 1, L)`` windows tensor in the policy dtype; the
+        student's prefix is its static window features.  Row ``i`` depends
+        on window ``i`` alone, so :class:`repro.core.trainer.SelectorTrainer`
+        runs the prefix once per fit and indexes its rows per minibatch.
+        """
+        return self._to_input(windows)
+
+    def forward_static(self, rows) -> Tuple[nn.Tensor, nn.Tensor]:
+        """Return (logits, features) for rows of :meth:`static_input`."""
+        features = self.encoder(rows)
+        logits = self.classifier(features)
+        return logits, features
+
     def forward(self, windows: np.ndarray) -> Tuple[nn.Tensor, nn.Tensor]:
         """Return (logits, features) for a batch of windows."""
         self.build()
-        features = self.encoder(self._to_input(windows))
-        logits = self.classifier(features)
-        return logits, features
+        return self.forward_static(self.static_input(windows))
 
     def encode(self, windows: np.ndarray) -> np.ndarray:
         """Feature vectors ``z_T`` without gradient tracking."""
         self.build()
         self.train_mode(False)
         with nn.no_grad():
-            features = self.encoder(self._to_input(windows))
+            features = self.encoder(self.static_input(windows))
         return features.numpy()
 
     # ------------------------------------------------------------------ #

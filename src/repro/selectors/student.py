@@ -73,25 +73,17 @@ class StaticFeatureEncoder(nn.Module):
         return rocket
 
     def transform(self, windows: np.ndarray) -> np.ndarray:
-        """Raw static features of a 2-D windows matrix (cached at inference).
-
-        During training every minibatch is a distinct submatrix, so the
-        content-addressed cache would only churn; it is bypassed whenever
-        the module is in train mode.
-        """
+        """Raw static features of a 2-D windows matrix (through the transform cache)."""
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected a (n, window) matrix, got shape {x.shape}")
-        use_cache = not self.training
         parts = []
         if self.features in ("stats", "both"):
-            parts.append(self._cached(x, "stats_features", extract_features) if use_cache
-                         else extract_features(x))
+            parts.append(self._cached(x, "stats_features", extract_features))
         if self.features in ("rocket", "both"):
             rocket = self._rocket()
             rocket_id = f"rocket:{self.seed}:{self.n_kernels}:{self.window}"
-            parts.append(self._cached(x, rocket_id, rocket.transform) if use_cache
-                         else rocket.transform(x))
+            parts.append(self._cached(x, rocket_id, rocket.transform))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     @staticmethod
@@ -112,14 +104,11 @@ class StaticFeatureEncoder(nn.Module):
     # ------------------------------------------------------------------ #
     # forward
     # ------------------------------------------------------------------ #
-    def forward(self, x) -> nn.Tensor:
-        data = x.data if isinstance(x, nn.Tensor) else np.asarray(x, dtype=np.float64)
-        if data.ndim == 3:  # (N, 1, L) from NNSelector._to_input
-            data = data[:, 0, :]
+    def forward(self, feats: np.ndarray) -> nn.Tensor:
+        """Hidden features of raw :meth:`transform` rows (the learnable rest)."""
         # normalising allocates a fresh array, so read-only cached transform
         # outputs are never mutated
-        feats = (self.transform(data) - self.feat_mean) / self.feat_scale
-        return self.act(self.fc1(nn.Tensor(feats)))
+        return self.act(self.fc1(nn.Tensor((feats - self.feat_mean) / self.feat_scale)))
 
 
 @register_selector("Student", neural=True)
@@ -132,6 +121,14 @@ class StudentSelector(NNSelector):
         super().__init__(window=window, n_classes=n_classes, epochs=epochs,
                          batch_size=batch_size, lr=lr, seed=seed,
                          hidden=hidden, features=features, n_kernels=n_kernels)
+
+    def static_input(self, windows: np.ndarray) -> np.ndarray:
+        """Raw static features of the windows as :meth:`_to_input` casts them.
+
+        In float32 that is the float32-rounded windows, so the features a
+        fit indexes are those a per-minibatch forward would compute.
+        """
+        return self.encoder.transform(self._to_input(windows).data[:, 0, :])
 
     def _make_encoder(self) -> nn.Module:
         return StaticFeatureEncoder(

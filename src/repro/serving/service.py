@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..data.records import TimeSeriesRecord
-from ..data.windows import extract_windows_batch
+from ..data.windows import extract_windows_batch, resolve_stride
 from ..eval.evaluation import aggregate_window_probas, check_selectable
 from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
@@ -61,8 +61,7 @@ class ServingConfig:
     latency_slo_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        resolve_stride(self.window)
         if self.aggregation not in ("vote", "mean"):
             raise ValueError("aggregation must be 'vote' or 'mean'")
         if self.cache_capacity < 1:

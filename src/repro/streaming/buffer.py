@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..data.windows import extract_new_windows
+from ..data.windows import extract_new_windows, resolve_stride
 
 
 class GrowingArray:
@@ -72,10 +72,8 @@ class StreamBuffer:
     """
 
     def __init__(self, window: int, stride: Optional[int] = None) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        self.stride = resolve_stride(window, stride)
         self.window = window
-        self.stride = stride or window
         self._points = GrowingArray(max(1024, 2 * window))
         self._external: Optional[np.ndarray] = None
         self._n_emitted = 0

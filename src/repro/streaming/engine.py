@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..data.windows import resolve_stride
 from ..detectors.base import AnomalyDetector, check_finite
 from ..obs.audit import NULL_AUDIT, selection_inputs
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
@@ -79,10 +80,7 @@ class StreamingConfig:
     latency_slo_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError("stride must be >= 1 (or None for non-overlapping)")
+        resolve_stride(self.window, self.stride)
         if self.aggregation not in ("vote", "mean"):
             raise ValueError("aggregation must be 'vote' or 'mean'")
         if self.keep_last_on_drift < 0:
@@ -212,7 +210,7 @@ class StreamEngine:
                 raise ValueError(f"model_set lacks detectors the selector can choose: {missing}")
         #: the selector this engine serves (the cascade's fast tier)
         self.selector = selector
-        self._stride = self.config.stride or self.config.window
+        self._stride = resolve_stride(self.config.window, self.config.stride)
         self._forward_windows = default_registry().register(Counter(
             "repro_stream_forward_windows_total",
             "windows sent through an actual selector forward pass"))

@@ -57,24 +57,31 @@ class TestTrainerBasics:
         assert np.allclose(pa, pb)
 
     def test_fit_only_trains(self, small_selector_dataset, monkeypatch):
-        """One selector forward per trained minibatch and no inference pass:
-        pruning shortens everything a fit does."""
+        """One static prefix per fit, one learnable forward per trained
+        minibatch and no inference pass: pruning shortens everything a fit
+        does."""
         selector = _mlp(small_selector_dataset)
-        forward = selector.forward
-        calls = []
+        static_input, forward_static = selector.static_input, selector.forward_static
+        prefixes, calls = [], []
 
-        def counting_forward(windows):
-            calls.append(len(windows))
-            return forward(windows)
+        def counting_static_input(windows):
+            prefixes.append(len(windows))
+            return static_input(windows)
+
+        def counting_forward_static(rows):
+            calls.append(len(rows))
+            return forward_static(rows)
 
         def no_inference(windows):
             raise AssertionError("a fit must not run predict_proba")
 
-        monkeypatch.setattr(selector, "forward", counting_forward)
+        monkeypatch.setattr(selector, "static_input", counting_static_input)
+        monkeypatch.setattr(selector, "forward_static", counting_forward_static)
         monkeypatch.setattr(selector, "predict_proba", no_inference)
         config = kdselector_config(epochs=4, batch_size=16, projection_dim=8, lsh_bits=6)
         report = SelectorTrainer(selector, config).fit(small_selector_dataset)
 
+        assert prefixes == [len(small_selector_dataset)]
         assert report.epoch_samples_used[1] < len(small_selector_dataset)
         batches = [-(-used // 16) for used in report.epoch_samples_used]
         assert len(calls) == sum(batches)

@@ -24,6 +24,13 @@ from repro.data.anomalies import (
     inject_level_shift,
     inject_spike,
 )
+from repro.data.windows import (
+    complete_window_count,
+    count_windows,
+    extract_new_windows,
+    extract_windows_batch,
+)
+from repro.streaming.buffer import StreamBuffer
 
 
 class TestSignals:
@@ -219,6 +226,28 @@ class TestWindowsAndBenchmark:
     def test_extract_windows_pads_short_series(self):
         windows = extract_windows(np.arange(5, dtype=float), window=16)
         assert windows.shape == (1, 16)
+
+    @pytest.mark.parametrize("call", [
+        lambda window, stride: count_windows(20, window, stride),
+        lambda window, stride: complete_window_count(20, window, stride),
+        lambda window, stride: extract_windows(np.arange(20.0), window, stride),
+        lambda window, stride: extract_windows_batch([np.arange(20.0)], window, stride),
+        lambda window, stride: extract_new_windows(np.arange(20.0), window, 0, stride),
+        lambda window, stride: StreamBuffer(window, stride),
+    ], ids=["count_windows", "complete_window_count", "extract_windows",
+            "extract_windows_batch", "extract_new_windows", "StreamBuffer"])
+    @pytest.mark.parametrize("window, stride, name", [
+        (0, None, "window"), (-3, None, "window"), (0, 2, "window"),
+        (4, 0, "stride"), (4, -2, "stride"),
+    ])
+    def test_windowing_rejects_window_or_stride_below_one(self, call, window, stride, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+            call(window, stride)
+
+    def test_stride_none_means_non_overlapping(self):
+        series = np.arange(20, dtype=float)
+        assert np.array_equal(extract_windows(series, 4), extract_windows(series, 4, stride=4))
+        assert count_windows(20, 4) == complete_window_count(20, 4) == 5
 
     def test_build_selector_dataset_alignment(self, tiny_benchmark, synthetic_performance_matrix,
                                               detector_name_list):
